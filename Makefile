@@ -1,14 +1,14 @@
 # Developer entry points for the GADT reproduction.
 #
-#   make check      - formatting, vet, build, tests, fuzz + journal smokes
+#   make check      - formatting, vet, build, tests, every benchmark once, fuzz + journal smokes
 #   make build      - compile every package and command
 #   make test       - run the test suite
-#   make bench      - run the benchmark suite once
+#   make bench      - run every benchmark once (no tests)
+#   make loc        - count non-test Go lines per package and in total
 #   make bench-json - write BENCH_debug.json (queries + ns/op per strategy)
 #   make bench-save    - record interpreter benchmarks to bench.old.txt
 #   make bench-compare - re-run them and diff against bench.old.txt
 #   make bench-interp  - write BENCH_interp.json (hot path vs recorded baseline)
-#   make bench-vm      - write BENCH_vm.json (VM vs interpreter, 3x geomean gate)
 #   make mutate     - run the full mutation campaign, write BENCH_mutation.json
 #   make diff       - run the differential equivalence campaign, write BENCH_diff.json
 #   make trace-smoke - record Chrome traces (gadt + pmut) and validate them
@@ -21,10 +21,10 @@ GO ?= go
 FUZZTIME ?= 5s
 # Benchmarks tracked by bench-save / bench-compare; -count 3 gives the
 # comparator (benchstat, or cmd/benchcmp as fallback) repeats to average.
-BENCH_PATTERN ?= BenchmarkInterp|BenchmarkVM
+BENCH_PATTERN ?= BenchmarkInterp
 BENCH_COUNT ?= 3
 
-.PHONY: check build test bench bench-json bench-save bench-compare bench-interp bench-vm \
+.PHONY: check build test bench loc bench-json bench-save bench-compare bench-interp \
 	mutate diff trace-smoke serve-smoke lint staticcheck fmt smoke-journal smoke-fuzz
 
 # Where trace-smoke leaves its artifacts (CI uploads this directory).
@@ -38,18 +38,19 @@ check:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test ./...
+	$(MAKE) bench
 	$(MAKE) smoke-fuzz
 	$(MAKE) smoke-journal
 
 # Short coverage-guided fuzz runs: the lexer, the parser and the HTTP
 # session API must survive arbitrary inputs without panicking, and the
-# bytecode VM must agree with the interpreter on every generated
+# interpreter's traced and untraced paths must agree on every generated
 # program (one -fuzz pattern per package).
 smoke-fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzLexer -fuzztime=$(FUZZTIME) ./internal/pascal/lexer
 	$(GO) test -run='^$$' -fuzz=FuzzParser -fuzztime=$(FUZZTIME) ./internal/pascal/parser
 	$(GO) test -run='^$$' -fuzz=FuzzSessionAPI -fuzztime=$(FUZZTIME) ./internal/serve
-	$(GO) test -run='^$$' -fuzz=FuzzVMvsInterp -fuzztime=$(FUZZTIME) ./internal/pascal/vm
+	$(GO) test -run='^$$' -fuzz=FuzzTracedVsUntraced -fuzztime=$(FUZZTIME) ./internal/pascal/interp
 
 # Record a debugging session against the known-good reference, then
 # replay it with stdin closed: both runs must localize the same unit and
@@ -80,8 +81,16 @@ build:
 test:
 	$(GO) test ./...
 
+# One iteration of every benchmark: proves none has rotted, measures
+# nothing. bench/ is a module of its own and is not included.
 bench:
-	$(GO) test -bench=. -benchmem -benchtime=1x ./...
+	$(GO) test -run='^$$' -bench=. -benchmem -benchtime=1x ./...
+
+# Non-test Go lines per package directory, then the total.
+loc:
+	@$(GO) list -f '{{range .GoFiles}}{{$$.Dir}}/{{.}} {{end}}' ./... | xargs wc -l | \
+		awk '$$2 != "total" { sub("^$(CURDIR)/", "", $$2); sub("/[^/]*$$", "", $$2); n[$$2] += $$1; t += $$1 } \
+		END { for (p in n) printf "%6d  %s\n", n[p], p | "sort -k2"; close("sort -k2"); printf "%6d  total\n", t }'
 
 bench-json:
 	$(GO) run ./cmd/gadt-bench -o BENCH_debug.json
@@ -104,13 +113,6 @@ bench-compare:
 # pre-overhaul baseline (testdata/bench/baseline_interp.txt).
 bench-interp:
 	$(GO) run ./cmd/interp-bench -o BENCH_interp.json
-
-# Backend report: bytecode VM vs the current interpreter on the gate
-# workloads, timed in interleaved rounds (min-of-rounds per side, so a
-# noisy host degrades both numbers instead of skewing the ratio). Fails
-# below a 3x geometric-mean speedup — the VM's reason to exist.
-bench-vm:
-	$(GO) run ./cmd/interp-bench -vm -o BENCH_vm.json -gate 3.0
 
 # Fault-injection evaluation: mutate every subject program, run each
 # mutant through the debugger with the unmutated original as oracle.

@@ -8,21 +8,10 @@
 // Usage:
 //
 //	interp-bench [-o BENCH_interp.json] [-baseline testdata/bench/baseline_interp.txt]
-//	interp-bench -vm [-o BENCH_vm.json] [-gate 3.0]
 //
 // The baseline file is ordinary `go test -bench` output recorded before
 // the overhaul (dynamic map environments, boxed interface values). Pass
 // -baseline "" to skip the comparison and record raw numbers only.
-//
-// With -vm the tool instead measures the bytecode VM against the
-// current interpreter on the same workloads and writes BENCH_vm.json.
-// The two backends are timed in alternating rounds and each side keeps
-// its fastest round, so load drift on a shared host degrades both
-// numbers rather than whichever backend ran during the slow window.
-// The headline number is the geometric-mean speedup over the gate
-// workloads (IntLoop, Recursion); -gate N makes the tool exit nonzero
-// when that geomean falls below N, which is how CI enforces the VM's
-// reason to exist.
 package main
 
 import (
@@ -30,7 +19,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"runtime"
 	"testing"
@@ -66,175 +54,18 @@ type report struct {
 }
 
 func main() {
-	out := flag.String("o", "", "report destination (\"-\" = stdout; default BENCH_interp.json, or BENCH_vm.json with -vm)")
+	out := flag.String("o", "BENCH_interp.json", "report destination (\"-\" = stdout)")
 	baseline := flag.String("baseline", "testdata/bench/baseline_interp.txt",
 		"pre-overhaul `go test -bench` output to compare against (\"\" = none)")
-	vmMode := flag.Bool("vm", false, "measure the bytecode VM against the interpreter instead")
-	gate := flag.Float64("gate", 0, "with -vm: fail unless the gate-workload geomean speedup reaches this (0 = report only)")
 	flag.Parse()
 	if flag.NArg() != 0 {
 		flag.Usage()
 		os.Exit(2)
 	}
-	var err error
-	if *vmMode {
-		if *out == "" {
-			*out = "BENCH_vm.json"
-		}
-		err = runVM(*out, *gate)
-	} else {
-		if *out == "" {
-			*out = "BENCH_interp.json"
-		}
-		err = run(*out, *baseline)
-	}
-	if err != nil {
+	if err := run(*out, *baseline); err != nil {
 		fmt.Fprintln(os.Stderr, "interp-bench:", err)
 		os.Exit(1)
 	}
-}
-
-// ---------------------------------------------------------------------------
-// VM-vs-interpreter mode
-
-type vmEntry struct {
-	Name          string  `json:"name"`
-	InterpNsPerOp float64 `json:"interp_ns_per_op"`
-	VMNsPerOp     float64 `json:"vm_ns_per_op"`
-	Speedup       float64 `json:"speedup"`
-	Gated         bool    `json:"gated"` // counts toward the geomean gate
-}
-
-type vmReport struct {
-	Generated      string    `json:"generated"`
-	GoVersion      string    `json:"go_version"`
-	GOOS           string    `json:"goos"`
-	GOARCH         string    `json:"goarch"`
-	NumCPU         int       `json:"num_cpu"`
-	Rounds         int       `json:"rounds"`
-	Gate           float64   `json:"gate,omitempty"`
-	GeomeanSpeedup float64   `json:"geomean_speedup"`
-	Workloads      []vmEntry `json:"workloads"`
-}
-
-const vmRounds = 10
-
-// pairedSpeedup times the two runners in alternating rounds of roughly
-// targetRound each and returns the fastest per-iteration time either
-// side achieved. Interleaving plus min-of-rounds makes the ratio robust
-// against machine-load drift: a slow window inflates some rounds of
-// both backends, and the minimum discards it for both.
-func pairedSpeedup(interpRun, vmRun func(int) time.Duration) (interpNs, vmNs float64) {
-	const targetRound = 60 * time.Millisecond
-	// Calibrate the per-round iteration counts on the first timing of
-	// each side.
-	calib := func(run func(int) time.Duration) int {
-		iters := 1
-		for {
-			d := run(iters)
-			if d >= targetRound/4 {
-				n := int(float64(iters) * float64(targetRound) / float64(d))
-				if n < 1 {
-					n = 1
-				}
-				return n
-			}
-			iters *= 4
-		}
-	}
-	vi, vv := calib(interpRun), calib(vmRun)
-	minI, minV := time.Duration(1<<62), time.Duration(1<<62)
-	for r := 0; r < vmRounds; r++ {
-		if d := interpRun(vi); d < minI {
-			minI = d
-		}
-		if d := vmRun(vv); d < minV {
-			minV = d
-		}
-	}
-	return float64(minI) / float64(vi), float64(minV) / float64(vv)
-}
-
-func runVM(out string, gate float64) error {
-	workloads := []struct {
-		name  string
-		src   string
-		gated bool
-	}{
-		{"IntLoop", perfbench.IntLoopSrc, true},
-		{"Recursion", perfbench.RecursionSrc, true},
-	}
-
-	rep := vmReport{
-		Generated: time.Now().UTC().Format(time.RFC3339),
-		GoVersion: runtime.Version(),
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
-		NumCPU:    runtime.NumCPU(),
-		Rounds:    vmRounds,
-		Gate:      gate,
-	}
-	logGeo := 0.0
-	ngated := 0
-	for _, w := range workloads {
-		fmt.Fprintf(os.Stderr, "running %s (interp vs vm, %d interleaved rounds)...\n", w.name, vmRounds)
-		interpRun, vmRun, err := perfbench.PairedRunners(w.src)
-		if err != nil {
-			return fmt.Errorf("%s: %w", w.name, err)
-		}
-		interpNs, vmNs := pairedSpeedup(interpRun, vmRun)
-		e := vmEntry{
-			Name:          w.name,
-			InterpNsPerOp: interpNs,
-			VMNsPerOp:     vmNs,
-			Speedup:       interpNs / vmNs,
-			Gated:         w.gated,
-		}
-		fmt.Fprintf(os.Stderr, "  %s: interp %.0f ns/op, vm %.0f ns/op — %.2fx\n",
-			w.name, e.InterpNsPerOp, e.VMNsPerOp, e.Speedup)
-		if w.gated {
-			logGeo += math.Log(e.Speedup)
-			ngated++
-		}
-		rep.Workloads = append(rep.Workloads, e)
-	}
-	rep.GeomeanSpeedup = math.Exp(logGeo / float64(ngated))
-	fmt.Fprintf(os.Stderr, "geomean speedup over gate workloads: %.2fx\n", rep.GeomeanSpeedup)
-
-	if err := writeJSON(out, rep); err != nil {
-		return err
-	}
-	if gate > 0 && rep.GeomeanSpeedup < gate {
-		return fmt.Errorf("geomean speedup %.2fx below gate %.2fx", rep.GeomeanSpeedup, gate)
-	}
-	return nil
-}
-
-func writeJSON(out string, v any) error {
-	dst := os.Stdout
-	if out != "-" {
-		f, err := os.Create(out)
-		if err != nil {
-			return err
-		}
-		dst = f
-	}
-	w := bufio.NewWriter(dst)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		return err
-	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	if out != "-" {
-		if err := dst.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "report written to %s\n", out)
-	}
-	return nil
 }
 
 func run(out, baseline string) error {
@@ -294,5 +125,28 @@ func run(out, baseline string) error {
 		rep.Benchmarks = append(rep.Benchmarks, e)
 	}
 
-	return writeJSON(out, rep)
+	dst := os.Stdout
+	if out != "-" {
+		f, err := os.Create(out)
+		if err != nil {
+			return err
+		}
+		dst = f
+	}
+	w := bufio.NewWriter(dst)
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(rep); err != nil {
+		return err
+	}
+	if err := w.Flush(); err != nil {
+		return err
+	}
+	if out != "-" {
+		if err := dst.Close(); err != nil {
+			return err
+		}
+		fmt.Fprintf(os.Stderr, "report written to %s\n", out)
+	}
+	return nil
 }

@@ -12,8 +12,6 @@
 //	pdiff [flags]
 //
 //	-n n           random programs to generate (default 250)
-//	-backend name  execution backend: interp or vm; vm also adds the
-//	               interpreter-vs-VM comparison axis to every subject
 //	-seed n        generation seed; same seed, same campaign (default 1)
 //	-corpus        also include corpus fixtures and progen shapes (default true)
 //	-workers n     worker pool size (0 = GOMAXPROCS)
@@ -50,7 +48,6 @@ import (
 func main() {
 	var (
 		n        = flag.Int("n", 250, "random programs to generate")
-		backendF = flag.String("backend", "", "execution backend: interp or vm (vm adds the interpreter-vs-VM comparison axis)")
 		seed     = flag.Int64("seed", 1, "generation seed")
 		corpus   = flag.Bool("corpus", true, "also include corpus fixtures and progen shapes")
 		workers  = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
@@ -71,7 +68,7 @@ func main() {
 		os.Exit(2)
 	}
 	divergent, err := run(runOpts{
-		n: *n, seed: *seed, corpus: *corpus, workers: *workers, backend: *backendF,
+		n: *n, seed: *seed, corpus: *corpus, workers: *workers,
 		fuel: *fuel, timeout: *timeout, shrink: *shrink, dir: *dir,
 		jsonOut: *jsonOut, stats: *stats, opsAddr: *opsAddr,
 		traceOut: *traceOut, progress: *progress, verbose: *verbose,
@@ -88,7 +85,6 @@ func main() {
 
 type runOpts struct {
 	n        int
-	backend  string
 	seed     int64
 	corpus   bool
 	workers  int
@@ -125,7 +121,6 @@ func run(o runOpts) (divergent bool, err error) {
 
 	cfg := diffharness.Config{
 		Programs: o.n,
-		Backend:  o.backend,
 		Seed:     o.seed,
 		Corpus:   o.corpus,
 		Workers:  o.workers,

@@ -19,8 +19,6 @@
 //	-no-harvest    skip harvesting the reference run into call/assertion
 //	               databases (every query then reaches the oracle)
 //	-subject s     only subjects whose name contains s
-//	-backend name  mutant execution engine: interp or vm (vm classifies
-//	               untraced at bytecode speed, tracing only killed mutants)
 //	-fuel n        per-execution statement budget
 //	-depth n       per-execution call-depth budget
 //	-timeout d     per-mutant wall-clock backstop
@@ -58,7 +56,6 @@ func main() {
 		noHarvest = flag.Bool("no-harvest", false, "skip the reference-run call/assertion harvest")
 		opsFlag   = flag.String("operators", "all", "comma list of mutation operators, or all")
 		subject   = flag.String("subject", "", "only subjects whose name contains this")
-		backendF  = flag.String("backend", "", "mutant execution engine: interp or vm")
 		fuel      = flag.Int("fuel", 0, "per-execution statement budget (0 = default)")
 		depth     = flag.Int("depth", 0, "per-execution call-depth budget (0 = default)")
 		timeout   = flag.Duration("timeout", 0, "per-mutant wall-clock backstop (0 = default)")
@@ -76,7 +73,7 @@ func main() {
 	}
 	if err := run(runOpts{
 		seed: *seed, budget: *budget, workers: *workers,
-		strategy: *strategy, opsFlag: *opsFlag, subject: *subject, backend: *backendF,
+		strategy: *strategy, opsFlag: *opsFlag, subject: *subject,
 		fuel: *fuel, depth: *depth, timeout: *timeout, jsonOut: *jsonOut,
 		stats: *stats, opsAddr: *opsAddr, traceOut: *traceOut,
 		progress: *progress, verbose: *verbose, gate: *gate, noHarvest: *noHarvest,
@@ -123,7 +120,6 @@ type runOpts struct {
 	strategy        string
 	opsFlag         string
 	subject         string
-	backend         string
 	fuel, depth     int
 	timeout         time.Duration
 	jsonOut         string
@@ -188,7 +184,6 @@ func run(o runOpts) (err error) {
 		Metrics:    reg,
 		Tracer:     tracer,
 		NoHarvest:  o.noHarvest,
-		Backend:    o.backend,
 	}
 	if o.progress {
 		cfg.Progress = os.Stderr

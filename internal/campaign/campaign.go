@@ -17,7 +17,6 @@ import (
 	"runtime"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -28,7 +27,6 @@ import (
 	"gadt/internal/mutate"
 	"gadt/internal/obs"
 	"gadt/internal/paper"
-	"gadt/internal/pascal/backend"
 	"gadt/internal/pascal/interp"
 	"gadt/internal/progen"
 	"gadt/internal/tgen"
@@ -125,13 +123,6 @@ type Config struct {
 	Progress io.Writer
 	// Logf, when non-nil, receives one progress line per subject.
 	Logf func(format string, args ...any)
-	// Backend selects the mutant execution engine ("" or "interp" =
-	// interpreter, "vm" = bytecode VM). Under "vm", evaluation is
-	// two-phase: every mutant first runs untraced at VM speed for the
-	// killed/survived/timeout classification, and only killed mutants
-	// are re-run traced for debugging-phase localization. Reference
-	// runs stay traced either way — they feed the assertion harvest.
-	Backend string
 }
 
 func (c *Config) withDefaults() Config {
@@ -209,9 +200,6 @@ type job struct {
 
 // Run executes the campaign and returns the aggregated report.
 func Run(cfg Config) (*Report, error) {
-	if _, err := backend.Select(cfg.Backend); err != nil {
-		return nil, err
-	}
 	cfg = cfg.withDefaults()
 	start := time.Now()
 
@@ -418,13 +406,7 @@ func skeleton(j job) MutantOutcome {
 	}
 }
 
-// eval pushes one mutant through the pipeline. Under the vm backend it
-// is two-phase: an untraced classification run first (VM speed, no
-// event dispatch), then a traced re-run only for killed mutants that
-// enter the debugging phase. Budget semantics are identical between
-// the engines (same typed fuel/depth errors at the same statement
-// counts), so the untraced verdict matches what the traced run would
-// have concluded.
+// eval pushes one mutant through the pipeline.
 func eval(cfg Config, j job) MutantOutcome {
 	start := time.Now()
 	o := skeleton(j)
@@ -435,36 +417,6 @@ func eval(cfg Config, j job) MutantOutcome {
 		o.Status, o.Detail = StatusStillborn, err.Error()
 		return o
 	}
-
-	if cfg.Backend == "vm" {
-		res, terr := sys.Transform()
-		if terr != nil {
-			o.Status, o.Detail = StatusStillborn, terr.Error()
-			return o
-		}
-		be, _ := backend.Select(cfg.Backend)
-		var out strings.Builder
-		r := be.NewRunner("", res.Info, interp.Config{
-			Input:    strings.NewReader(j.subject.Input),
-			Output:   &out,
-			MaxSteps: cfg.Fuel,
-			MaxDepth: cfg.MaxDepth,
-			Metrics:  cfg.Metrics,
-		})
-		runErr := r.Run()
-		switch {
-		case errors.Is(runErr, interp.ErrFuelExhausted), errors.Is(runErr, interp.ErrDepthExhausted):
-			o.Status = StatusTimeout
-			o.Detail = fmt.Sprintf("non-termination: %v (after %d steps)", runErr, r.Steps())
-			return o
-		case runErr == nil && out.String() == j.want:
-			o.Status = StatusSurvived
-			return o
-		}
-		// Killed (crash or output divergence): fall through to the
-		// traced run, which the debugging phase needs anyway.
-	}
-
 	run, err := sys.TraceLimited(j.subject.Input, cfg.Fuel, cfg.MaxDepth)
 	if err != nil {
 		o.Status, o.Detail = StatusStillborn, err.Error()

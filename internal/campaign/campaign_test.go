@@ -203,45 +203,6 @@ func TestCampaignDeterministic(t *testing.T) {
 	}
 }
 
-// TestCampaignBackendParity: the same seeded campaign must reach
-// identical per-mutant verdicts and localization results whether
-// mutants classify via the traced interpreter or the two-phase VM
-// path. This is the campaign-level face of the engines' budget parity.
-func TestCampaignBackendParity(t *testing.T) {
-	cfg := campaign.Config{
-		Subjects: []campaign.Subject{{Name: "looper", Source: loopSubject}},
-		Seed:     42,
-		Budget:   12,
-		Fuel:     20_000,
-		Timeout:  time.Minute,
-	}
-	vmCfg := cfg
-	vmCfg.Backend = "vm"
-	a, b := small(t, cfg), small(t, vmCfg)
-	if b.Backend != "vm" {
-		t.Fatalf("report backend = %q, want vm", b.Backend)
-	}
-	if len(a.Outcomes) != len(b.Outcomes) {
-		t.Fatalf("outcome counts differ: %d vs %d", len(a.Outcomes), len(b.Outcomes))
-	}
-	for i := range a.Outcomes {
-		x, y := a.Outcomes[i], b.Outcomes[i]
-		if x.MutantID != y.MutantID || x.Status != y.Status {
-			t.Errorf("mutant %d: interp %s, vm %s (%s)", x.MutantID, x.Status, y.Status, y.Detail)
-			continue
-		}
-		for k := range x.Strategies {
-			if x.Strategies[k] != y.Strategies[k] {
-				t.Errorf("mutant %d strategy %s differs across backends: %+v vs %+v",
-					x.MutantID, x.Strategies[k].Strategy, x.Strategies[k], y.Strategies[k])
-			}
-		}
-	}
-	if _, err := campaign.Run(campaign.Config{Backend: "jit"}); err == nil {
-		t.Fatal("unknown backend should fail fast")
-	}
-}
-
 // TestCampaignBudgetAndOps: budget caps the evaluated set, ops filter
 // restricts operators, and metrics land in the registry.
 func TestCampaignBudgetAndOps(t *testing.T) {

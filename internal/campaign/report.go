@@ -56,15 +56,14 @@ type StrategyStats struct {
 
 // Report is the campaign summary written to BENCH_mutation.json.
 type Report struct {
-	Seed       int64  `json:"seed"`
-	Budget     int    `json:"budget"`
-	Workers    int    `json:"workers"`
-	Fuel       int    `json:"fuel"`
-	Backend    string `json:"backend,omitempty"`
-	Subjects   int    `json:"subjects"`
-	Enumerated int    `json:"enumerated_mutants"`
-	Mutants    int    `json:"evaluated_mutants"`
-	ElapsedMS  int64  `json:"elapsed_ms"`
+	Seed       int64 `json:"seed"`
+	Budget     int   `json:"budget"`
+	Workers    int   `json:"workers"`
+	Fuel       int   `json:"fuel"`
+	Subjects   int   `json:"subjects"`
+	Enumerated int   `json:"enumerated_mutants"`
+	Mutants    int   `json:"evaluated_mutants"`
+	ElapsedMS  int64 `json:"elapsed_ms"`
 
 	Killed    int `json:"killed"`
 	Survived  int `json:"survived"`
@@ -102,7 +101,6 @@ func aggregate(cfg Config, outcomes []MutantOutcome, enumerated int, subjectErrs
 		Budget:        cfg.Budget,
 		Workers:       cfg.Workers,
 		Fuel:          cfg.Fuel,
-		Backend:       cfg.Backend,
 		Subjects:      len(cfg.Subjects),
 		Enumerated:    enumerated,
 		Mutants:       len(outcomes),

@@ -3,16 +3,15 @@ package diffharness
 import (
 	"fmt"
 	"strings"
+
+	"gadt/internal/transform"
 )
 
 // Counterexample is the header metadata of a testdata/diff reproducer:
-// enough to replay the comparison that once diverged. Stages is the
-// combo name as recorded — a transform stage combination like
-// "loops+globals", or a backend axis like "backend:vm" — and replays
-// through CompareByStages.
+// enough to replay the comparison that once diverged.
 type Counterexample struct {
 	Subject string
-	Stages  string
+	Stages  transform.Stages
 	Kind    string
 	Input   string
 	Detail  string
@@ -60,7 +59,7 @@ func ParseCounterexample(text string) (*Counterexample, error) {
 		case "subject":
 			c.Subject = val
 		case "stages":
-			c.Stages = val
+			c.Stages = parseStages(val)
 		case "kind":
 			c.Kind = val
 		case "input":

@@ -28,11 +28,9 @@ import (
 
 	"gadt/internal/corpus"
 	"gadt/internal/obs"
-	"gadt/internal/pascal/backend"
 	"gadt/internal/pascal/interp"
 	"gadt/internal/pascal/parser"
 	"gadt/internal/pascal/sem"
-	"gadt/internal/pascal/vm"
 	"gadt/internal/progen"
 	"gadt/internal/transform"
 )
@@ -43,17 +41,7 @@ type Subject struct {
 	Name   string
 	Source string
 	Input  string
-	// ephemeral marks shrinker candidates: one-shot sources that must
-	// not populate the content-addressed compile cache.
-	ephemeral bool
 }
-
-// Backend-axis combo names: interpreter-vs-VM comparisons on the
-// untransformed subject and on its fully transformed pipeline output.
-const (
-	AxisVM     = "backend:vm"
-	AxisVMFull = "backend:vm+full"
-)
 
 // Combos returns the stage combinations every subject runs through.
 // Passes always execute in pipeline order; the subsets attribute an
@@ -109,17 +97,6 @@ type Config struct {
 	Progress io.Writer
 	// Logf, when non-nil, receives progress lines.
 	Logf func(format string, args ...any)
-	// Backend selects the execution engine for the transform
-	// comparisons ("" or "interp" = interpreter, "vm" = bytecode VM
-	// with transparent interpreter fallback). Selecting "vm" also adds
-	// the backend comparison axis: every subject additionally runs
-	// interpreter-vs-VM, untransformed (backend:vm) and fully
-	// transformed (backend:vm+full), under the same
-	// stdout/status/error-class/globals comparison and shrinker.
-	Backend string
-
-	// be is the resolved Backend, set by withDefaults.
-	be backend.Backend
 }
 
 func (c *Config) withDefaults() Config {
@@ -135,15 +112,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if out.Timeout <= 0 {
 		out.Timeout = 20 * time.Second
-	}
-	if out.be == nil {
-		be, err := backend.Select(out.Backend)
-		if err != nil {
-			// Run surfaces the unknown name; comparisons stay safe on
-			// the interpreter.
-			be, _ = backend.Select("")
-		}
-		out.be = be
 	}
 	return out
 }
@@ -212,35 +180,10 @@ func Subjects(cfg Config) []Subject {
 type job struct {
 	subject Subject
 	stages  transform.Stages
-	// axis, when non-empty, makes this job a backend comparison
-	// (AxisVM or AxisVMFull) instead of a transform comparison.
-	axis string
-}
-
-func (j job) stagesStr() string {
-	if j.axis != "" {
-		return j.axis
-	}
-	return j.stages.String()
-}
-
-// combosFor lists the combo names a config compares under.
-func combosFor(cfg Config) []string {
-	var combos []string
-	for _, c := range Combos() {
-		combos = append(combos, c.String())
-	}
-	if cfg.Backend == "vm" {
-		combos = append(combos, AxisVM, AxisVMFull)
-	}
-	return combos
 }
 
 // Run executes the campaign and returns the aggregated report.
 func Run(cfg Config) (*Report, error) {
-	if _, err := backend.Select(cfg.Backend); err != nil {
-		return nil, err
-	}
 	cfg = cfg.withDefaults()
 	start := time.Now()
 	subs := Subjects(cfg)
@@ -250,15 +193,10 @@ func Run(cfg Config) (*Report, error) {
 		for _, st := range Combos() {
 			jobs = append(jobs, job{subject: s, stages: st})
 		}
-		if cfg.Backend == "vm" {
-			jobs = append(jobs,
-				job{subject: s, axis: AxisVM},
-				job{subject: s, axis: AxisVMFull})
-		}
 	}
 	if cfg.Logf != nil {
-		cfg.Logf("diff: %d subjects x %d combos = %d comparisons (%d workers)",
-			len(subs), len(combosFor(cfg)), len(jobs), cfg.Workers)
+		cfg.Logf("diff: %d subjects x %d stage combos = %d comparisons (%d workers)",
+			len(subs), len(Combos()), len(jobs), cfg.Workers)
 	}
 
 	rec := obs.NewReportRecorder(cfg.Metrics, "diff")
@@ -292,7 +230,7 @@ func Run(cfg Config) (*Report, error) {
 			for j := range in {
 				sp := lane.Start("compare")
 				sp.SetAttr("subject", j.subject.Name)
-				sp.SetAttr("stages", j.stagesStr())
+				sp.SetAttr("stages", j.stages.String())
 				rec.JobStart()
 				jobStart := time.Now()
 				o := compareWithBackstop(cfg, j)
@@ -335,7 +273,7 @@ func Run(cfg Config) (*Report, error) {
 			sp := cfg.Tracer.Start("shrink")
 			sp.SetAttr("subject", o.Subject)
 			sp.SetAttr("stages", o.Stages)
-			min := Shrink(o.Div.Source, o.Div.Input, o.Stages, cfg)
+			min := Shrink(o.Div.Source, o.Div.Input, parseStages(o.Stages), cfg)
 			o.Div.Minimized = min
 			sp.End()
 		}
@@ -355,28 +293,24 @@ func compareWithBackstop(cfg Config, j job) Outcome {
 		defer func() {
 			if r := recover(); r != nil {
 				ch <- Outcome{
-					Subject: j.subject.Name, Stages: j.stagesStr(),
+					Subject: j.subject.Name, Stages: j.stages.String(),
 					Status: StatusPanic, Detail: fmt.Sprint(r),
 					Div: &Divergence{
-						Subject: j.subject.Name, Stages: j.stagesStr(),
+						Subject: j.subject.Name, Stages: j.stages.String(),
 						Kind: "panic", Detail: fmt.Sprint(r),
 						Source: j.subject.Source, Input: j.subject.Input,
 					},
 				}
 			}
 		}()
-		if j.axis != "" {
-			ch <- CompareBackends(cfg, j.subject, j.axis == AxisVMFull)
-		} else {
-			ch <- Compare(cfg, j.subject, j.stages)
-		}
+		ch <- Compare(cfg, j.subject, j.stages)
 	}()
 	select {
 	case o := <-ch:
 		return o
 	case <-time.After(cfg.Timeout):
 		return Outcome{
-			Subject: j.subject.Name, Stages: j.stagesStr(),
+			Subject: j.subject.Name, Stages: j.stages.String(),
 			Status: StatusTimeout,
 			Detail: fmt.Sprintf("wall-clock backstop (%s) exceeded", cfg.Timeout),
 		}
@@ -394,23 +328,22 @@ type runResult struct {
 	output  string
 	errMsg  string            // normalized runtime error text ("" unless status "error")
 	globals map[string]string // final global values by name (only for "ok")
-	steps   int               // statements executed
 }
 
-// exec runs a program via the given runner factory and snapshots its
-// observable behavior. keep restricts the final-state snapshot to the
-// given global names (the transformation introduces fresh helper
-// variables that have no counterpart in the original program).
-func exec(mk func(interp.Config) backend.Runner, input string, fuel, depth int, keep map[string]bool) *runResult {
+// exec runs an analyzed program and snapshots its observable behavior.
+// keep restricts the final-state snapshot to the given global names
+// (the transformation introduces fresh helper variables that have no
+// counterpart in the original program).
+func exec(info *sem.Info, input string, fuel, depth int, keep map[string]bool) *runResult {
 	var out strings.Builder
-	it := mk(interp.Config{
+	it := interp.New(info, interp.Config{
 		Input:    strings.NewReader(input),
 		Output:   &out,
 		MaxSteps: fuel,
 		MaxDepth: depth,
 	})
 	err := it.Run()
-	r := &runResult{output: out.String(), steps: it.Steps()}
+	r := &runResult{output: out.String()}
 	switch {
 	case err == nil:
 		r.status = "ok"
@@ -427,13 +360,6 @@ func exec(mk func(interp.Config) backend.Runner, input string, fuel, depth int, 
 		r.errMsg = normalizeErr(err)
 	}
 	return r
-}
-
-// onBackend builds a runner factory for one analyzed program on the
-// campaign's configured backend. key is the content address for the
-// VM's compile cache ("" disables caching — used for shrink candidates).
-func onBackend(be backend.Backend, key string, info *sem.Info) func(interp.Config) backend.Runner {
-	return func(c interp.Config) backend.Runner { return be.NewRunner(key, info, c) }
 }
 
 // normalizeErr strips source positions from a runtime error so the
@@ -457,9 +383,26 @@ func globalNames(info *sem.Info) map[string]bool {
 	return names
 }
 
-// outcomeFromDelta classifies a comparison verdict into an Outcome.
-func outcomeFromDelta(s Subject, stagesStr string, d *delta) Outcome {
-	o := Outcome{Subject: s.Name, Stages: stagesStr}
+// Compare runs one subject untransformed and through one stage
+// combination, and compares the two behaviors.
+func Compare(cfg Config, s Subject, stages transform.Stages) Outcome {
+	cfg = cfg.withDefaults()
+	start := time.Now()
+	o := Outcome{Subject: s.Name, Stages: stages.String()}
+	defer func() { o.ElapsedMS = time.Since(start).Milliseconds() }()
+
+	diverge := func(kind, detail string) Outcome {
+		o.Status = StatusDivergent
+		o.Detail = fmt.Sprintf("%s: %s", kind, detail)
+		o.Div = &Divergence{
+			Subject: s.Name, Stages: stages.String(),
+			Kind: kind, Detail: detail,
+			Source: s.Source, Input: s.Input,
+		}
+		return o
+	}
+
+	d := diff(cfg, s, stages)
 	if d == nil {
 		o.Status = StatusEquivalent
 		return o
@@ -478,49 +421,7 @@ func outcomeFromDelta(s Subject, stagesStr string, d *delta) Outcome {
 		o.Detail = d.detail
 		return o
 	}
-	o.Status = StatusDivergent
-	o.Detail = fmt.Sprintf("%s: %s", d.kind, d.detail)
-	o.Div = &Divergence{
-		Subject: s.Name, Stages: stagesStr,
-		Kind: d.kind, Detail: d.detail,
-		Source: s.Source, Input: s.Input,
-	}
-	return o
-}
-
-// Compare runs one subject untransformed and through one stage
-// combination, and compares the two behaviors.
-func Compare(cfg Config, s Subject, stages transform.Stages) Outcome {
-	cfg = cfg.withDefaults()
-	start := time.Now()
-	o := outcomeFromDelta(s, stages.String(), diff(cfg, s, stages))
-	o.ElapsedMS = time.Since(start).Milliseconds()
-	return o
-}
-
-// CompareBackends runs one subject on both the interpreter and the VM
-// — untransformed, or (full) on its fully transformed pipeline output
-// — and compares the two executions with the same criteria as the
-// transform comparisons, plus exact statement-count parity.
-func CompareBackends(cfg Config, s Subject, full bool) Outcome {
-	cfg = cfg.withDefaults()
-	start := time.Now()
-	axis := AxisVM
-	if full {
-		axis = AxisVMFull
-	}
-	o := outcomeFromDelta(s, axis, diffBackends(cfg, s, full))
-	o.ElapsedMS = time.Since(start).Milliseconds()
-	return o
-}
-
-// CompareByStages replays a comparison from its recorded combo name:
-// a transform stage combination, or a backend axis.
-func CompareByStages(cfg Config, s Subject, stagesStr string) Outcome {
-	if strings.HasPrefix(stagesStr, "backend:") {
-		return CompareBackends(cfg, s, strings.HasSuffix(stagesStr, "+full"))
-	}
-	return Compare(cfg, s, parseStages(stagesStr))
+	return diverge(d.kind, d.detail)
 }
 
 // delta is an internal comparison verdict (nil = equivalent).
@@ -543,15 +444,7 @@ func diff(cfg Config, s Subject, stages transform.Stages) *delta {
 	}
 	keep := globalNames(info)
 
-	// Content-address the compile cache only for pool subjects on the
-	// VM backend; shrink candidates are one-shot and skip it.
-	var baseKey, transKey string
-	if cfg.Backend == "vm" && !s.ephemeral {
-		baseKey = vm.SourceKey(s.Source)
-		transKey = baseKey + "|" + stages.String()
-	}
-
-	base := exec(onBackend(cfg.be, baseKey, info), s.Input, cfg.Fuel, baseMaxDepth, keep)
+	base := exec(info, s.Input, cfg.Fuel, baseMaxDepth, keep)
 	if base.status == "fuel" {
 		return &delta{kind: "fuel", detail: "untransformed run exhausted its budget"}
 	}
@@ -570,7 +463,7 @@ func diff(cfg Config, s Subject, stages transform.Stages) *delta {
 	// recursion, multiplying both counters by a constant factor. The
 	// depth cap stays far below the Go stack limit so an introduced
 	// infinite recursion degrades into ErrDepthExhausted, not a crash.
-	trans := exec(onBackend(cfg.be, transKey, res.Info), s.Input, 8*cfg.Fuel, 10*baseMaxDepth, keep)
+	trans := exec(res.Info, s.Input, 8*cfg.Fuel, 10*baseMaxDepth, keep)
 	if trans.status == "fuel" {
 		// The untransformed run finished within 1x budget, so at 8x this
 		// is overwhelmingly a transformation-introduced loop — but it
@@ -596,75 +489,6 @@ func diff(cfg Config, s Subject, stages transform.Stages) *delta {
 	}
 	if d := stateDiff(base.globals, trans.globals); d != "" {
 		return &delta{kind: "state", detail: d}
-	}
-	return nil
-}
-
-// diffBackends compares the interpreter and the VM on the same
-// analyzed program (untransformed, or the full pipeline output). Both
-// sides run under identical budgets, so the comparison is strict:
-// status (fuel exhaustion included), stdout, normalized error message,
-// statement count and final globals must all match exactly. Programs
-// the bytecode compiler refuses (non-local gotos) are rejected — that
-// is the documented interpreter-fallback territory, not a divergence.
-func diffBackends(cfg Config, s Subject, full bool) *delta {
-	prog, err := parser.ParseProgram(s.Name+".pas", s.Source)
-	if err != nil {
-		return &delta{kind: "invalid", detail: err.Error()}
-	}
-	info, err := sem.Analyze(prog)
-	if err != nil {
-		return &delta{kind: "invalid", detail: err.Error()}
-	}
-
-	runInfo, fuel, depth := info, cfg.Fuel, baseMaxDepth
-	if full {
-		res, terr := transform.ApplyStages(info, transform.AllStages())
-		if terr != nil {
-			if strings.Contains(terr.Error(), "non-local goto") {
-				return &delta{kind: "rejected", detail: terr.Error()}
-			}
-			return &delta{kind: "transform", detail: terr.Error()}
-		}
-		runInfo, fuel, depth = res.Info, 8*cfg.Fuel, 10*baseMaxDepth
-	}
-	keep := globalNames(runInfo)
-
-	vprog, cerr := vm.Compile(runInfo)
-	if cerr != nil {
-		if errors.Is(cerr, vm.ErrUnsupported) {
-			return &delta{kind: "rejected", detail: cerr.Error()}
-		}
-		return &delta{kind: "compile", detail: cerr.Error()}
-	}
-
-	base := exec(func(c interp.Config) backend.Runner {
-		return interp.New(runInfo, c)
-	}, s.Input, fuel, depth, keep)
-	got := exec(func(c interp.Config) backend.Runner {
-		return vm.New(vprog, c)
-	}, s.Input, fuel, depth, keep)
-
-	if base.status != got.status {
-		return &delta{kind: "status", detail: fmt.Sprintf(
-			"interpreter %s (%s) but vm %s (%s)",
-			describeStatus(base), base.errMsg, describeStatus(got), got.errMsg)}
-	}
-	if base.output != got.output {
-		return &delta{kind: "output", detail: outputDiff(base.output, got.output)}
-	}
-	if base.status == "error" && base.errMsg != got.errMsg {
-		return &delta{kind: "error", detail: fmt.Sprintf(
-			"interpreter failed with %q, vm with %q", base.errMsg, got.errMsg)}
-	}
-	if base.steps != got.steps {
-		return &delta{kind: "steps", detail: fmt.Sprintf(
-			"interpreter executed %d statements, vm %d", base.steps, got.steps)}
-	}
-	if base.status == "ok" {
-		if d := stateDiff(base.globals, got.globals); d != "" {
-			return &delta{kind: "state", detail: d}
-		}
 	}
 	return nil
 }

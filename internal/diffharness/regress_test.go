@@ -3,7 +3,6 @@ package diffharness
 import (
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 )
 
@@ -31,18 +30,13 @@ func TestCounterexamplesStayEquivalent(t *testing.T) {
 			if err != nil {
 				t.Fatalf("parse header: %v", err)
 			}
-			o := CompareByStages(Config{}, Subject{Name: c.Subject, Source: c.Source, Input: c.Input}, c.Stages)
+			o := Compare(Config{}, Subject{Name: c.Subject, Source: c.Source, Input: c.Input}, c.Stages)
 			if o.Status != StatusEquivalent {
 				t.Fatalf("stages %s: %s (%s)\nrecorded bug: %s", c.Stages, o.Status, o.Detail, c.Detail)
 			}
-			// The full pipeline (or, for backend counterexamples, the
-			// transformed backend axis) must agree as well, whatever
-			// subset the divergence was originally attributed to.
-			full := "loops+gotos+globals"
-			if strings.HasPrefix(c.Stages, "backend:") {
-				full = AxisVMFull
-			}
-			o = CompareByStages(Config{}, Subject{Name: c.Subject, Source: c.Source, Input: c.Input}, full)
+			// The full pipeline must agree as well, whatever subset the
+			// divergence was originally attributed to.
+			o = Compare(Config{}, Subject{Name: c.Subject, Source: c.Source, Input: c.Input}, parseStages("loops+gotos+globals"))
 			if o.Status != StatusEquivalent {
 				t.Fatalf("full pipeline: %s (%s)", o.Status, o.Detail)
 			}

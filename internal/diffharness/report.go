@@ -27,7 +27,6 @@ type Report struct {
 	Combos    []string `json:"combos"`
 	Workers   int      `json:"workers"`
 	Fuel      int      `json:"fuel"`
-	Backend   string   `json:"backend,omitempty"`
 	ElapsedMS int64    `json:"elapsed_ms"`
 
 	Compared     int `json:"compared"`
@@ -48,7 +47,10 @@ type Report struct {
 }
 
 func aggregate(cfg Config, subjects int, outcomes []Outcome, elapsed time.Duration) *Report {
-	combos := combosFor(cfg)
+	var combos []string
+	for _, c := range Combos() {
+		combos = append(combos, c.String())
+	}
 	rep := &Report{
 		Seed:      cfg.Seed,
 		Programs:  cfg.Programs,
@@ -56,7 +58,6 @@ func aggregate(cfg Config, subjects int, outcomes []Outcome, elapsed time.Durati
 		Combos:    combos,
 		Workers:   cfg.Workers,
 		Fuel:      cfg.Fuel,
-		Backend:   cfg.Backend,
 		ElapsedMS: elapsed.Milliseconds(),
 		ByStages:  make(map[string]*StageStats),
 		Outcomes:  outcomes,

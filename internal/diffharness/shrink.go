@@ -6,12 +6,11 @@
 package diffharness
 
 import (
-	"strings"
-
 	"gadt/internal/pascal/ast"
 	"gadt/internal/pascal/parser"
 	"gadt/internal/pascal/printer"
 	"gadt/internal/pascal/sem"
+	"gadt/internal/transform"
 )
 
 // shrinkMaxChecks bounds the number of candidate re-executions per
@@ -21,25 +20,17 @@ const shrinkMaxChecks = 600
 // Shrink greedily minimizes a divergent program: statements are
 // dropped, routines deleted, loop/if bodies hoisted, and integer
 // literals minimized, as long as the reduction still diverges under
-// the given combo — a transform stage combination, or a backend axis
-// (interpreter vs VM). Returns the minimized source (or the input
-// unchanged when no reduction survives).
-func Shrink(source, input string, stagesStr string, cfg Config) string {
+// the given stage combination. Returns the minimized source (or the
+// input unchanged when no reduction survives).
+func Shrink(source, input string, stages transform.Stages, cfg Config) string {
 	cfg = cfg.withDefaults()
 	checks := 0
-	recheck := func(src string) *delta {
-		s := Subject{Name: "shrink", Source: src, Input: input, ephemeral: true}
-		if strings.HasPrefix(stagesStr, "backend:") {
-			return diffBackends(cfg, s, strings.HasSuffix(stagesStr, "+full"))
-		}
-		return diff(cfg, s, parseStages(stagesStr))
-	}
 	diverges := func(src string) bool {
 		if checks >= shrinkMaxChecks {
 			return false
 		}
 		checks++
-		d := recheck(src)
+		d := diff(cfg, Subject{Name: "shrink", Source: src, Input: input}, stages)
 		return d != nil && d.kind != "invalid" && d.kind != "fuel" && d.kind != "rejected"
 	}
 	if !diverges(source) {

@@ -1,3 +1,10 @@
+// Package vm_test holds no production code. Its tests began as the
+// parity suite of a bytecode VM that has since been removed; they now
+// run every program twice on the interpreter and require both runs to
+// agree. With no sink the interpreter takes its untraced fast path, as
+// every differential comparison does; with an execution-tree builder
+// as its sink it takes the traced path, as every debugging session
+// does.
 package vm_test
 
 import (
@@ -6,11 +13,11 @@ import (
 	"strings"
 	"testing"
 
+	"gadt/internal/exectree"
 	"gadt/internal/paper"
 	"gadt/internal/pascal/interp"
 	"gadt/internal/pascal/parser"
 	"gadt/internal/pascal/sem"
-	"gadt/internal/pascal/vm"
 	"gadt/internal/progen"
 	"gadt/internal/transform"
 )
@@ -35,27 +42,27 @@ type runResult struct {
 	globals []interp.Binding
 }
 
-func runInterp(info *sem.Info, input string, cfg interp.Config) runResult {
+func run(info *sem.Info, input string, cfg interp.Config, sink interp.EventSink) runResult {
 	var out strings.Builder
 	cfg.Input = strings.NewReader(input)
 	cfg.Output = &out
+	cfg.Sink = sink
 	it := interp.New(info, cfg)
 	err := it.Run()
 	return runResult{out: out.String(), err: err, steps: it.Steps(), globals: it.Globals()}
 }
 
-func runVM(t *testing.T, info *sem.Info, input string, cfg interp.Config) runResult {
+// runBoth runs info untraced (nil sink) and traced (an execution-tree
+// builder; interp.NopSink would select the untraced path again).
+func runBoth(t *testing.T, info *sem.Info, input string, cfg interp.Config) (untraced, traced runResult) {
 	t.Helper()
-	prog, err := vm.Compile(info)
-	if err != nil {
-		t.Fatalf("vm compile: %v", err)
+	untraced = run(info, input, cfg, nil)
+	b := exectree.NewBuilder()
+	traced = run(info, input, cfg, b)
+	if b.Tree().Root == nil {
+		t.Fatal("the execution-tree builder saw no call; the traced path did not run")
 	}
-	var out strings.Builder
-	cfg.Input = strings.NewReader(input)
-	cfg.Output = &out
-	m := vm.New(prog, cfg)
-	rerr := m.Run()
-	return runResult{out: out.String(), err: rerr, steps: m.Steps(), globals: m.Globals()}
+	return untraced, traced
 }
 
 // normErr reduces a runtime error to its position-independent message,
@@ -79,25 +86,29 @@ func globalsString(bs []interp.Binding) string {
 	return sb.String()
 }
 
-// assertParity runs src on both backends and requires identical output,
-// error message, statement count and final globals.
+// assertSame requires identical output, error message, statement count
+// and final globals from the two runs.
+func assertSame(t *testing.T, untraced, traced runResult) {
+	t.Helper()
+	if traced.out != untraced.out {
+		t.Errorf("output mismatch:\n  untraced: %q\n  traced:   %q", untraced.out, traced.out)
+	}
+	if normErr(traced.err) != normErr(untraced.err) {
+		t.Errorf("error mismatch:\n  untraced: %v\n  traced:   %v", untraced.err, traced.err)
+	}
+	if traced.steps != untraced.steps {
+		t.Errorf("steps mismatch: untraced %d, traced %d", untraced.steps, traced.steps)
+	}
+	if tg, ug := globalsString(traced.globals), globalsString(untraced.globals); tg != ug {
+		t.Errorf("globals mismatch:\n  untraced: %s\n  traced:   %s", ug, tg)
+	}
+}
+
+// assertParity runs src on both paths and requires them to agree.
 func assertParity(t *testing.T, src, input string, cfg interp.Config) {
 	t.Helper()
-	info := analyze(t, src)
-	want := runInterp(info, input, cfg)
-	got := runVM(t, info, input, cfg)
-	if got.out != want.out {
-		t.Errorf("output mismatch:\n  interp: %q\n  vm:     %q", want.out, got.out)
-	}
-	if normErr(got.err) != normErr(want.err) {
-		t.Errorf("error mismatch:\n  interp: %v\n  vm:     %v", want.err, got.err)
-	}
-	if got.steps != want.steps {
-		t.Errorf("steps mismatch: interp %d, vm %d", want.steps, got.steps)
-	}
-	if gg, wg := globalsString(got.globals), globalsString(want.globals); gg != wg {
-		t.Errorf("globals mismatch:\n  interp: %s\n  vm:     %s", wg, gg)
-	}
+	untraced, traced := runBoth(t, analyze(t, src), input, cfg)
+	assertSame(t, untraced, traced)
 }
 
 var parityPrograms = []struct {
@@ -464,41 +475,19 @@ func TestParity(t *testing.T) {
 }
 
 // TestParityProgen runs generated random programs (gotos, reads, nested
-// routines, loops of every form) on both backends, untransformed and
-// fully transformed, falling back to the interpreter-only path when the
-// compiler rejects a construct.
+// routines, loops of every form) on both paths.
 func TestParityProgen(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		p := progen.Random(progen.RandomConfig{Seed: seed, Gotos: seed%2 == 0, Reads: seed%3 == 0})
 		t.Run(p.Name, func(t *testing.T) {
-			info := analyze(t, p.Source)
 			cfg := interp.Config{MaxSteps: 500_000, MaxDepth: 2000}
-			want := runInterp(info, p.Input, cfg)
-			prog, err := vm.Compile(info)
-			if err != nil {
-				if !errors.Is(err, vm.ErrUnsupported) {
-					t.Fatalf("compile: %v", err)
-				}
-				t.Skipf("not vm-compilable: %v", err)
-			}
-			var out strings.Builder
-			cfg.Input = strings.NewReader(p.Input)
-			cfg.Output = &out
-			m := vm.New(prog, cfg)
-			rerr := m.Run()
-			got := runResult{out: out.String(), err: rerr, steps: m.Steps(), globals: m.Globals()}
-			if got.out != want.out || normErr(got.err) != normErr(want.err) ||
-				got.steps != want.steps || globalsString(got.globals) != globalsString(want.globals) {
-				t.Errorf("divergence on %s:\n  interp: out=%q err=%v steps=%d globals=%s\n  vm:     out=%q err=%v steps=%d globals=%s",
-					p.Name, want.out, want.err, want.steps, globalsString(want.globals),
-					got.out, got.err, got.steps, globalsString(got.globals))
-			}
+			assertParity(t, p.Source, p.Input, cfg)
 		})
 	}
 }
 
-// TestParityTransformed compiles and runs fully transformed programs
-// (loop units, goto elimination, global lifting) on both backends.
+// TestParityTransformed runs fully transformed programs (loop units,
+// goto elimination, global lifting) on both paths.
 func TestParityTransformed(t *testing.T) {
 	sources := []struct {
 		name string
@@ -511,35 +500,19 @@ func TestParityTransformed(t *testing.T) {
 	}
 	for _, s := range sources {
 		t.Run(s.name, func(t *testing.T) {
-			info := analyze(t, s.src)
-			res, err := transform.ApplyStages(info, transform.AllStages())
+			res, err := transform.ApplyStages(analyze(t, s.src), transform.AllStages())
 			if err != nil {
 				t.Fatalf("transform: %v", err)
 			}
 			cfg := interp.Config{MaxSteps: 2_000_000, MaxDepth: 5000}
-			want := runInterp(res.Info, "", cfg)
-			prog, cerr := vm.Compile(res.Info)
-			if cerr != nil {
-				if !errors.Is(cerr, vm.ErrUnsupported) {
-					t.Fatalf("compile: %v", cerr)
-				}
-				t.Skipf("not vm-compilable: %v", cerr)
-			}
-			var out strings.Builder
-			cfg.Input = strings.NewReader("")
-			cfg.Output = &out
-			m := vm.New(prog, cfg)
-			rerr := m.Run()
-			if out.String() != want.out || normErr(rerr) != normErr(want.err) || m.Steps() != want.steps {
-				t.Errorf("transformed divergence:\n  interp: out=%q err=%v steps=%d\n  vm:     out=%q err=%v steps=%d",
-					want.out, want.err, want.steps, out.String(), rerr, m.Steps())
-			}
+			untraced, traced := runBoth(t, res.Info, "", cfg)
+			assertSame(t, untraced, traced)
 		})
 	}
 }
 
 // TestBudgetParity: fuel and depth bombs must produce the same typed
-// errors (message and errors.Is class) on both backends.
+// errors (message and errors.Is class) on both paths.
 func TestBudgetParity(t *testing.T) {
 	fuelBomb := `
 program p;
@@ -560,80 +533,36 @@ begin
 end.
 `
 	t.Run("fuel", func(t *testing.T) {
-		cfg := interp.Config{MaxSteps: 1000}
-		info := analyze(t, fuelBomb)
-		want := runInterp(info, "", cfg)
-		got := runVM(t, info, "", cfg)
-		if !errors.Is(want.err, interp.ErrFuelExhausted) {
-			t.Fatalf("interp error not fuel-classified: %v", want.err)
+		untraced, traced := runBoth(t, analyze(t, fuelBomb), "", interp.Config{MaxSteps: 1000})
+		if !errors.Is(untraced.err, interp.ErrFuelExhausted) {
+			t.Fatalf("untraced error not fuel-classified: %v", untraced.err)
 		}
-		if !errors.Is(got.err, interp.ErrFuelExhausted) {
-			t.Fatalf("vm error not fuel-classified: %v", got.err)
+		if !errors.Is(traced.err, interp.ErrFuelExhausted) {
+			t.Fatalf("traced error not fuel-classified: %v", traced.err)
 		}
-		if normErr(got.err) != normErr(want.err) {
-			t.Errorf("fuel message mismatch:\n  interp: %v\n  vm:     %v", want.err, got.err)
+		if normErr(traced.err) != normErr(untraced.err) {
+			t.Errorf("fuel message mismatch:\n  untraced: %v\n  traced:   %v", untraced.err, traced.err)
 		}
-		if got.steps != want.steps {
-			t.Errorf("steps at exhaustion: interp %d, vm %d", want.steps, got.steps)
+		if traced.steps != untraced.steps {
+			t.Errorf("steps at exhaustion: untraced %d, traced %d", untraced.steps, traced.steps)
 		}
 	})
 	t.Run("depth", func(t *testing.T) {
-		cfg := interp.Config{MaxDepth: 100}
-		info := analyze(t, depthBomb)
-		want := runInterp(info, "", cfg)
-		got := runVM(t, info, "", cfg)
-		if !errors.Is(want.err, interp.ErrDepthExhausted) {
-			t.Fatalf("interp error not depth-classified: %v", want.err)
+		untraced, traced := runBoth(t, analyze(t, depthBomb), "", interp.Config{MaxDepth: 100})
+		if !errors.Is(untraced.err, interp.ErrDepthExhausted) {
+			t.Fatalf("untraced error not depth-classified: %v", untraced.err)
 		}
-		if !errors.Is(got.err, interp.ErrDepthExhausted) {
-			t.Fatalf("vm error not depth-classified: %v", got.err)
+		if !errors.Is(traced.err, interp.ErrDepthExhausted) {
+			t.Fatalf("traced error not depth-classified: %v", traced.err)
 		}
-		if normErr(got.err) != normErr(want.err) {
-			t.Errorf("depth message mismatch:\n  interp: %v\n  vm:     %v", want.err, got.err)
+		if normErr(traced.err) != normErr(untraced.err) {
+			t.Errorf("depth message mismatch:\n  untraced: %v\n  traced:   %v", untraced.err, traced.err)
 		}
 	})
 }
 
-// TestUnsupportedFallback pins the compiler's refusal cases: non-local
-// gotos and jumps into structured statements must return ErrUnsupported
-// rather than compile to wrong code.
-func TestUnsupportedFallback(t *testing.T) {
-	cases := []struct {
-		name string
-		src  string
-	}{
-		{"globalGoto", paper.GlobalGoto}, // procedure jumps to a main-block label
-		{"gotoIntoLoop", `
-program p;
-label 3;
-var i: integer;
-begin
-  i := 0;
-  goto 3;
-  while i < 10 do begin
-3:
-    i := i + 1
-  end;
-  writeln(i)
-end.
-`},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			info := analyze(t, tc.src)
-			_, err := vm.Compile(info)
-			if err == nil {
-				t.Fatal("expected ErrUnsupported, compiled fine")
-			}
-			if !errors.Is(err, vm.ErrUnsupported) {
-				t.Fatalf("expected ErrUnsupported, got %v", err)
-			}
-		})
-	}
-}
-
-// TestDeepRecursionErrorStack: the bounded error call stack must match
-// the interpreter's shape (32 frames + summary).
+// TestDeepRecursionErrorStack: both paths bound the error call stack
+// to 32 frames plus a summary line.
 func TestDeepRecursionErrorStack(t *testing.T) {
 	src := `
 program p;
@@ -645,48 +574,20 @@ begin
   writeln(f(0))
 end.
 `
-	info := analyze(t, src)
-	cfg := interp.Config{MaxDepth: 200}
-	got := runVM(t, info, "", cfg)
-	var re *interp.RuntimeError
-	if !errors.As(got.err, &re) {
-		t.Fatalf("expected RuntimeError, got %v", got.err)
-	}
-	if len(re.Stack) != 33 {
-		t.Fatalf("stack len = %d, want 32 frames + summary", len(re.Stack))
-	}
-	if !strings.Contains(re.Stack[32], "more frames") {
-		t.Errorf("last stack entry %q should summarize the rest", re.Stack[32])
-	}
-}
-
-func TestCompileCache(t *testing.T) {
-	info := analyze(t, paper.PQR)
-	p1, err := vm.CompileKeyed("k1", info)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, err := vm.CompileKeyed("k1", info)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p1 != p2 {
-		t.Error("same key should return the cached Program")
-	}
-	info2 := analyze(t, paper.PQR)
-	p3, err := vm.CompileKeyed("", info2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p3 == p1 {
-		t.Error("empty key must not hit the cache")
-	}
-	// Unsupported programs cache their error too.
-	bad := analyze(t, paper.GlobalGoto)
-	if _, err := vm.CompileKeyed("k2", bad); !errors.Is(err, vm.ErrUnsupported) {
-		t.Fatalf("want ErrUnsupported, got %v", err)
-	}
-	if _, err := vm.CompileKeyed("k2", bad); !errors.Is(err, vm.ErrUnsupported) {
-		t.Fatalf("cached negative entry: want ErrUnsupported, got %v", err)
+	untraced, traced := runBoth(t, analyze(t, src), "", interp.Config{MaxDepth: 200})
+	for _, r := range []struct {
+		path string
+		err  error
+	}{{"untraced", untraced.err}, {"traced", traced.err}} {
+		var re *interp.RuntimeError
+		if !errors.As(r.err, &re) {
+			t.Fatalf("%s: expected RuntimeError, got %v", r.path, r.err)
+		}
+		if len(re.Stack) != 33 {
+			t.Fatalf("%s: stack len = %d, want 32 frames + summary", r.path, len(re.Stack))
+		}
+		if !strings.Contains(re.Stack[32], "more frames") {
+			t.Errorf("%s: last stack entry %q should summarize the rest", r.path, re.Stack[32])
+		}
 	}
 }

@@ -1,20 +1,15 @@
 // Package perfbench defines the interpreter hot-path benchmark
 // workloads shared by the repo-level benchmarks (bench_test.go) and
-// cmd/interp-bench, so the numbers recorded in BENCH_interp.json and
-// BENCH_vm.json are measured on exactly the subjects the benchmark
-// suite tracks. Each workload has a tree-walking-interpreter body and a
-// bytecode-VM body over the same source, making the VM speedup a
-// per-workload apples-to-apples number.
+// cmd/interp-bench, so the numbers recorded in BENCH_interp.json are
+// measured on exactly the subjects the benchmark suite tracks.
 package perfbench
 
 import (
 	"testing"
-	"time"
 
 	"gadt/internal/pascal/interp"
 	"gadt/internal/pascal/parser"
 	"gadt/internal/pascal/sem"
-	"gadt/internal/pascal/vm"
 	"gadt/internal/progen"
 )
 
@@ -39,28 +34,6 @@ begin
 end.
 `
 
-// RecursionSrc is the call-heavy subject: naive doubly-recursive
-// Fibonacci, whose cost is dominated by frame setup, parameter passing
-// and function-result plumbing — the paths the VM's compile-computed
-// frame sizes and frame free list target.
-const RecursionSrc = `
-program fibber;
-var r: integer;
-
-function fib(n: integer): integer;
-begin
-  if n < 2 then
-    fib := n
-  else
-    fib := fib(n - 1) + fib(n - 2)
-end;
-
-begin
-  r := fib(21);
-  writeln(r)
-end.
-`
-
 // ProgenDepths are the graded sizes of the synthetic whole-program
 // subjects.
 var ProgenDepths = []int{3, 5, 7}
@@ -71,78 +44,12 @@ func IntLoop() func(b *testing.B) {
 	return forSource(IntLoopSrc)
 }
 
-// Recursion returns the benchmark body measuring interpreter call
-// overhead on the recursive Fibonacci workload.
-func Recursion() func(b *testing.B) {
-	return forSource(RecursionSrc)
-}
-
 // Progen returns the benchmark body for a seeded progen subject of the
 // given call-tree depth, run without tracing sinks: the cost the
 // mutation campaign and differential harness pay per evaluation.
 func Progen(depth int) func(b *testing.B) {
 	p := progen.Generate(progen.Config{Depth: depth, Fanout: 2, Loops: true})
 	return forSource(p.Buggy)
-}
-
-// VMIntLoop is the bytecode-VM counterpart of IntLoop: same source,
-// compiled once, executed per iteration.
-func VMIntLoop() func(b *testing.B) {
-	return forSourceVM(IntLoopSrc)
-}
-
-// VMRecursion is the bytecode-VM counterpart of Recursion.
-func VMRecursion() func(b *testing.B) {
-	return forSourceVM(RecursionSrc)
-}
-
-// VMProgen is the bytecode-VM counterpart of Progen: what the mutation
-// campaign and differential harness pay per untraced evaluation when
-// run with -backend vm (minus the one-time compile, which the
-// content-addressed cache amortizes across mutants).
-func VMProgen(depth int) func(b *testing.B) {
-	p := progen.Generate(progen.Config{Depth: depth, Fanout: 2, Loops: true})
-	return forSourceVM(p.Buggy)
-}
-
-// PairedRunners returns single-shot timing runners for the interpreter
-// and the VM over the same analyzed source. Each runner executes the
-// workload iters times and reports the wall-clock total. cmd/interp-bench
-// alternates the two in rounds and keeps the per-side minimum, so
-// machine-load drift during the measurement hits both sides instead of
-// whichever happened to run in the slow window — the speedup ratio stays
-// meaningful even on a noisy single-core host.
-func PairedRunners(src string) (interpRun, vmRun func(iters int) time.Duration, err error) {
-	prog := parser.MustParse("bench.pas", src)
-	info, err := sem.Analyze(prog)
-	if err != nil {
-		return nil, nil, err
-	}
-	vprog, err := vm.Compile(info)
-	if err != nil {
-		return nil, nil, err
-	}
-	interpRun = func(iters int) time.Duration {
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			it := interp.New(info, interp.Config{})
-			if err := it.Run(); err != nil {
-				panic(err)
-			}
-		}
-		return time.Since(start)
-	}
-	vmRun = func(iters int) time.Duration {
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			m := vm.New(vprog, interp.Config{})
-			if err := m.Run(); err != nil {
-				panic(err)
-			}
-		}
-		return time.Since(start)
-	}
-	return interpRun, vmRun, nil
 }
 
 func forSource(src string) func(b *testing.B) {
@@ -157,28 +64,6 @@ func forSource(src string) func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			it := interp.New(info, interp.Config{})
 			if err := it.Run(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-func forSourceVM(src string) func(b *testing.B) {
-	prog := parser.MustParse("bench.pas", src)
-	info, err := sem.Analyze(prog)
-	var vprog *vm.Program
-	if err == nil {
-		vprog, err = vm.Compile(info)
-	}
-	return func(b *testing.B) {
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			m := vm.New(vprog, interp.Config{})
-			if err := m.Run(); err != nil {
 				b.Fatal(err)
 			}
 		}

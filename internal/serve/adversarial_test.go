@@ -203,6 +203,42 @@ func TestAnswerLifecycleCodes(t *testing.T) {
 	}
 }
 
+// TestSessionLimitForgetsTombstones: tombstones never lock out new
+// sessions. At MaxSessions a create forgets the oldest tombstone; only
+// a registry full of live sessions answers 429 session_limit.
+func TestSessionLimitForgetsTombstones(t *testing.T) {
+	c, _, _ := newTestServer(t, serve.Options{MaxSessions: 4, IdleTimeout: time.Hour})
+	var deleted []string
+	for i := 0; i < 4; i++ {
+		id := c.create(paper.Sqrtest, "").ID
+		if status, _ := c.do("DELETE", "/v1/sessions/"+id, nil); status != http.StatusNoContent {
+			t.Fatalf("DELETE = %d", status)
+		}
+		deleted = append(deleted, id)
+	}
+
+	// Four tombstones fill the registry: the 5th create still succeeds
+	// and forgets the oldest tombstone.
+	c.create(paper.Sqrtest, "")
+	if status, _ := c.do("GET", "/v1/sessions/"+deleted[0], nil); status != http.StatusNotFound {
+		t.Errorf("oldest tombstone: GET = %d, want 404", status)
+	}
+	if status, _ := c.do("GET", "/v1/sessions/"+deleted[1], nil); status != http.StatusOK {
+		t.Errorf("newer tombstone: GET = %d, want 200", status)
+	}
+
+	// Three more creates replace the remaining tombstones; with four
+	// live sessions the next create is refused.
+	for i := 0; i < 3; i++ {
+		c.create(paper.Sqrtest, "")
+	}
+	body, _ := json.Marshal(serve.CreateRequest{Program: paper.Sqrtest})
+	status, raw := c.do("POST", "/v1/sessions", body)
+	if status != http.StatusTooManyRequests || errBody(t, raw).Code != serve.CodeSessionLimit {
+		t.Errorf("5th live session: %d %s, want 429 session_limit", status, raw)
+	}
+}
+
 // TestBadAnswers pins rejection of invalid answers and divergent
 // echoes; the session stays waiting and remains answerable.
 func TestBadAnswers(t *testing.T) {

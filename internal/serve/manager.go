@@ -35,7 +35,10 @@ type Options struct {
 
 	// MaxBody caps request bodies in bytes (default 1 MiB).
 	MaxBody int64
-	// MaxSessions caps live (non-forgotten) sessions (default 4096).
+	// MaxSessions caps the registry, live sessions and tombstones
+	// together (default 4096). At the cap, Create forgets the tombstone
+	// idle the longest; it answers 429 session_limit only when every
+	// registered session is live.
 	MaxSessions int
 	// CacheEntries caps the content-addressed cache (default 1024).
 	CacheEntries int
@@ -154,10 +157,10 @@ func (m *Manager) Create(req CreateRequest) (*Session, *apiError) {
 		m.mu.Unlock()
 		return nil, errf(http.StatusServiceUnavailable, CodeBusy, "server is shutting down")
 	}
-	if len(m.sessions) >= m.opts.MaxSessions {
+	if len(m.sessions) >= m.opts.MaxSessions && !m.forgetOldestTombstoneLocked() {
 		m.mu.Unlock()
 		return nil, errf(http.StatusTooManyRequests, CodeSessionLimit,
-			"session limit (%d) reached", m.opts.MaxSessions)
+			"session limit reached: %d live sessions", m.opts.MaxSessions)
 	}
 	m.sessions[sess.ID] = sess
 	m.mu.Unlock()
@@ -294,6 +297,27 @@ func (m *Manager) forget(id string) {
 	m.mu.Lock()
 	delete(m.sessions, id)
 	m.mu.Unlock()
+}
+
+// forgetOldestTombstoneLocked removes the terminal session idle the
+// longest, making room for a new one. It reports false when every
+// registered session is live. The caller holds m.mu.
+func (m *Manager) forgetOldestTombstoneLocked() bool {
+	var oldest *Session
+	var oldestIdle time.Time
+	for _, s := range m.sessions {
+		if !s.currentState().Terminal() {
+			continue
+		}
+		if idle := s.idleSince(); oldest == nil || idle.Before(oldestIdle) {
+			oldest, oldestIdle = s, idle
+		}
+	}
+	if oldest == nil {
+		return false
+	}
+	delete(m.sessions, oldest.ID)
+	return true
 }
 
 // List snapshots every registered session.
