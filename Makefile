@@ -1,14 +1,12 @@
 # Developer entry points for the GADT reproduction.
 #
-#   make check      - formatting, vet, build, tests, every benchmark once, fuzz + journal smokes
+#   make check      - formatting, vet, build, tests, the bench/ smoke test, every
+#                     benchmark once, fuzz + journal smokes
 #   make build      - compile every package and command
 #   make test       - run the test suite
-#   make bench      - run every benchmark once (no tests)
+#   make bench      - run every microbenchmark once (no tests); the end-to-end
+#                     benchmark is bench/run.sh (see bench/README.md)
 #   make loc        - count non-test Go lines per package and in total
-#   make bench-json - write BENCH_debug.json (queries + ns/op per strategy)
-#   make bench-save    - record interpreter benchmarks to bench.old.txt
-#   make bench-compare - re-run them and diff against bench.old.txt
-#   make bench-interp  - write BENCH_interp.json (hot path vs recorded baseline)
 #   make mutate     - run the full mutation campaign, write BENCH_mutation.json
 #   make diff       - run the differential equivalence campaign, write BENCH_diff.json
 #   make trace-smoke - record Chrome traces (gadt + pmut) and validate them
@@ -19,13 +17,8 @@
 
 GO ?= go
 FUZZTIME ?= 5s
-# Benchmarks tracked by bench-save / bench-compare; -count 3 gives the
-# comparator (benchstat, or cmd/benchcmp as fallback) repeats to average.
-BENCH_PATTERN ?= BenchmarkInterp
-BENCH_COUNT ?= 3
 
-.PHONY: check build test bench loc bench-json bench-save bench-compare bench-interp \
-	mutate diff trace-smoke serve-smoke lint staticcheck fmt smoke-journal smoke-fuzz
+.PHONY: check build test bench loc mutate diff trace-smoke serve-smoke lint staticcheck fmt smoke-journal smoke-fuzz
 
 # Where trace-smoke leaves its artifacts (CI uploads this directory).
 TRACE_DIR ?= trace-out
@@ -38,6 +31,7 @@ check:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test ./...
+	cd bench && $(GO) test ./...
 	$(MAKE) bench
 	$(MAKE) smoke-fuzz
 	$(MAKE) smoke-journal
@@ -82,7 +76,8 @@ test:
 	$(GO) test ./...
 
 # One iteration of every benchmark: proves none has rotted, measures
-# nothing. bench/ is a module of its own and is not included.
+# nothing. bench/ is a module of its own and is not included; check
+# runs its smoke test.
 bench:
 	$(GO) test -run='^$$' -bench=. -benchmem -benchtime=1x ./...
 
@@ -91,28 +86,6 @@ loc:
 	@$(GO) list -f '{{range .GoFiles}}{{$$.Dir}}/{{.}} {{end}}' ./... | xargs wc -l | \
 		awk '$$2 != "total" { sub("^$(CURDIR)/", "", $$2); sub("/[^/]*$$", "", $$2); n[$$2] += $$1; t += $$1 } \
 		END { for (p in n) printf "%6d  %s\n", n[p], p | "sort -k2"; close("sort -k2"); printf "%6d  total\n", t }'
-
-bench-json:
-	$(GO) run ./cmd/gadt-bench -o BENCH_debug.json
-
-# Perf workflow (see README "Performance"): record the current numbers
-# before a change, then compare after it. Uses benchstat when installed,
-# otherwise the in-repo comparator.
-bench-save:
-	$(GO) test -run='^$$' -bench '$(BENCH_PATTERN)' -benchmem -count $(BENCH_COUNT) . | tee bench.old.txt
-
-bench-compare:
-	$(GO) test -run='^$$' -bench '$(BENCH_PATTERN)' -benchmem -count $(BENCH_COUNT) . | tee bench.new.txt
-	@if command -v benchstat >/dev/null 2>&1; then \
-		benchstat bench.old.txt bench.new.txt; \
-	else \
-		$(GO) run ./cmd/benchcmp bench.old.txt bench.new.txt; \
-	fi
-
-# Hot-path report: current interpreter numbers against the committed
-# pre-overhaul baseline (testdata/bench/baseline_interp.txt).
-bench-interp:
-	$(GO) run ./cmd/interp-bench -o BENCH_interp.json
 
 # Fault-injection evaluation: mutate every subject program, run each
 # mutant through the debugger with the unmutated original as oracle.

@@ -21,7 +21,6 @@ import (
 	"gadt/internal/pascal/interp"
 	"gadt/internal/pascal/parser"
 	"gadt/internal/pascal/sem"
-	"gadt/internal/perfbench"
 	"gadt/internal/progen"
 	"gadt/internal/slicing/static"
 	"gadt/internal/slicing/weiser"
@@ -111,24 +110,54 @@ func BenchmarkTraceSynthetic(b *testing.B) {
 }
 
 // --- interpreter-bound hot paths -------------------------------------------
-//
-// The workload definitions live in internal/perfbench so cmd/interp-bench
-// (the BENCH_interp.json generator) measures exactly what these track.
+
+// intLoopSrc is the integer-heavy subject of the PERF experiment: a
+// tight arithmetic loop whose cost is dominated by variable access,
+// integer binary operators and assignment — exactly the interpreter
+// paths the slot-frame/unboxed-value design targets (EXPERIMENTS.md,
+// PERF).
+const intLoopSrc = `
+program tight;
+var i, s, t: integer;
+begin
+  s := 0;
+  t := 1;
+  for i := 1 to 20000 do
+  begin
+    s := s + i * i mod 97;
+    if odd(s) then t := t + 1 else t := t - 1;
+    while t > 50 do t := t - 7
+  end;
+  writeln(s, t)
+end.
+`
 
 // BenchmarkInterpIntLoop measures raw interpreter throughput on the
-// integer-heavy loop (ns/op, B/op, allocs/op are the tracked numbers in
-// BENCH_interp.json).
-func BenchmarkInterpIntLoop(b *testing.B) {
-	perfbench.IntLoop()(b)
-}
+// integer-heavy loop.
+func BenchmarkInterpIntLoop(b *testing.B) { benchInterp(b, intLoopSrc) }
 
 // BenchmarkInterpProgen measures whole-program interpretation of seeded
 // progen subjects of graded size, without tracing sinks: the cost the
 // mutation campaign and differential harness pay per evaluation.
 func BenchmarkInterpProgen(b *testing.B) {
-	for _, depth := range perfbench.ProgenDepths {
-		body := perfbench.Progen(depth)
-		b.Run(fmt.Sprintf("depth=%d", depth), body)
+	for _, depth := range []int{3, 5, 7} {
+		p := progen.Generate(progen.Config{Depth: depth, Fanout: 2, Loops: true})
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) { benchInterp(b, p.Buggy) })
+	}
+}
+
+func benchInterp(b *testing.B, src string) {
+	prog := parser.MustParse("bench.pas", src)
+	info, err := sem.Analyze(prog)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := interp.New(info, interp.Config{}).Run(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

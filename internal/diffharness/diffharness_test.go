@@ -1,9 +1,12 @@
 package diffharness
 
 import (
+	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
+	"gadt/internal/obs"
 	"gadt/internal/progen"
 	"gadt/internal/transform"
 )
@@ -126,5 +129,48 @@ func TestCounterexampleRoundTrip(t *testing.T) {
 	}
 	if c.Source != "program p;\nbegin\nend.\n" {
 		t.Fatalf("source round trip: %q", c.Source)
+	}
+}
+
+// TestRecordCountsOnlyShrunkDivergences: diff.shrunk counts the
+// divergences the shrinker minimized. Panics are never shrunk, and a
+// divergence without Minimized was not shrunk either.
+func TestRecordCountsOnlyShrunkDivergences(t *testing.T) {
+	rep := aggregate(Config{}, 3, []Outcome{
+		{Subject: "a", Status: StatusPanic, Div: &Divergence{Kind: "panic"}},
+		{Subject: "b", Status: StatusDivergent, Div: &Divergence{Kind: "output"}},
+		{Subject: "c", Status: StatusDivergent, Div: &Divergence{Kind: "output", Minimized: "program c; begin end."}},
+	}, 0)
+	m := obs.NewRegistry()
+	record(m, rep)
+	if got := m.Counter("diff.shrunk").Value(); got != 1 {
+		t.Errorf("diff.shrunk = %d, want 1", got)
+	}
+}
+
+// TestWriteJSONListsOnlyNonEquivalent: the written report keeps every
+// total but lists only the outcomes that are not equivalent, and the
+// in-memory report stays complete.
+func TestWriteJSONListsOnlyNonEquivalent(t *testing.T) {
+	rep := aggregate(Config{}, 1, []Outcome{
+		{Subject: "a", Stages: "x", Status: StatusEquivalent},
+		{Subject: "a", Stages: "y", Status: StatusTimeout},
+	}, 0)
+	var buf bytes.Buffer
+	if err := rep.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var back Report
+	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
+		t.Fatal(err)
+	}
+	if back.Compared != 2 || back.Equivalent != 1 || back.ByStages["x"].Equivalent != 1 {
+		t.Errorf("written totals: compared %d, equivalent %d", back.Compared, back.Equivalent)
+	}
+	if len(back.Outcomes) != 1 || back.Outcomes[0].Status != StatusTimeout {
+		t.Errorf("written outcomes = %+v, want the timeout only", back.Outcomes)
+	}
+	if len(rep.Outcomes) != 2 {
+		t.Errorf("in-memory outcomes = %d, want 2", len(rep.Outcomes))
 	}
 }

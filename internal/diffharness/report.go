@@ -43,7 +43,9 @@ type Report struct {
 	// minimized) reproducer — the campaign's actionable output.
 	Divergences []Divergence `json:"divergences,omitempty"`
 
-	Outcomes []Outcome `json:"outcomes"`
+	// Outcomes holds every comparison's verdict; WriteJSON keeps only
+	// those that are not equivalent.
+	Outcomes []Outcome `json:"outcomes,omitempty"`
 }
 
 func aggregate(cfg Config, subjects int, outcomes []Outcome, elapsed time.Duration) *Report {
@@ -111,12 +113,27 @@ func record(m *obs.Registry, rep *Report) {
 	}
 	m.Counter("diff.compared").Add(int64(rep.Compared))
 	m.Counter("diff.subjects").Add(int64(rep.Subjects))
-	m.Counter("diff.shrunk").Add(int64(len(rep.Divergences)))
+	shrunk := 0
+	for _, d := range rep.Divergences {
+		if d.Minimized != "" {
+			shrunk++
+		}
+	}
+	m.Counter("diff.shrunk").Add(int64(shrunk))
 }
 
-// WriteJSON writes the report as indented JSON.
+// WriteJSON writes the report as indented JSON. The totals and
+// ByStages count every comparison, but only the outcomes that are not
+// equivalent are listed.
 func (r *Report) WriteJSON(w io.Writer) error {
+	out := *r
+	out.Outcomes = nil
+	for _, o := range r.Outcomes {
+		if o.Status != StatusEquivalent {
+			out.Outcomes = append(out.Outcomes, o)
+		}
+	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(r)
+	return enc.Encode(&out)
 }

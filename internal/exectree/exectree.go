@@ -261,19 +261,15 @@ type TraceResult struct {
 // Extra sinks (e.g. the dynamic dependence recorder) receive the same
 // event stream. A runtime error does not discard the partial tree.
 func Trace(info *sem.Info, input string, extra ...interp.EventSink) *TraceResult {
-	return TraceObserved(info, input, nil, extra...)
-}
-
-// TraceObserved is Trace with metrics: the registry (nil allowed)
-// receives the interpreter's execution counters plus the tree-shape
-// gauges exectree.nodes and exectree.depth.max.
-func TraceObserved(info *sem.Info, input string, metrics *obs.Registry, extra ...interp.EventSink) *TraceResult {
-	return TraceWith(info, TraceOpts{Input: input, Metrics: metrics, Extra: extra})
+	return TraceWith(info, TraceOpts{Input: input, Extra: extra})
 }
 
 // TraceOpts configures TraceWith beyond the common defaults.
 type TraceOpts struct {
-	Input   string
+	Input string
+	// Metrics (nil allowed) receives the interpreter's execution
+	// counters plus the tree-shape gauges exectree.nodes and
+	// exectree.depth.max.
 	Metrics *obs.Registry
 	Extra   []interp.EventSink
 

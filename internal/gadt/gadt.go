@@ -148,23 +148,7 @@ type Run struct {
 // tracing. A runtime error in the subject program is reported in
 // Run.RunErr but still yields the partial tree (crashes are debuggable).
 func (s *System) Trace(input string) (*Run, error) {
-	res, err := s.Transform()
-	if err != nil {
-		return nil, err
-	}
-	rec := dynamic.NewRecorder(res.Info)
-	sp := s.Tracer.Start("trace")
-	tr := exectree.TraceObserved(res.Info, input, s.Metrics, rec)
-	sp.End()
-	rec.RecordMetrics(s.Metrics)
-	return &Run{
-		System:   s,
-		Tree:     tr.Tree,
-		Recorder: rec,
-		Output:   tr.Output,
-		RunErr:   tr.Err,
-		Steps:    tr.Steps,
-	}, nil
+	return s.TraceLimited(input, 0, 0)
 }
 
 // TraceLimited is Trace under explicit resource budgets: the traced
@@ -177,34 +161,28 @@ func (s *System) TraceLimited(input string, maxSteps, maxDepth int) (*Run, error
 	if err != nil {
 		return nil, err
 	}
-	rec := dynamic.NewRecorder(res.Info)
-	sp := s.Tracer.Start("trace")
-	tr := exectree.TraceWith(res.Info, exectree.TraceOpts{
-		Input:    input,
-		Metrics:  s.Metrics,
-		Extra:    []interp.EventSink{rec},
-		MaxSteps: maxSteps,
-		MaxDepth: maxDepth,
-	})
-	sp.End()
-	rec.RecordMetrics(s.Metrics)
-	return &Run{
-		System:   s,
-		Tree:     tr.Tree,
-		Recorder: rec,
-		Output:   tr.Output,
-		RunErr:   tr.Err,
-		Steps:    tr.Steps,
-	}, nil
+	return s.trace(res.Info, input, maxSteps, maxDepth), nil
 }
 
 // TraceOriginal traces the UNTRANSFORMED program (no loop units, no
 // goto/global rewrites). Useful for figure-faithful execution trees of
 // programs that are already side-effect free, and for comparisons.
 func (s *System) TraceOriginal(input string) *Run {
-	rec := dynamic.NewRecorder(s.Info)
+	return s.trace(s.Info, input, 0, 0)
+}
+
+// trace executes info under the given budgets, building its execution
+// tree and dynamic dependence graph.
+func (s *System) trace(info *sem.Info, input string, maxSteps, maxDepth int) *Run {
+	rec := dynamic.NewRecorder(info)
 	sp := s.Tracer.Start("trace")
-	tr := exectree.TraceObserved(s.Info, input, s.Metrics, rec)
+	tr := exectree.TraceWith(info, exectree.TraceOpts{
+		Input:    input,
+		Metrics:  s.Metrics,
+		Extra:    []interp.EventSink{rec},
+		MaxSteps: maxSteps,
+		MaxDepth: maxDepth,
+	})
 	sp.End()
 	rec.RecordMetrics(s.Metrics)
 	return &Run{

@@ -49,10 +49,6 @@ type Info struct {
 	Builtin   map[ast.Node]*Builtin     // CallStmt/CallExpr → predeclared routine
 	TypeOf    map[ast.Expr]types.Type
 	GotoTgt   map[*ast.GotoStmt]*LabelInfo
-	LabelOf   map[*ast.LabeledStmt]*LabelInfo
-	// EnclosingRoutine maps every statement to the routine whose body
-	// (directly) contains it.
-	EnclosingRoutine map[ast.Stmt]*Routine
 
 	Errors ErrorList
 
@@ -172,15 +168,13 @@ func (in *Info) VarOf(e ast.Expr) *VarSym {
 func Analyze(prog *ast.Program) (*Info, error) {
 	c := &checker{
 		info: &Info{
-			Program:          prog,
-			RoutineOf:        make(map[*ast.Routine]*Routine),
-			Uses:             make(map[*ast.Ident]Symbol),
-			Calls:            make(map[ast.Node]*Routine),
-			Builtin:          make(map[ast.Node]*Builtin),
-			TypeOf:           make(map[ast.Expr]types.Type),
-			GotoTgt:          make(map[*ast.GotoStmt]*LabelInfo),
-			LabelOf:          make(map[*ast.LabeledStmt]*LabelInfo),
-			EnclosingRoutine: make(map[ast.Stmt]*Routine),
+			Program:   prog,
+			RoutineOf: make(map[*ast.Routine]*Routine),
+			Uses:      make(map[*ast.Ident]Symbol),
+			Calls:     make(map[ast.Node]*Routine),
+			Builtin:   make(map[ast.Node]*Builtin),
+			TypeOf:    make(map[ast.Expr]types.Type),
+			GotoTgt:   make(map[*ast.GotoStmt]*LabelInfo),
 		},
 	}
 	c.universe = newScope(nil)
@@ -469,7 +463,6 @@ func (c *checker) checkStmt(s ast.Stmt, r *Routine, sc *scope) {
 	if s == nil {
 		return
 	}
-	c.info.EnclosingRoutine[s] = r
 	switch s := s.(type) {
 	case *ast.CompoundStmt:
 		for _, cs := range s.Stmts {
@@ -535,7 +528,6 @@ func (c *checker) checkStmt(s ast.Stmt, r *Routine, sc *scope) {
 			c.errorf(s.Pos(), "label %s placed more than once", s.Label)
 		} else {
 			li.Placement = s
-			c.info.LabelOf[s] = li
 		}
 		c.checkStmt(s.Stmt, r, sc)
 	case *ast.EmptyStmt:

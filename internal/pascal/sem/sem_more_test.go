@@ -237,30 +237,6 @@ func TestVarOfNonDesignators(t *testing.T) {
 	}
 }
 
-func TestEnclosingRoutineMap(t *testing.T) {
-	info := analyze(t, `
-program t;
-var x: integer;
-procedure p;
-begin
-  x := 1;
-end;
-begin
-  p;
-end.`)
-	p := info.LookupRoutine("p")
-	found := false
-	for s, r := range info.EnclosingRoutine {
-		if as, ok := s.(*ast.AssignStmt); ok && r == p {
-			_ = as
-			found = true
-		}
-	}
-	if !found {
-		t.Error("EnclosingRoutine lacks p's assignment")
-	}
-}
-
 func TestMaxintAndPredeclared(t *testing.T) {
 	analyze(t, `
 program t;
