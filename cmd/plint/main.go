@@ -14,7 +14,8 @@
 //	-pval           dump the per-point abstract values (the interval
 //	                lattice behind P012..P015) instead of findings
 //	-stats          print a metrics snapshot (findings by code) on exit
-//	-trace-out f    write per-file lint spans as JSONL ("-" = stderr text)
+//	-trace-out f    write per-file lint spans as a Chrome trace-event file
+//	                (".jsonl" = raw events, "-" = stderr text)
 //
 // Exit status is 1 when any error-severity finding (or a parse/analysis
 // failure) is reported, 0 otherwise.
@@ -45,7 +46,7 @@ func main() {
 	noSuppress := flag.Bool("no-suppress", false, "ignore lint:ignore comments")
 	pval := flag.Bool("pval", false, "dump per-point abstract values instead of findings")
 	stats := flag.Bool("stats", false, "print a metrics snapshot on exit")
-	traceOut := flag.String("trace-out", "", "write lint spans as JSONL to this file (\"-\" = stderr text)")
+	traceOut := flag.String("trace-out", "", "write a Chrome trace-event JSON file (Perfetto-loadable; \".jsonl\" = raw events, \"-\" = stderr text)")
 	flag.Parse()
 
 	if *list {

@@ -11,7 +11,8 @@
 // -routine (default: the program block). -summary suppresses the sliced
 // source and prints statistics only; -stats prints the observability
 // metrics snapshot (phase durations, slice sizes); -trace-out writes
-// phase spans as JSONL.
+// phase spans as a Chrome trace-event file (raw JSONL events for a
+// ".jsonl" path).
 package main
 
 import (
@@ -40,7 +41,7 @@ func main() {
 	flag.BoolVar(&o.onOutput, "output", false, "slice on the routine's output parameter -var")
 	flag.BoolVar(&o.summary, "summary", false, "print slice statistics only")
 	flag.BoolVar(&o.stats, "stats", false, "print a metrics snapshot on exit")
-	flag.StringVar(&o.traceOut, "trace-out", "", "write phase-trace events as JSONL to this file (\"-\" = stderr text)")
+	flag.StringVar(&o.traceOut, "trace-out", "", "write a Chrome trace-event JSON file (Perfetto-loadable; \".jsonl\" = raw events, \"-\" = stderr text)")
 	flag.Parse()
 
 	if flag.NArg() != 1 || o.varName == "" {

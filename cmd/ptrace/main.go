@@ -9,7 +9,8 @@
 // breaking, globals to parameters); -original traces the untouched
 // program instead. -stats prints the metrics snapshot (statement and
 // call counts, tree size, phase durations), -trace-out writes phase
-// spans as JSONL, and -cpuprofile/-memprofile wire up pprof.
+// spans as a Chrome trace-event file (raw JSONL events for a ".jsonl"
+// path), and -cpuprofile/-memprofile wire up pprof.
 package main
 
 import (
@@ -38,7 +39,7 @@ func main() {
 	flag.BoolVar(&o.original, "original", false, "trace the untransformed program")
 	flag.BoolVar(&o.showSrc, "transformed-source", false, "also print the transformed program")
 	flag.BoolVar(&o.stats, "stats", false, "print a metrics snapshot on exit")
-	flag.StringVar(&o.traceOut, "trace-out", "", "write phase-trace events as JSONL to this file (\"-\" = stderr text)")
+	flag.StringVar(&o.traceOut, "trace-out", "", "write a Chrome trace-event JSON file (Perfetto-loadable; \".jsonl\" = raw events, \"-\" = stderr text)")
 	flag.StringVar(&o.cpuprofile, "cpuprofile", "", "write a pprof CPU profile to this file")
 	flag.StringVar(&o.memprofile, "memprofile", "", "write a pprof heap profile to this file on exit")
 	flag.Parse()

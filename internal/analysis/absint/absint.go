@@ -697,7 +697,7 @@ func (a *analyzer) trackedIn(r *sem.Routine, v *sem.VarSym) bool {
 // to modified globals and by-reference actuals.
 func (a *analyzer) callStmt(env Env, r *sem.Routine, s *ast.CallStmt, register bool) Env {
 	info := a.res.Info
-	callee := info.CallAt(s.UID, s)
+	callee := info.CallOf(s)
 	if callee == nil {
 		// Builtin procedure: read/readln havoc their targets; the write
 		// family evaluates arguments (nested calls included).
@@ -705,7 +705,7 @@ func (a *analyzer) callStmt(env Env, r *sem.Routine, s *ast.CallStmt, register b
 		if !env.reachable {
 			return env
 		}
-		b := info.BuiltinAt(s.UID, s)
+		b := info.BuiltinOf(s)
 		if b != nil && (b.Code == sem.BuiltinRead || b.Code == sem.BuiltinReadln) {
 			env = env.clone()
 			for _, arg := range s.Args {
@@ -869,21 +869,21 @@ func (a *analyzer) collectCalls(n ast.Node, out *[]callRef) {
 	case nil:
 		return
 	case *ast.Ident:
-		if callee := info.CallAt(x.UID, x); callee != nil {
+		if callee := info.CallOf(x); callee != nil {
 			*out = append(*out, callRef{callee: callee})
 		}
 	case *ast.CallExpr:
 		for _, arg := range x.Args {
 			a.collectCalls(arg, out)
 		}
-		if callee := info.CallAt(x.UID, x); callee != nil {
+		if callee := info.CallOf(x); callee != nil {
 			*out = append(*out, callRef{callee: callee, args: x.Args})
 		}
 	case *ast.CallStmt:
 		for _, arg := range x.Args {
 			a.collectCalls(arg, out)
 		}
-		if callee := info.CallAt(x.UID, x); callee != nil {
+		if callee := info.CallOf(x); callee != nil {
 			*out = append(*out, callRef{callee: callee, args: x.Args})
 		}
 	case *ast.AssignStmt:
@@ -941,7 +941,7 @@ func (a *analyzer) eval(env Env, e ast.Expr) Val {
 		return IntConst(x.Value)
 	case *ast.Ident:
 		// A bare identifier can invoke a parameterless function.
-		if callee := info.CallAt(x.UID, x); callee != nil {
+		if callee := info.CallOf(x); callee != nil {
 			if callee.Result == nil {
 				return Top()
 			}
@@ -1040,13 +1040,13 @@ func intOnlyCmp(info *sem.Info, e *ast.BinaryExpr, v Val) Val {
 
 func (a *analyzer) evalCall(env Env, e *ast.CallExpr) Val {
 	info := a.res.Info
-	if callee := info.CallAt(e.UID, e); callee != nil {
+	if callee := info.CallOf(e); callee != nil {
 		if callee.Result == nil {
 			return Top()
 		}
 		return a.res.exitEnv[callee].Lookup(callee.Result)
 	}
-	b := info.BuiltinAt(e.UID, e)
+	b := info.BuiltinOf(e)
 	if b == nil || len(e.Args) != 1 {
 		return Top()
 	}
@@ -1235,16 +1235,16 @@ func (a *analyzer) loopVarWritten(fs *ast.ForStmt, v *sem.VarSym) bool {
 		case *ast.ForStmt:
 			mod = mod || isV(x.Var)
 		case *ast.CallStmt:
-			if b := info.BuiltinAt(x.UID, x); b != nil && (b.Code == sem.BuiltinRead || b.Code == sem.BuiltinReadln) {
+			if b := info.BuiltinOf(x); b != nil && (b.Code == sem.BuiltinRead || b.Code == sem.BuiltinReadln) {
 				for _, arg := range x.Args {
 					mod = mod || isV(arg)
 				}
 			}
-			mod = mod || calleeMods(info.CallAt(x.UID, x), x.Args)
+			mod = mod || calleeMods(info.CallOf(x), x.Args)
 		case *ast.CallExpr:
-			mod = mod || calleeMods(info.CallAt(x.UID, x), x.Args)
+			mod = mod || calleeMods(info.CallOf(x), x.Args)
 		case *ast.Ident:
-			if callee := info.CallAt(x.UID, x); callee != nil {
+			if callee := info.CallOf(x); callee != nil {
 				mod = mod || calleeMods(callee, nil)
 			}
 		}

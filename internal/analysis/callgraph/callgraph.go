@@ -46,15 +46,15 @@ func Build(info *sem.Info) *Graph {
 			var site *Site
 			switch n := n.(type) {
 			case *ast.CallStmt:
-				if callee := info.Calls[n]; callee != nil {
+				if callee := info.CallOf(n); callee != nil {
 					site = &Site{Caller: r, Callee: callee, Node: n, Args: n.Args}
 				}
 			case *ast.CallExpr:
-				if callee := info.Calls[n]; callee != nil {
+				if callee := info.CallOf(n); callee != nil {
 					site = &Site{Caller: r, Callee: callee, Node: n, Args: n.Args}
 				}
 			case *ast.Ident:
-				if callee := info.Calls[n]; callee != nil {
+				if callee := info.CallOf(n); callee != nil {
 					site = &Site{Caller: r, Callee: callee, Node: n}
 				}
 			}

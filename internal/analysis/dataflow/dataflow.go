@@ -185,7 +185,7 @@ func mustDefine(info *sem.Info, n *cfg.Node, v *sem.VarSym) bool {
 			}
 			return false
 		case *ast.CallStmt:
-			if b := info.Builtin[s]; b != nil && (b.Name == "read" || b.Name == "readln") {
+			if b := info.BuiltinOf(s); b != nil && (b.Name == "read" || b.Name == "readln") {
 				for _, a := range s.Args {
 					if _, whole := a.(*ast.Ident); whole && info.VarOf(a) == v {
 						return true

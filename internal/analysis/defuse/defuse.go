@@ -70,7 +70,7 @@ func ExprUses(info *sem.Info, e ast.Expr, res Resolver, defs, uses *Set) {
 	case nil:
 		return
 	case *ast.Ident:
-		switch sym := info.Uses[e].(type) {
+		switch sym := info.UseOf(e).(type) {
 		case *sem.VarSym:
 			uses.Add(sym)
 			return
@@ -80,7 +80,7 @@ func ExprUses(info *sem.Info, e ast.Expr, res Resolver, defs, uses *Set) {
 			_ = sym
 		}
 		// Parameterless function call.
-		if callee := info.Calls[e]; callee != nil {
+		if callee := info.CallOf(e); callee != nil {
 			callEffects(info, e, nil, callee, res, defs, uses)
 		}
 	case *ast.IntLit, *ast.RealLit, *ast.StringLit:
@@ -98,13 +98,13 @@ func ExprUses(info *sem.Info, e ast.Expr, res Resolver, defs, uses *Set) {
 	case *ast.FieldExpr:
 		ExprUses(info, e.X, res, defs, uses)
 	case *ast.CallExpr:
-		if b := info.Builtin[e]; b != nil {
+		if b := info.BuiltinOf(e); b != nil {
 			for _, a := range e.Args {
 				ExprUses(info, a, res, defs, uses)
 			}
 			return
 		}
-		callEffects(info, e, e.Args, info.Calls[e], res, defs, uses)
+		callEffects(info, e, e.Args, info.CallOf(e), res, defs, uses)
 	case *ast.SetLit:
 		for _, el := range e.Elems {
 			ExprUses(info, el, res, defs, uses)
@@ -121,7 +121,7 @@ func ExprUsesShallow(info *sem.Info, e ast.Expr, uses *Set) {
 	case nil:
 		return
 	case *ast.Ident:
-		if sym, ok := info.Uses[e].(*sem.VarSym); ok {
+		if sym, ok := info.UseOf(e).(*sem.VarSym); ok {
 			uses.Add(sym)
 		}
 	case *ast.BinaryExpr:
@@ -137,7 +137,7 @@ func ExprUsesShallow(info *sem.Info, e ast.Expr, uses *Set) {
 	case *ast.FieldExpr:
 		ExprUsesShallow(info, e.X, uses)
 	case *ast.CallExpr:
-		if info.Builtin[e] != nil {
+		if info.BuiltinOf(e) != nil {
 			for _, a := range e.Args {
 				ExprUsesShallow(info, a, uses)
 			}
@@ -211,7 +211,7 @@ func Assign(info *sem.Info, s *ast.AssignStmt, res Resolver) (defs, uses *Set) {
 // including read/write builtins.
 func CallStmt(info *sem.Info, s *ast.CallStmt, res Resolver) (defs, uses *Set) {
 	defs, uses = NewSet(), NewSet()
-	if b := info.Builtin[s]; b != nil {
+	if b := info.BuiltinOf(s); b != nil {
 		switch b.Name {
 		case "read", "readln":
 			for _, a := range s.Args {
@@ -230,7 +230,7 @@ func CallStmt(info *sem.Info, s *ast.CallStmt, res Resolver) (defs, uses *Set) {
 		}
 		return defs, uses
 	}
-	callEffects(info, s, s.Args, info.Calls[s], res, defs, uses)
+	callEffects(info, s, s.Args, info.CallOf(s), res, defs, uses)
 	return defs, uses
 }
 

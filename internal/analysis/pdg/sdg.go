@@ -447,7 +447,7 @@ func (s *SDG) defSources(r *sem.Routine, d *dataflow.Def) []*Node {
 				own = true
 			}
 		case *ast.CallStmt:
-			if b := s.Info.Builtin[st]; b != nil {
+			if b := s.Info.BuiltinOf(st); b != nil {
 				own = true // read/readln define their targets directly
 			}
 		}
@@ -575,7 +575,7 @@ func (s *SDG) nodeLevelUses(c *cfg.Node, df *dataflow.Result) []*sem.VarSym {
 				uses.Add(s.Info.VarOf(st.Lhs))
 			}
 		case *ast.CallStmt:
-			if b := s.Info.Builtin[st]; b != nil && b.Name != "read" && b.Name != "readln" {
+			if b := s.Info.BuiltinOf(st); b != nil && b.Name != "read" && b.Name != "readln" {
 				for _, a := range st.Args {
 					defuse.ExprUsesShallow(s.Info, a, uses)
 				}

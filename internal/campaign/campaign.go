@@ -28,7 +28,6 @@ import (
 	"gadt/internal/obs"
 	"gadt/internal/paper"
 	"gadt/internal/pascal/interp"
-	"gadt/internal/progen"
 	"gadt/internal/tgen"
 )
 
@@ -41,28 +40,12 @@ type Subject struct {
 }
 
 // DefaultSubjects returns the standing subject set: the paper's worked
-// example, every corpus program, and a spread of progen shapes
-// (parameter style, global style, loop units).
+// example, then corpus.Subjects (every corpus program and a spread of
+// progen shapes).
 func DefaultSubjects() []Subject {
 	subs := []Subject{{Name: "sqrtest", Source: paper.SqrtestFixed}}
-	for _, p := range corpus.All() {
+	for _, p := range corpus.Subjects() {
 		subs = append(subs, Subject{Name: p.Name, Source: p.Source, Input: p.Input})
-	}
-	for _, shape := range []progen.Config{
-		{Depth: 2, Fanout: 2},
-		{Depth: 3, Fanout: 2},
-		{Depth: 2, Fanout: 2, Style: progen.Globals},
-		{Depth: 2, Fanout: 2, Loops: true},
-	} {
-		style := "params"
-		if shape.Style == progen.Globals {
-			style = "globals"
-		}
-		p := progen.Generate(shape)
-		subs = append(subs, Subject{
-			Name:   fmt.Sprintf("synth(d=%d,f=%d,%s,loops=%v)", shape.Depth, shape.Fanout, style, shape.Loops),
-			Source: p.Fixed,
-		})
 	}
 	return subs
 }

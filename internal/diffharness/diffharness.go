@@ -154,24 +154,8 @@ func Subjects(cfg Config) []Subject {
 		subs = append(subs, Subject{Name: p.Name, Source: p.Source, Input: p.Input})
 	}
 	if cfg.Corpus {
-		for _, p := range corpus.All() {
+		for _, p := range corpus.Subjects() {
 			subs = append(subs, Subject{Name: p.Name, Source: p.Source, Input: p.Input})
-		}
-		for _, shape := range []progen.Config{
-			{Depth: 2, Fanout: 2},
-			{Depth: 3, Fanout: 2},
-			{Depth: 2, Fanout: 2, Style: progen.Globals},
-			{Depth: 2, Fanout: 2, Loops: true},
-		} {
-			style := "params"
-			if shape.Style == progen.Globals {
-				style = "globals"
-			}
-			p := progen.Generate(shape)
-			subs = append(subs, Subject{
-				Name:   fmt.Sprintf("synth(d=%d,f=%d,%s,loops=%v)", shape.Depth, shape.Fanout, style, shape.Loops),
-				Source: p.Fixed,
-			})
 		}
 	}
 	return subs

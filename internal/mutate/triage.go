@@ -220,7 +220,7 @@ func (t *triager) pureArith(e ast.Expr) bool {
 	switch e := e.(type) {
 	case *ast.Ident:
 		// A bare identifier may be a parameterless function call.
-		return t.info.Calls[e] == nil && t.info.VarOf(e) != nil
+		return t.info.CallOf(e) == nil && t.info.VarOf(e) != nil
 	case *ast.IntLit:
 		return true
 	case *ast.UnaryExpr:
@@ -273,13 +273,13 @@ func writePositions(info *sem.Info) map[*ast.Ident]bool {
 		}
 	}
 	markCall := func(node ast.Node, args []ast.Expr) {
-		if b := info.Builtin[node]; b != nil && (b.Code == sem.BuiltinRead || b.Code == sem.BuiltinReadln) {
+		if b := info.BuiltinOf(node); b != nil && (b.Code == sem.BuiltinRead || b.Code == sem.BuiltinReadln) {
 			for _, a := range args {
 				base(a)
 			}
 			return
 		}
-		r := info.Calls[node]
+		r := info.CallOf(node)
 		if r == nil {
 			return
 		}

@@ -231,7 +231,6 @@ type Registry struct {
 	gauges      map[string]*Gauge
 	hists       map[string]*Histogram
 	counterVecs map[string]*CounterVec
-	gaugeVecs   map[string]*GaugeVec
 	histVecs    map[string]*HistogramVec
 }
 
@@ -242,7 +241,6 @@ func NewRegistry() *Registry {
 		gauges:      make(map[string]*Gauge),
 		hists:       make(map[string]*Histogram),
 		counterVecs: make(map[string]*CounterVec),
-		gaugeVecs:   make(map[string]*GaugeVec),
 		histVecs:    make(map[string]*HistogramVec),
 	}
 }

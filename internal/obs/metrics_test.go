@@ -84,7 +84,6 @@ func TestNilRegistryIsSafe(t *testing.T) {
 	r.Gauge("y").Add(2)
 	r.Histogram("z").Observe(time.Second)
 	r.CounterVec("cv", "k").With("v").Inc()
-	r.GaugeVec("gv", "k").With("v").Set(2)
 	r.HistogramVec("hv", "k").With("v").Observe(time.Second)
 	s := r.Snapshot()
 	if len(s.Counters) != 0 || len(s.Gauges) != 0 || len(s.Histograms) != 0 {
@@ -111,7 +110,6 @@ func TestNilInstrumentsAreSafe(t *testing.T) {
 		t.Error("nil histogram stat not empty")
 	}
 	(*CounterVec)(nil).With("a").Inc()
-	(*GaugeVec)(nil).With("a").Set(1)
 	(*HistogramVec)(nil).With("a").Observe(time.Second)
 	(*ReportRecorder)(nil).JobStart()
 	(*ReportRecorder)(nil).JobDone("x", time.Second)
@@ -150,11 +148,6 @@ func TestVec(t *testing.T) {
 		t.Errorf("snapshot missing labeled series: %+v", s.Counters)
 	}
 
-	g := r.GaugeVec("pool.size", "pool")
-	g.With("campaign").Set(8)
-	if s := r.Snapshot(); s.Gauges["pool.size{pool=campaign}"] != 8 {
-		t.Errorf("gauge vec snapshot: %+v", s.Gauges)
-	}
 	h := r.HistogramVec("latency", "op")
 	h.With("parse").Observe(time.Millisecond)
 	if s := r.Snapshot(); s.Histograms["latency{op=parse}"].Count != 1 {

@@ -5,9 +5,9 @@ import (
 	"sync"
 )
 
-// Vec instruments add a label dimension to counters, gauges and
-// histograms: a Vec is created once with its label keys, and With
-// resolves a concrete label-value tuple to a cached child instrument.
+// Vec instruments add a label dimension to counters and histograms: a
+// Vec is created once with its label keys, and With resolves a concrete
+// label-value tuple to a cached child instrument.
 // Children are ordinary registry instruments registered under the
 // flattened series name name{k=v,k2=v2}, so snapshots, text/JSON export
 // and the Prometheus exposition all see them without extra plumbing.
@@ -106,49 +106,6 @@ func (v *CounterVec) With(values ...string) *Counter {
 	v.children[key] = c
 	v.mu.Unlock()
 	return c
-}
-
-// GaugeVec is a gauge family with one child per label-value tuple.
-type GaugeVec struct {
-	r        *Registry
-	name     string
-	keys     []string
-	mu       sync.RWMutex
-	children map[string]*Gauge
-}
-
-// GaugeVec returns the named gauge family, creating it on first use.
-func (r *Registry) GaugeVec(name string, labels ...string) *GaugeVec {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	v, ok := r.gaugeVecs[name]
-	if !ok {
-		v = &GaugeVec{r: r, name: name, keys: labels, children: make(map[string]*Gauge)}
-		r.gaugeVecs[name] = v
-	}
-	return v
-}
-
-// With resolves the child gauge for the given label values. Safe on nil.
-func (v *GaugeVec) With(values ...string) *Gauge {
-	if v == nil {
-		return new(Gauge)
-	}
-	key := childKey(values)
-	v.mu.RLock()
-	g, ok := v.children[key]
-	v.mu.RUnlock()
-	if ok {
-		return g
-	}
-	g = v.r.Gauge(seriesName(v.name, v.keys, values))
-	v.mu.Lock()
-	v.children[key] = g
-	v.mu.Unlock()
-	return g
 }
 
 // HistogramVec is a histogram family with one child per label-value

@@ -3,7 +3,9 @@
 //
 // Nodes are identified by pointer; the semantic analyzer and the program
 // transformer attach information to nodes through side tables keyed by
-// these pointers rather than by mutating the tree. Clone produces a deep
+// these pointers rather than by mutating the tree. The one exception is
+// the UID that sem.Analyze gives identifiers and calls, which indexes its
+// resolution tables. Clone produces a deep
 // copy together with an old→new node map so that the transformer can
 // maintain the paper's "construct map" between the original and the
 // transformed program (Section 5.1).
@@ -42,6 +44,11 @@ type Program struct {
 	ProgPos token.Pos
 	Name    string
 	Block   *Block
+	// UIDs counts the UIDs sem.Analyze has given this program's Ident,
+	// CallExpr and CallStmt nodes; it only grows. A node belongs to one
+	// program: copy it into another with Clone, which leaves the copy
+	// unnumbered.
+	UIDs int
 }
 
 func (p *Program) Pos() token.Pos { return p.ProgPos }
@@ -227,7 +234,7 @@ type CallStmt struct {
 	CallPos token.Pos
 	Name    string
 	Args    []Expr
-	// UID is a resolution-cache index assigned by sem.Analyze; see Ident.
+	// UID indexes sem.Info's resolution tables; see Ident.
 	UID int
 }
 
@@ -333,9 +340,9 @@ func (*EmptyStmt) stmtNode()        {}
 type Ident struct {
 	NamePos token.Pos
 	Name    string
-	// UID is a resolution-cache index assigned by sem.Analyze (0 when
-	// unassigned). It lets the interpreter resolve this use without a
-	// map lookup; stale values are detected and fall back to the map.
+	// UID indexes sem.Info's resolution tables. sem.Analyze numbers the
+	// node from its program's counter when it has none (0) and never
+	// renumbers it.
 	UID int
 }
 
@@ -413,7 +420,7 @@ type CallExpr struct {
 	CallPos token.Pos
 	Name    string
 	Args    []Expr
-	// UID is a resolution-cache index assigned by sem.Analyze; see Ident.
+	// UID indexes sem.Info's resolution tables; see Ident.
 	UID int
 }
 

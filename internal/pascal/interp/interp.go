@@ -767,10 +767,10 @@ func (it *Interp) execCase(s *ast.CaseStmt) (*control, error) {
 // Calls
 
 func (it *Interp) execCallStmt(s *ast.CallStmt) (*control, error) {
-	if b := it.info.BuiltinAt(s.UID, s); b != nil {
+	if b := it.info.BuiltinOf(s); b != nil {
 		return nil, it.execBuiltinProc(b, s)
 	}
-	target := it.info.CallAt(s.UID, s)
+	target := it.info.CallOf(s)
 	if target == nil {
 		return nil, it.errorf(s.Pos(), "call to unresolved routine %s", s.Name)
 	}
@@ -1153,7 +1153,7 @@ func (it *Interp) evalExpr(e ast.Expr) (Value, error) {
 			return constToValue(sym.Value), nil
 		}
 		// Parameterless function call.
-		if target := it.info.CallAt(e.UID, e); target != nil {
+		if target := it.info.CallOf(e); target != nil {
 			v, ctrl, err := it.call(target, e, nil, e.Pos())
 			if err != nil {
 				return Undef, err
@@ -1206,10 +1206,10 @@ func (it *Interp) evalExpr(e ast.Expr) (Value, error) {
 		}
 		return *addr, nil
 	case *ast.CallExpr:
-		if b := it.info.BuiltinAt(e.UID, e); b != nil {
+		if b := it.info.BuiltinOf(e); b != nil {
 			return it.evalBuiltinFunc(b, e)
 		}
-		target := it.info.CallAt(e.UID, e)
+		target := it.info.CallOf(e)
 		if target == nil {
 			return Undef, it.errorf(e.Pos(), "call to unresolved function %s", e.Name)
 		}

@@ -1,0 +1,178 @@
+package sem_test
+
+import (
+	"testing"
+
+	"gadt/internal/pascal/ast"
+	"gadt/internal/pascal/parser"
+	"gadt/internal/pascal/sem"
+)
+
+// resolveSrc has every kind of resolution: variable uses, a
+// parameterless function call, user calls in expression and statement
+// position, and builtin calls in both positions.
+const resolveSrc = `
+program r;
+var x, y: integer;
+
+function seven: integer;
+begin
+  seven := 7;
+end;
+
+function twice(n: integer): integer;
+begin
+  twice := n + n;
+end;
+
+procedure show(n: integer);
+begin
+  writeln(n);
+end;
+
+begin
+  x := seven;
+  y := twice(abs(x));
+  show(y);
+end.`
+
+// resolution is what an Info says about one identifier or call node.
+type resolution struct {
+	use     sem.Symbol
+	call    *sem.Routine
+	builtin *sem.Builtin
+}
+
+func resolveNode(info *sem.Info, n ast.Node) resolution {
+	r := resolution{call: info.CallOf(n), builtin: info.BuiltinOf(n)}
+	if id, ok := n.(*ast.Ident); ok {
+		r.use = info.UseOf(id)
+	}
+	return r
+}
+
+// resolveAll resolves every Ident, CallExpr and CallStmt of prog.
+func resolveAll(info *sem.Info, prog *ast.Program) map[ast.Node]resolution {
+	out := make(map[ast.Node]resolution)
+	ast.Inspect(prog, func(n ast.Node) bool {
+		switch n.(type) {
+		case *ast.Ident, *ast.CallExpr, *ast.CallStmt:
+			out[n] = resolveNode(info, n)
+		}
+		return true
+	})
+	return out
+}
+
+func symName(s sem.Symbol) string {
+	if s == nil {
+		return ""
+	}
+	return s.SymName()
+}
+
+func mustAnalyze(t *testing.T, prog *ast.Program) *sem.Info {
+	t.Helper()
+	info, err := sem.Analyze(prog)
+	if err != nil {
+		t.Fatalf("analyze: %v", err)
+	}
+	return info
+}
+
+// TestReanalysisKeepsEarlierInfo pins that UIDs are never reassigned:
+// analyzing an AST again, even after adding nodes, leaves an earlier
+// Info resolving every old node exactly as before and not seeing the
+// new ones.
+func TestReanalysisKeepsEarlierInfo(t *testing.T) {
+	prog := parser.MustParse("r.pas", resolveSrc)
+	first := mustAnalyze(t, prog)
+	before := resolveAll(first, prog)
+	var uses, calls, builtins int
+	for _, r := range before {
+		if r.use != nil {
+			uses++
+		}
+		if r.call != nil {
+			calls++
+		}
+		if r.builtin != nil {
+			builtins++
+		}
+	}
+	if uses == 0 || calls < 3 || builtins < 2 {
+		t.Fatalf("resolved %d uses, %d calls, %d builtins; want some of each", uses, calls, builtins)
+	}
+
+	// Add a call ahead of every other node, so renumbering the whole
+	// tree would shift every UID.
+	uids := prog.UIDs
+	arg := &ast.Ident{Name: "x"}
+	added := &ast.CallStmt{Name: "writeln", Args: []ast.Expr{arg}}
+	body := prog.Block.Routines[0].Block.Body
+	body.Stmts = append([]ast.Stmt{added}, body.Stmts...)
+	second := mustAnalyze(t, prog)
+	if prog.UIDs != uids+2 {
+		t.Errorf("program counter = %d after adding 2 nodes, want %d", prog.UIDs, uids+2)
+	}
+
+	for n, want := range before {
+		if got := resolveNode(first, n); got != want {
+			t.Errorf("first Info resolves %T %v as %+v after re-analysis, want %+v", n, n.Pos(), got, want)
+		}
+		got := resolveNode(second, n)
+		if symName(got.use) != symName(want.use) || (got.call == nil) != (want.call == nil) ||
+			(got.call != nil && got.call.Name != want.call.Name) || got.builtin != want.builtin {
+			t.Errorf("second Info resolves %T %v as %+v, want %+v", n, n.Pos(), got, want)
+		}
+	}
+	if got := resolveNode(first, added); got != (resolution{}) {
+		t.Errorf("first Info resolves a call added after it: %+v", got)
+	}
+	if got := resolveNode(first, arg); got != (resolution{}) {
+		t.Errorf("first Info resolves an identifier added after it: %+v", got)
+	}
+	if second.BuiltinOf(added) == nil || second.UseOf(arg) == nil {
+		t.Error("second Info does not resolve the added call")
+	}
+}
+
+// TestForeignNodesReadUnresolved pins that an Info answers only for the
+// nodes it resolved: a node of another program carrying the same UID,
+// and an unnumbered clone, read as unresolved.
+func TestForeignNodesReadUnresolved(t *testing.T) {
+	progA := parser.MustParse("a.pas", resolveSrc)
+	infoA := mustAnalyze(t, progA)
+	progB := parser.MustParse("b.pas", resolveSrc)
+	infoB := mustAnalyze(t, progB)
+	if progA.UIDs != progB.UIDs {
+		t.Fatalf("identical sources numbered %d and %d nodes", progA.UIDs, progB.UIDs)
+	}
+
+	var idents, stmts int
+	for n, r := range resolveAll(infoB, progB) {
+		switch n := n.(type) {
+		case *ast.Ident:
+			if r.use != nil && n.UID > 0 && n.UID <= progA.UIDs {
+				idents++
+			}
+		case *ast.CallStmt:
+			if (r.call != nil || r.builtin != nil) && n.UID > 0 && n.UID <= progA.UIDs {
+				stmts++
+			}
+		}
+		if got := resolveNode(infoA, n); got != (resolution{}) {
+			t.Errorf("%T %v of another program resolves as %+v", n, n.Pos(), got)
+		}
+	}
+	if idents == 0 || stmts < 2 {
+		t.Fatalf("checked %d identifiers and %d call statements inside the table; want both", idents, stmts)
+	}
+
+	clone, _ := ast.Clone(progA)
+	for n, got := range resolveAll(infoA, clone) {
+		if got != (resolution{}) {
+			t.Errorf("clone of %T %v resolves as %+v", n, n.Pos(), got)
+		}
+	}
+}

@@ -44,91 +44,100 @@ type Info struct {
 	Routines []*Routine // all routines including Main, in pre-order
 
 	RoutineOf map[*ast.Routine]*Routine // declaration → symbol
-	Uses      map[*ast.Ident]Symbol     // identifier use → symbol
-	Calls     map[ast.Node]*Routine     // CallStmt/CallExpr/Ident → user routine
-	Builtin   map[ast.Node]*Builtin     // CallStmt/CallExpr → predeclared routine
 	TypeOf    map[ast.Expr]types.Type
 	GotoTgt   map[*ast.GotoStmt]*LabelInfo
 
 	Errors ErrorList
 
-	// Resolution caches: dense UID-indexed mirrors of Uses, Calls and
-	// Builtin, built at the end of Analyze. The interpreter resolves
-	// identifiers and call targets through them without hashing; the
-	// node slot is checked against the querying node, so a stale UID
-	// (the AST was re-analyzed under another Info) falls back to the
-	// maps instead of misresolving.
-	useIdents    []*ast.Ident
-	useSyms      []Symbol
-	callNodes    []ast.Node
-	callRoutines []*Routine
-	callBuiltins []*Builtin
+	// Resolution tables, indexed by the UID Analyze gives every Ident,
+	// CallExpr and CallStmt. owner[uid] is the UID field of the node
+	// this analysis resolved under uid (nil if none), so a node of
+	// another program, or one added after this analysis, reads as
+	// unresolved; comparing field addresses keeps interface compares
+	// off the interpreter's hot path. syms holds identifier uses;
+	// routines and builtins hold call targets.
+	owner    []*int
+	syms     []Symbol
+	routines []*Routine
+	builtins []*Builtin
 }
 
-// UseOf resolves an identifier use to its symbol; equivalent to Uses[e]
-// but without a map lookup when e carries a valid cache UID.
+// UseOf resolves an identifier use to its variable or constant symbol
+// (nil when e is not a resolved use in this analysis).
 func (in *Info) UseOf(e *ast.Ident) Symbol {
-	if uid := e.UID; uid > 0 && uid < len(in.useIdents) && in.useIdents[uid] == e {
-		return in.useSyms[uid]
+	if uid := e.UID; uid < len(in.owner) && in.owner[uid] == &e.UID {
+		return in.syms[uid]
 	}
-	return in.Uses[e]
+	return nil
 }
 
-// CallAt resolves the user-routine target of a call node (nil for
-// builtins or unresolved calls); equivalent to Calls[n] minus the map
-// lookup. uid is the node's UID field.
-func (in *Info) CallAt(uid int, n ast.Node) *Routine {
-	if uid > 0 && uid < len(in.callNodes) && in.callNodes[uid] == n {
-		return in.callRoutines[uid]
-	}
-	return in.Calls[n]
+// CallOf resolves the user-routine target of a CallStmt, CallExpr or
+// parameterless-function Ident (nil for builtins, unresolved calls and
+// any other node).
+func (in *Info) CallOf(n ast.Node) *Routine {
+	return in.routines[in.uidOf(n)]
 }
 
-// BuiltinAt resolves the predeclared target of a call node (nil for user
-// calls); equivalent to Builtin[n] minus the map lookup.
-func (in *Info) BuiltinAt(uid int, n ast.Node) *Builtin {
-	if uid > 0 && uid < len(in.callNodes) && in.callNodes[uid] == n {
-		return in.callBuiltins[uid]
-	}
-	return in.Builtin[n]
+// BuiltinOf resolves the predeclared target of a CallStmt or CallExpr
+// (nil for user calls, unresolved calls and any other node).
+func (in *Info) BuiltinOf(n ast.Node) *Builtin {
+	return in.builtins[in.uidOf(n)]
 }
 
-// buildResolutionCache numbers every resolved node and mirrors the
-// resolution maps into the UID-indexed slices.
-func (in *Info) buildResolutionCache() {
-	in.useIdents = make([]*ast.Ident, len(in.Uses)+1)
-	in.useSyms = make([]Symbol, len(in.Uses)+1)
-	uid := 0
-	for id, sym := range in.Uses {
-		uid++
-		id.UID = uid
-		in.useIdents[uid] = id
-		in.useSyms[uid] = sym
+// uidOf returns n's UID when this analysis resolved n under it, else 0
+// (whose table slots are always empty).
+func (in *Info) uidOf(n ast.Node) int {
+	if p := uidField(n); p != nil && *p < len(in.owner) && in.owner[*p] == p {
+		return *p
 	}
-	n := len(in.Calls) + len(in.Builtin) + 1
-	in.callNodes = make([]ast.Node, n)
-	in.callRoutines = make([]*Routine, n)
-	in.callBuiltins = make([]*Builtin, n)
-	cid := 0
-	number := func(node ast.Node) int {
-		cid++
-		switch node := node.(type) {
-		case *ast.Ident:
-			node.UID = cid
-		case *ast.CallExpr:
-			node.UID = cid
-		case *ast.CallStmt:
-			node.UID = cid
+	return 0
+}
+
+// uidField returns the UID field of an Ident, CallExpr or CallStmt (nil
+// for any other node).
+func uidField(n ast.Node) *int {
+	switch n := n.(type) {
+	case *ast.Ident:
+		return &n.UID
+	case *ast.CallExpr:
+		return &n.UID
+	case *ast.CallStmt:
+		return &n.UID
+	}
+	return nil
+}
+
+// numberNodes gives every Ident, CallExpr and CallStmt of prog without a
+// UID the next number from prog's counter, then sizes the resolution
+// tables to cover every UID the program has handed out. UIDs are never
+// reassigned, so an earlier Info of the same program stays valid.
+func (in *Info) numberNodes(prog *ast.Program) {
+	ast.Inspect(prog, func(n ast.Node) bool {
+		if p := uidField(n); p != nil && *p == 0 {
+			prog.UIDs++
+			*p = prog.UIDs
 		}
-		in.callNodes[cid] = node
-		return cid
-	}
-	for node, r := range in.Calls {
-		in.callRoutines[number(node)] = r
-	}
-	for node, b := range in.Builtin {
-		in.callBuiltins[number(node)] = b
-	}
+		return true
+	})
+	n := prog.UIDs + 1 // slot 0 stays empty
+	in.owner = make([]*int, n)
+	in.syms = make([]Symbol, n)
+	in.routines = make([]*Routine, n)
+	in.builtins = make([]*Builtin, n)
+}
+
+func (in *Info) setUse(e *ast.Ident, sym Symbol) {
+	in.owner[e.UID], in.syms[e.UID] = &e.UID, sym
+}
+
+func (in *Info) setCall(n ast.Node, r *Routine) {
+	p := uidField(n)
+	in.owner[*p], in.routines[*p] = p, r
+}
+
+func (in *Info) setBuiltin(n ast.Node, b *Builtin) {
+	p := uidField(n)
+	in.owner[*p], in.builtins[*p] = p, b
 }
 
 // LookupRoutine finds a routine symbol by name, preferring the first
@@ -170,13 +179,11 @@ func Analyze(prog *ast.Program) (*Info, error) {
 		info: &Info{
 			Program:   prog,
 			RoutineOf: make(map[*ast.Routine]*Routine),
-			Uses:      make(map[*ast.Ident]Symbol),
-			Calls:     make(map[ast.Node]*Routine),
-			Builtin:   make(map[ast.Node]*Builtin),
 			TypeOf:    make(map[ast.Expr]types.Type),
 			GotoTgt:   make(map[*ast.GotoStmt]*LabelInfo),
 		},
 	}
+	c.info.numberNodes(prog)
 	c.universe = newScope(nil)
 	c.declareUniverse()
 
@@ -188,7 +195,6 @@ func Analyze(prog *ast.Program) (*Info, error) {
 	for _, r := range c.info.Routines {
 		LayoutRoutine(r)
 	}
-	c.info.buildResolutionCache()
 
 	return c.info, c.info.Errors.Err()
 }
@@ -391,7 +397,7 @@ func (c *checker) constValue(e ast.Expr, sc *scope) (types.Type, any) {
 		return types.String, e.Value
 	case *ast.Ident:
 		if sym, ok := sc.lookup(e.Name).(*ConstSym); ok && sym != nil {
-			c.info.Uses[e] = sym
+			c.info.setUse(e, sym)
 			return sym.Type, sym.Value
 		}
 		c.errorf(e.Pos(), "%s is not a constant", e.Name)
@@ -557,7 +563,7 @@ func (c *checker) checkAssign(s *ast.AssignStmt, r *Routine, sc *scope) {
 	if id, ok := s.Lhs.(*ast.Ident); ok {
 		for fr := r; fr != nil; fr = fr.Parent {
 			if fr.Kind == ast.FuncKind && fr.Name == id.Name && fr.Result != nil {
-				c.info.Uses[id] = fr.Result
+				c.info.setUse(id, fr.Result)
 				c.info.TypeOf[id] = fr.Result.Type
 				rt := c.checkExpr(s.Rhs, r, sc)
 				if rt != types.Bad && !types.AssignableTo(rt, fr.Result.Type) {
@@ -621,10 +627,10 @@ func (c *checker) checkCall(node ast.Node, name string, args []ast.Expr, pos tok
 		}
 		return types.Bad
 	case *Builtin:
-		c.info.Builtin[node] = sym
+		c.info.setBuiltin(node, sym)
 		return c.checkBuiltinCall(sym, args, pos, r, sc, stmtCtx)
 	case *Routine:
-		c.info.Calls[node] = sym
+		c.info.setCall(node, sym)
 		if stmtCtx && sym.Kind == ast.FuncKind {
 			c.errorf(pos, "function %s called as a procedure", name)
 		}
@@ -739,10 +745,10 @@ func (c *checker) exprType(e ast.Expr, r *Routine, sc *scope) types.Type {
 			c.errorf(e.Pos(), "undeclared identifier %s", e.Name)
 			return types.Bad
 		case *VarSym:
-			c.info.Uses[e] = sym
+			c.info.setUse(e, sym)
 			return sym.Type
 		case *ConstSym:
-			c.info.Uses[e] = sym
+			c.info.setUse(e, sym)
 			return sym.Type
 		case *Routine:
 			// Parameterless function call in expression position.
@@ -750,7 +756,7 @@ func (c *checker) exprType(e ast.Expr, r *Routine, sc *scope) types.Type {
 				if len(sym.Params) != 0 {
 					c.errorf(e.Pos(), "function %s requires arguments", e.Name)
 				}
-				c.info.Calls[e] = sym
+				c.info.setCall(e, sym)
 				if sym.Result != nil {
 					return sym.Result.Type
 				}

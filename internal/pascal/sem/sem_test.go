@@ -137,7 +137,7 @@ func TestFunctionResultAssignment(t *testing.T) {
 			return true
 		}
 		found = true
-		sym := info.Uses[id]
+		sym := info.UseOf(id)
 		v, ok := sym.(*sem.VarSym)
 		if !ok || v.Kind != sem.ResultVar {
 			t.Errorf("decrement := ... resolves to %v, want result var", sym)

@@ -53,17 +53,16 @@ type VarSym struct {
 	// Index is the position among the owner's params (ParamVar) or
 	// locals (LocalVar), assigned in declaration order.
 	Index int
-	// Slot is the dense frame-slot index assigned by the layout pass:
+	// Slot is the dense frame-slot index assigned by LayoutRoutine:
 	// the interpreter stores this variable at Owner's frame slot Slot
 	// (params first, then the result variable, then locals — AllVars
-	// order). Assigned by Analyze via layoutFrames.
+	// order).
 	Slot int
 }
 
 func (v *VarSym) SymName() string   { return v.Name }
 func (v *VarSym) SymPos() token.Pos { return v.Pos }
 func (v *VarSym) String() string    { return fmt.Sprintf("%s %s: %s", v.Kind, v.Name, v.Type) }
-func (v *VarSym) IsParam() bool     { return v.Kind == ParamVar }
 func (v *VarSym) IsByRef() bool     { return v.Kind == ParamVar && v.Mode != ast.Value }
 
 // ConstSym is a named constant.
@@ -109,8 +108,8 @@ type Routine struct {
 	Synthetic bool
 
 	// Frame is the precomputed activation-record layout (slot count and
-	// the variable owning each slot), filled in by the layout pass at
-	// the end of Analyze. The interpreter sizes its slot-addressed
+	// the variable owning each slot), filled in by LayoutRoutine at the
+	// end of Analyze. The interpreter sizes its slot-addressed
 	// frames from it instead of probing per-variable maps.
 	Frame FrameLayout
 }

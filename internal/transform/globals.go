@@ -133,7 +133,7 @@ func (st *state) globalsToParams(p *ast.Program, info *sem.Info) error {
 		// Rename references to converted globals within r's own body.
 		ast.Inspect(r.Block.Body, func(n ast.Node) bool {
 			if id, ok := n.(*ast.Ident); ok {
-				if v, ok := info.Uses[id].(*sem.VarSym); ok {
+				if v, ok := info.UseOf(id).(*sem.VarSym); ok {
 					if name, hit := byVar[v]; hit && id.Name != name {
 						id.Name = name
 					}
@@ -201,7 +201,7 @@ func typeExprOf(v *sem.VarSym) (ast.TypeExpr, error) {
 func (st *state) extendCalls(r *sem.Routine, info *sem.Info, plan map[*sem.Routine][]globalEntry, denote func(*sem.VarSym, ast.Node) ast.Expr) error {
 	var rewriteExpr func(e ast.Expr) ast.Expr
 	extend := func(node ast.Node, args []ast.Expr) []ast.Expr {
-		callee := info.Calls[node]
+		callee := info.CallOf(node)
 		if callee == nil {
 			return args
 		}
@@ -222,10 +222,9 @@ func (st *state) extendCalls(r *sem.Routine, info *sem.Info, plan map[*sem.Routi
 		case *ast.Ident:
 			// A parameterless function call gaining parameters must
 			// become an explicit call expression.
-			if callee := info.Calls[e]; callee != nil && len(plan[callee]) > 0 {
+			if callee := info.CallOf(e); callee != nil && len(plan[callee]) > 0 {
 				ce := &ast.CallExpr{CallPos: e.Pos(), Name: e.Name}
 				ce.Args = extend(e, nil)
-				info.Calls[ce] = callee // keep resolution for later passes
 				st.mapOrigin(ce, e)
 				return ce
 			}

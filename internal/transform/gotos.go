@@ -166,7 +166,7 @@ func (st *state) breakGotosInRoutine(r *sem.Routine, info *sem.Info, se *sideeff
 			st.mapOrigin(repl, s)
 			return repl
 		case *ast.CallStmt:
-			callee := info.Calls[s]
+			callee := info.CallOf(s)
 			if callee == nil || len(se.Of[callee].ExitTargets) == 0 {
 				return s
 			}
