@@ -173,10 +173,12 @@ type job struct {
 	want    string // reference output
 	mutant  *mutate.Mutant
 
-	// Harvested from the subject's reference run, shared read-mostly by
-	// every session over this subject's mutants (CallDB locks; the
-	// assertion DB is never written after harvest — the reference oracle
-	// supplies no new assertions).
+	// Built once from the subject's reference run and shared by every
+	// session over this subject's mutants: the oracle keeps no state
+	// between questions, the CallDB locks, and the assertion DB is never
+	// written after harvest (the reference oracle supplies no new
+	// assertions).
+	oracle  debugger.Oracle
 	tests   *tgen.CallDB
 	asserts *assertion.DB
 }
@@ -261,10 +263,10 @@ func Run(cfg Config) (*Report, error) {
 }
 
 // buildJobs enumerates mutants for every subject, triages the provably
-// equivalent ones out of the execution pool, computes the reference
-// outputs, and samples the remaining list down to Budget with the
-// campaign seed. Equivalent mutants bypass the budget: their verdict is
-// free, so they are always reported.
+// equivalent ones out of the execution pool, computes each subject's
+// reference output and builds its one oracle, and samples the remaining
+// list down to Budget with the campaign seed. Equivalent mutants bypass
+// the budget: their verdict is free, so they are always reported.
 func buildJobs(cfg Config) (jobs []job, preclassified []MutantOutcome, subjectErrs []string, enumerated int, err error) {
 	for _, s := range cfg.Subjects {
 		ref, werr := referenceRun(s, cfg)
@@ -273,6 +275,11 @@ func buildJobs(cfg Config) (jobs []job, preclassified []MutantOutcome, subjectEr
 			continue
 		}
 		want := ref.Output
+		oracle, werr := ref.System.Oracle(cfg.Fuel)
+		if werr != nil {
+			subjectErrs = append(subjectErrs, fmt.Sprintf("%s: %v", s.Name, werr))
+			continue
+		}
 		var tests *tgen.CallDB
 		var asserts *assertion.DB
 		if !cfg.NoHarvest {
@@ -307,7 +314,7 @@ func buildJobs(cfg Config) (jobs []job, preclassified []MutantOutcome, subjectEr
 				preclassified = append(preclassified, o)
 				continue
 			}
-			jobs = append(jobs, job{subject: s, want: want, mutant: m, tests: tests, asserts: asserts})
+			jobs = append(jobs, job{subject: s, want: want, mutant: m, oracle: oracle, tests: tests, asserts: asserts})
 		}
 	}
 	if len(jobs) == 0 && len(preclassified) == 0 {
@@ -333,8 +340,9 @@ func triage(en *mutate.Enumeration) (marked int) {
 }
 
 // referenceRun runs the unmutated subject once under campaign budgets;
-// its output is what mutants are compared against, and its execution
-// tree is the harvest source for the exact-call test database and the
+// its output is what mutants are compared against, its transformed
+// program answers every debugging question, and its execution tree is
+// the harvest source for the exact-call test database and the
 // generalized assertions.
 func referenceRun(s Subject, cfg Config) (*gadt.Run, error) {
 	sys, err := gadt.Load(s.Name+".pas", s.Source)
@@ -438,11 +446,6 @@ func eval(cfg Config, j job) MutantOutcome {
 
 func debugOne(cfg Config, j job, run *gadt.Run, strat debugger.Strategy) StrategyScore {
 	score := StrategyScore{Strategy: strat.String()}
-	oracle, err := gadt.IntendedOracleLimited(j.subject.Source, cfg.Fuel)
-	if err != nil {
-		score.Error = err.Error()
-		return score
-	}
 	dc := gadt.DebugConfig{
 		Strategy:     strat,
 		Slicing:      true,
@@ -452,7 +455,7 @@ func debugOne(cfg Config, j job, run *gadt.Run, strat debugger.Strategy) Strateg
 	if j.tests != nil {
 		dc.Tests = j.tests
 	}
-	out, err := run.Debug(oracle, dc)
+	out, err := run.Debug(j.oracle, dc)
 	if out != nil {
 		score.Questions = out.Questions
 		score.ByAssertions = out.ByAssertions

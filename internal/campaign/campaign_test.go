@@ -203,6 +203,37 @@ func TestCampaignDeterministic(t *testing.T) {
 	}
 }
 
+// TestPinnedSeedOne pins the standing seed-1 campaign (`pmut -budget
+// 240 -seed 1`, the totals bench/ also checks): a change to any layer
+// the campaign runs must leave every verdict total and every strategy's
+// localization count as it is.
+func TestPinnedSeedOne(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the 240-mutant campaign is not short")
+	}
+	rep := small(t, campaign.Config{Seed: 1, Budget: 240, Workers: 2})
+	pin := func(what string, got, want int) {
+		t.Helper()
+		if got != want {
+			t.Errorf("%s = %d, want %d", what, got, want)
+		}
+	}
+	pin("evaluated", rep.Mutants, 334)
+	pin("killed", rep.Killed, 223)
+	pin("survived", rep.Survived, 10)
+	pin("timeout", rep.Timeout, 7)
+	pin("equivalent", rep.Equivalent, 94)
+	pin("stillborn", rep.Stillborn, 0)
+	pin("panics", rep.Panics, 0)
+	for strat, want := range map[string]int{"bottom-up": 208, "divide-and-query": 203, "top-down": 207, "weighted-dq": 203} {
+		got := 0
+		if st := rep.ByStrategy[strat]; st != nil {
+			got = st.Localized
+		}
+		pin(strat+" localized", got, want)
+	}
+}
+
 // TestCampaignBudgetAndOps: budget caps the evaluated set, ops filter
 // restricts operators, and metrics land in the registry.
 func TestCampaignBudgetAndOps(t *testing.T) {

@@ -258,19 +258,25 @@ func (r *Run) DebugWithFallback(oracle debugger.Oracle, cfg DebugConfig, verify 
 	return first, final, true, nil
 }
 
-// IntendedOracle builds an oracle from a reference ("intended")
-// implementation, transformed the same way as the subject so unit names
-// line up. The reference must be structurally identical modulo the bug.
+// Oracle returns an intended-semantics oracle that treats this system
+// as the reference ("intended") implementation, transformed (Transform
+// is idempotent) the same way as the subject so unit names line up.
+// maxSteps bounds each reference replay (0 = the oracle's default). The
+// oracle keeps no state between questions, so concurrent sessions may
+// share it.
+func (s *System) Oracle(maxSteps int) (debugger.Oracle, error) {
+	res, err := s.Transform()
+	if err != nil {
+		return nil, err
+	}
+	return &debugger.IntendedOracle{Ref: res.Info, MaxSteps: maxSteps}, nil
+}
+
+// IntendedOracle builds an oracle from the source of a reference
+// implementation (see System.Oracle). The reference must be
+// structurally identical modulo the bug.
 func IntendedOracle(refSource string) (debugger.Oracle, error) {
-	ref, err := Load("reference.pas", refSource)
-	if err != nil {
-		return nil, fmt.Errorf("gadt: reference: %w", err)
-	}
-	tref, err := ref.Transform()
-	if err != nil {
-		return nil, fmt.Errorf("gadt: reference: %w", err)
-	}
-	return &debugger.IntendedOracle{Ref: tref.Info}, nil
+	return IntendedOracleLimited(refSource, 0)
 }
 
 // IntendedOracleLimited is IntendedOracle with a per-query step budget
@@ -281,11 +287,11 @@ func IntendedOracleLimited(refSource string, maxSteps int) (debugger.Oracle, err
 	if err != nil {
 		return nil, fmt.Errorf("gadt: reference: %w", err)
 	}
-	tref, err := ref.Transform()
+	o, err := ref.Oracle(maxSteps)
 	if err != nil {
 		return nil, fmt.Errorf("gadt: reference: %w", err)
 	}
-	return &debugger.IntendedOracle{Ref: tref.Info, MaxSteps: maxSteps}, nil
+	return o, nil
 }
 
 // IntendedOracleOriginal is IntendedOracle without transformation, for

@@ -17,17 +17,16 @@
 //	negate-cond       if/while/repeat condition wrapped in `not`
 //	drop-stmt         assignment or call statement deleted
 //
-// Every candidate mutant is validated with the semantic analyzer;
-// mutants that no longer type-check are discarded (stillborn), so the
-// returned set contains only executable programs. Enumeration order,
-// mutant IDs and sampling are fully deterministic for a given
-// (source, Config) pair.
+// Each candidate mutant is an edit of the parsed original made in place,
+// validated with the semantic analyzer and printed, then undone before
+// the next site, so enumeration never copies the program. Mutants that
+// no longer type-check are discarded (stillborn), so the returned set
+// contains only executable programs. Enumeration order and mutant IDs
+// are fully deterministic for a given (source, Config) pair.
 package mutate
 
 import (
 	"fmt"
-	"math/rand"
-	"sort"
 
 	"gadt/internal/obs"
 	"gadt/internal/pascal/ast"
@@ -67,7 +66,7 @@ func ParseOp(s string) (Op, bool) {
 // Mutant is one validated first-order mutant.
 type Mutant struct {
 	// ID is the mutant's stable index in the full enumeration of its
-	// subject (independent of sampling).
+	// subject (campaign sampling keeps it).
 	ID int
 	Op Op
 	// Unit is the routine the fault was injected into (the program name
@@ -98,12 +97,6 @@ type Mutant struct {
 type Config struct {
 	// Ops enables a subset of operators (nil/empty = all).
 	Ops []Op
-	// Seed drives sampling when Max truncates the enumeration.
-	Seed int64
-	// Max caps the number of returned mutants (0 = all). Sampling is a
-	// deterministic seed-driven choice from the full enumeration, so a
-	// larger Max returns a superset ordering of stable IDs.
-	Max int
 	// Metrics, when non-nil, receives enumeration counters: the labeled
 	// mutate.sites{op=...} series, mutate.stillborn (faults that do not
 	// type-check), and mutate.mutants (viable mutants returned).
@@ -132,14 +125,14 @@ var arithAlts = map[token.Kind][]token.Kind{
 	token.Slash: {token.Star},
 }
 
-// site is one latent mutation: apply edits the cloned counterpart of
-// the recorded original node(s).
+// site is one latent mutation: apply edits the recorded original
+// node(s) in place and returns the edit that undoes it.
 type site struct {
 	op    Op
 	unit  string
 	pos   token.Pos
 	desc  string
-	apply func(counterpart func(ast.Node) ast.Node) bool
+	apply func() (undo func())
 
 	// Triage metadata. node is the original-program construct the
 	// mutation edits (nil opts the site out of static triage); altOp and
@@ -158,18 +151,9 @@ type Enumeration struct {
 	Mutants []*Mutant
 }
 
-// Enumerate parses source and returns every enabled, type-correct
-// mutant (sampled down to cfg.Max when set).
-func Enumerate(file, source string, cfg Config) ([]*Mutant, error) {
-	en, err := EnumerateProgram(file, source, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return en.Mutants, nil
-}
-
-// EnumerateProgram is Enumerate keeping the original program and its
-// semantic info alongside the mutants.
+// EnumerateProgram parses source and returns every enabled,
+// type-correct mutant, keeping the original program and its semantic
+// info alongside.
 func EnumerateProgram(file, source string, cfg Config) (*Enumeration, error) {
 	prog, err := parser.ParseProgram(file, source)
 	if err != nil {
@@ -198,45 +182,32 @@ func EnumerateProgram(file, source string, cfg Config) (*Enumeration, error) {
 
 	var mutants []*Mutant
 	for i, st := range sites {
-		clone, cm := ast.Clone(prog)
-		old2new := invert(cm)
-		lookup := func(n ast.Node) ast.Node { return old2new[n] }
-		if !st.apply(lookup) {
-			continue
+		if m := materialize(prog, i, st, cfg.Metrics); m != nil {
+			mutants = append(mutants, m)
 		}
-		if _, err := sem.Analyze(clone); err != nil {
-			cfg.Metrics.Counter("mutate.stillborn").Inc()
-			continue // stillborn: the fault does not type-check
-		}
-		mutants = append(mutants, &Mutant{
-			ID:          i,
-			Op:          st.op,
-			Unit:        st.unit,
-			Pos:         st.pos,
-			Description: st.desc,
-			Source:      printer.Print(clone),
-			orig:        st,
-		})
-	}
-
-	if cfg.Max > 0 && len(mutants) > cfg.Max {
-		rng := rand.New(rand.NewSource(cfg.Seed))
-		rng.Shuffle(len(mutants), func(i, j int) {
-			mutants[i], mutants[j] = mutants[j], mutants[i]
-		})
-		mutants = mutants[:cfg.Max]
-		sort.Slice(mutants, func(i, j int) bool { return mutants[i].ID < mutants[j].ID })
 	}
 	cfg.Metrics.Counter("mutate.mutants").Add(int64(len(mutants)))
 	return &Enumeration{Prog: prog, Info: info, Mutants: mutants}, nil
 }
 
-func invert(cm ast.CloneMap) map[ast.Node]ast.Node {
-	inv := make(map[ast.Node]ast.Node, len(cm))
-	for nw, old := range cm {
-		inv[old] = nw
+// materialize applies st to prog, validates and prints the mutated
+// program, and undoes the edit before returning. It returns nil for a
+// stillborn mutant: one whose fault does not type-check.
+func materialize(prog *ast.Program, id int, st *site, m *obs.Registry) *Mutant {
+	defer st.apply()() // edit now, undo on return
+	if _, err := sem.Analyze(prog); err != nil {
+		m.Counter("mutate.stillborn").Inc()
+		return nil
 	}
-	return inv
+	return &Mutant{
+		ID:          id,
+		Op:          st.op,
+		Unit:        st.unit,
+		Pos:         st.pos,
+		Description: st.desc,
+		Source:      printer.Print(prog),
+		orig:        st,
+	}
 }
 
 // collectBlock gathers mutation sites for the block's own body
@@ -305,14 +276,14 @@ func collectBody(body ast.Stmt, unit string, groups map[string][]string, enabled
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CompoundStmt:
-			collectDrops(n, n.Stmts, unit, enabled, sites)
+			collectDrops(n.Stmts, unit, enabled, sites)
 		case *ast.RepeatStmt:
-			collectDrops(n, n.Stmts, unit, enabled, sites)
-			collectNegate(n, n.Cond, "until", unit, enabled, sites)
+			collectDrops(n.Stmts, unit, enabled, sites)
+			collectNegate(&n.Cond, "until", unit, enabled, sites)
 		case *ast.IfStmt:
-			collectNegate(n, n.Cond, "if", unit, enabled, sites)
+			collectNegate(&n.Cond, "if", unit, enabled, sites)
 		case *ast.WhileStmt:
-			collectNegate(n, n.Cond, "while", unit, enabled, sites)
+			collectNegate(&n.Cond, "while", unit, enabled, sites)
 		case *ast.BinaryExpr:
 			collectOpFlip(n, unit, enabled, sites)
 		case *ast.IntLit:
@@ -324,7 +295,9 @@ func collectBody(body ast.Stmt, unit string, groups map[string][]string, enabled
 	})
 }
 
-func collectDrops(parent ast.Node, stmts []ast.Stmt, unit string, enabled map[Op]bool, sites *[]*site) {
+// collectDrops edits stmts, which shares its backing array with the
+// parent statement's list, so a drop lands in the program.
+func collectDrops(stmts []ast.Stmt, unit string, enabled map[Op]bool, sites *[]*site) {
 	if !enabled[DropStmt] {
 		return
 	}
@@ -341,22 +314,16 @@ func collectDrops(parent ast.Node, stmts []ast.Stmt, unit string, enabled map[Op
 			pos:  s.Pos(),
 			desc: fmt.Sprintf("drop-stmt `%s` in %s", firstLine(printer.PrintStmt(s)), unit),
 			node: s,
-			apply: func(counterpart func(ast.Node) ast.Node) bool {
-				switch p := counterpart(parent).(type) {
-				case *ast.CompoundStmt:
-					p.Stmts[i] = &ast.EmptyStmt{SemiPos: p.Stmts[i].Pos()}
-					return true
-				case *ast.RepeatStmt:
-					p.Stmts[i] = &ast.EmptyStmt{SemiPos: p.Stmts[i].Pos()}
-					return true
-				}
-				return false
+			apply: func() func() {
+				stmts[i] = &ast.EmptyStmt{SemiPos: s.Pos()}
+				return func() { stmts[i] = s }
 			},
 		})
 	}
 }
 
-func collectNegate(stmt ast.Node, cond ast.Expr, kw, unit string, enabled map[Op]bool, sites *[]*site) {
+func collectNegate(condField *ast.Expr, kw, unit string, enabled map[Op]bool, sites *[]*site) {
+	cond := *condField
 	if !enabled[NegateCond] || cond == nil {
 		return
 	}
@@ -366,21 +333,9 @@ func collectNegate(stmt ast.Node, cond ast.Expr, kw, unit string, enabled map[Op
 		pos:  cond.Pos(),
 		desc: fmt.Sprintf("negate-cond %s `%s` in %s", kw, firstLine(printer.PrintExpr(cond)), unit),
 		node: cond,
-		apply: func(counterpart func(ast.Node) ast.Node) bool {
-			negate := func(e *ast.Expr) {
-				*e = &ast.UnaryExpr{OpPos: (*e).Pos(), Op: token.Not, X: *e}
-			}
-			switch s := counterpart(stmt).(type) {
-			case *ast.IfStmt:
-				negate(&s.Cond)
-			case *ast.WhileStmt:
-				negate(&s.Cond)
-			case *ast.RepeatStmt:
-				negate(&s.Cond)
-			default:
-				return false
-			}
-			return true
+		apply: func() func() {
+			*condField = &ast.UnaryExpr{OpPos: cond.Pos(), Op: token.Not, X: cond}
+			return func() { *condField = cond }
 		},
 	})
 }
@@ -402,13 +357,10 @@ func collectOpFlip(e *ast.BinaryExpr, unit string, enabled map[Op]bool, sites *[
 			desc:  fmt.Sprintf("%s %s -> %s in %s", op, e.Op, alt, unit),
 			node:  e,
 			altOp: alt,
-			apply: func(counterpart func(ast.Node) ast.Node) bool {
-				b, ok := counterpart(e).(*ast.BinaryExpr)
-				if !ok {
-					return false
-				}
-				b.Op = alt
-				return true
+			apply: func() func() {
+				orig := e.Op
+				e.Op = alt
+				return func() { e.Op = orig }
 			},
 		})
 	}
@@ -426,13 +378,9 @@ func collectOffByOne(e *ast.IntLit, unit string, enabled map[Op]bool, sites *[]*
 			pos:  e.Pos(),
 			desc: fmt.Sprintf("const-off-by-one %d -> %d in %s", e.Value, e.Value+delta, unit),
 			node: e,
-			apply: func(counterpart func(ast.Node) ast.Node) bool {
-				l, ok := counterpart(e).(*ast.IntLit)
-				if !ok {
-					return false
-				}
-				l.Value += delta
-				return true
+			apply: func() func() {
+				e.Value += delta
+				return func() { e.Value -= delta }
 			},
 		})
 	}
@@ -461,13 +409,10 @@ func collectSwap(id *ast.Ident, unit string, groups map[string][]string, enabled
 		desc:    fmt.Sprintf("var-swap %s -> %s in %s", id.Name, alt, unit),
 		node:    id,
 		altName: alt,
-		apply: func(counterpart func(ast.Node) ast.Node) bool {
-			n, ok := counterpart(id).(*ast.Ident)
-			if !ok {
-				return false
-			}
-			n.Name = alt
-			return true
+		apply: func() func() {
+			orig := id.Name
+			id.Name = alt
+			return func() { id.Name = orig }
 		},
 	})
 }

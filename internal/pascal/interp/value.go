@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 
 	"gadt/internal/pascal/types"
@@ -339,7 +340,7 @@ func FormatValue(v Value) string {
 	case KindUndef:
 		return "<undef>"
 	case KindInt:
-		return fmt.Sprintf("%d", v.num)
+		return strconv.FormatInt(v.num, 10)
 	case KindReal:
 		s := fmt.Sprintf("%g", v.realv())
 		if !strings.ContainsAny(s, ".eE") {
