@@ -9,7 +9,7 @@
 #   make loc        - count non-test Go lines per package and in total
 #   make mutate     - run the full mutation campaign, write BENCH_mutation.json
 #   make diff       - run the differential equivalence campaign, write BENCH_diff.json
-#   make trace-smoke - record Chrome traces (gadt + pmut) and validate them
+#   make trace-smoke - record Chrome traces (gadt + pmut + pdiff) and validate them
 #   make serve-smoke - boot gadt-serve, drive a curl session, scrape /metrics
 #   make lint       - run plint over the fixture and example programs
 #   make staticcheck - run staticcheck when installed (CI pins its version)
@@ -101,17 +101,20 @@ mutate:
 diff:
 	$(GO) run ./cmd/pdiff -n 250 -seed 1 -dir testdata/diff -json BENCH_diff.json
 
-# Record two Perfetto-loadable traces — a single-lane debugging session
-# and a multi-lane mutation campaign — then validate both with
-# cmd/tracecheck: well-formed JSON, balanced B/E per lane, nested spans,
-# labeled thread_name lanes.
+# Record three Perfetto-loadable traces — a single-lane debugging
+# session, a multi-lane mutation campaign and a multi-lane differential
+# campaign — then validate them with cmd/tracecheck: well-formed JSON,
+# balanced B/E per lane, nested spans, labeled thread_name lanes.
 trace-smoke:
 	mkdir -p $(TRACE_DIR)
 	$(GO) run ./cmd/gadt -reference testdata/sqrtest_fixed.pas \
 		-trace-out $(TRACE_DIR)/gadt.trace.json testdata/sqrtest.pas > /dev/null
 	$(GO) run ./cmd/pmut -budget 12 -seed 1 -workers 2 -json "" \
 		-trace-out $(TRACE_DIR)/pmut.trace.json > /dev/null
-	$(GO) run ./cmd/tracecheck $(TRACE_DIR)/gadt.trace.json $(TRACE_DIR)/pmut.trace.json
+	$(GO) run ./cmd/pdiff -n 12 -seed 1 -workers 2 -json "" \
+		-trace-out $(TRACE_DIR)/pdiff.trace.json > /dev/null
+	$(GO) run ./cmd/tracecheck $(TRACE_DIR)/gadt.trace.json $(TRACE_DIR)/pmut.trace.json \
+		$(TRACE_DIR)/pdiff.trace.json
 
 # Where serve-smoke leaves its transcript (CI uploads this directory).
 SERVE_SMOKE_DIR ?= serve-smoke-out

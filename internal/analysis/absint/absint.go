@@ -988,7 +988,7 @@ func (a *analyzer) evalBinary(env Env, e *ast.BinaryExpr) Val {
 	case token.Plus, token.Minus, token.Star, token.Div, token.Mod:
 		// Integer arithmetic only; `+` over reals (or a mistyped tree)
 		// falls back to ⊤.
-		if t, ok := info.TypeOf[e].(*types.Basic); !ok || t.Kind != types.Int {
+		if t, ok := info.TypeOf(e).(*types.Basic); !ok || t.Kind != types.Int {
 			return Top()
 		}
 		switch e.Op {
@@ -1030,8 +1030,8 @@ func (a *analyzer) evalBinary(env Env, e *ast.BinaryExpr) Val {
 // through ⊤ operands, but a real-typed literal tree would otherwise leak
 // int conclusions).
 func intOnlyCmp(info *sem.Info, e *ast.BinaryExpr, v Val) Val {
-	tx, okx := info.TypeOf[e.X].(*types.Basic)
-	ty, oky := info.TypeOf[e.Y].(*types.Basic)
+	tx, okx := info.TypeOf(e.X).(*types.Basic)
+	ty, oky := info.TypeOf(e.Y).(*types.Basic)
 	if okx && oky && tx.Kind == types.Int && ty.Kind == types.Int {
 		return v
 	}
@@ -1052,7 +1052,7 @@ func (a *analyzer) evalCall(env Env, e *ast.CallExpr) Val {
 	}
 	arg := a.eval(env, e.Args[0])
 	argInt := false
-	if t, ok := info.TypeOf[e.Args[0]].(*types.Basic); ok && t.Kind == types.Int {
+	if t, ok := info.TypeOf(e.Args[0]).(*types.Basic); ok && t.Kind == types.Int {
 		argInt = true
 	}
 	switch b.Code {
@@ -1311,8 +1311,8 @@ func (a *analyzer) refineRel(env Env, r *sem.Routine, e *ast.BinaryExpr, want bo
 	}
 	// Integer ordering only (equality over booleans is handled by the
 	// definite-value check in refine).
-	tx, okx := info.TypeOf[e.X].(*types.Basic)
-	ty, oky := info.TypeOf[e.Y].(*types.Basic)
+	tx, okx := info.TypeOf(e.X).(*types.Basic)
+	ty, oky := info.TypeOf(e.Y).(*types.Basic)
 	if !okx || !oky || tx.Kind != types.Int || ty.Kind != types.Int {
 		return env
 	}

@@ -114,7 +114,7 @@ func checkIndexRange(cx *Context) []Diagnostic {
 			if n == nil || !cx.Values.Reachable(n) {
 				return true
 			}
-			t := cx.Info.TypeOf[e.X]
+			t := cx.Info.TypeOf(e.X)
 			for _, idx := range e.Indices {
 				arr, ok := t.(*types.Array)
 				if !ok {

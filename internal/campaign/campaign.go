@@ -375,10 +375,13 @@ func evalWithBackstop(cfg Config, j job) MutantOutcome {
 		}()
 		ch <- eval(cfg, j)
 	}()
+	// Stopped, the timer is freed now; time.After's would live until it fired.
+	timer := time.NewTimer(cfg.Timeout)
+	defer timer.Stop()
 	select {
 	case o := <-ch:
 		return o
-	case <-time.After(cfg.Timeout):
+	case <-timer.C:
 		o := skeleton(j)
 		o.Status = StatusTimeout
 		o.Detail = fmt.Sprintf("wall-clock backstop (%s) exceeded", cfg.Timeout)

@@ -80,7 +80,8 @@ type Config struct {
 	// counts, and a fuel divergence must mean non-termination, not a
 	// constant-factor slowdown.
 	Fuel int
-	// Timeout is the per-(subject, combo) wall-clock backstop (0 = 20s).
+	// Timeout is the wall-clock backstop of each comparison, and of
+	// each subject's base build (0 = 20s).
 	Timeout time.Duration
 	// Shrink minimizes divergent subjects to counterexamples.
 	Shrink bool
@@ -161,26 +162,18 @@ func Subjects(cfg Config) []Subject {
 	return subs
 }
 
-type job struct {
-	subject Subject
-	stages  transform.Stages
-}
-
-// Run executes the campaign and returns the aggregated report.
+// Run executes the campaign and returns the aggregated report. Each
+// worker takes one subject at a time, builds its base once and compares
+// every stage combination against it.
 func Run(cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
 	start := time.Now()
 	subs := Subjects(cfg)
-
-	var jobs []job
-	for _, s := range subs {
-		for _, st := range Combos() {
-			jobs = append(jobs, job{subject: s, stages: st})
-		}
-	}
+	combos := Combos()
+	total := len(subs) * len(combos)
 	if cfg.Logf != nil {
 		cfg.Logf("diff: %d subjects x %d stage combos = %d comparisons (%d workers)",
-			len(subs), len(Combos()), len(jobs), cfg.Workers)
+			len(subs), len(combos), total, cfg.Workers)
 	}
 
 	rec := obs.NewReportRecorder(cfg.Metrics, "diff")
@@ -189,7 +182,7 @@ func Run(cfg Config) (*Report, error) {
 		hb = obs.StartHeartbeat(obs.HeartbeatConfig{
 			W:     cfg.Progress,
 			Label: "diff",
-			Total: int64(len(jobs)),
+			Total: int64(total),
 			Done:  rec.DoneCount,
 			Extra: func() string {
 				return fmt.Sprintf("equivalent=%d divergent=%d",
@@ -198,8 +191,8 @@ func Run(cfg Config) (*Report, error) {
 		})
 	}
 
-	in := make(chan job)
-	out := make(chan Outcome, len(jobs))
+	in := make(chan Subject)
+	out := make(chan Outcome, total)
 	var wg sync.WaitGroup
 	for w := 0; w < cfg.Workers; w++ {
 		wg.Add(1)
@@ -207,26 +200,36 @@ func Run(cfg Config) (*Report, error) {
 			defer wg.Done()
 			lane := cfg.Tracer.Lane("diff-worker-" + strconv.Itoa(id))
 			// One "worker" span covers the lane's whole lifetime; the
-			// per-comparison spans nest under it, so Perfetto shows both
-			// the worker occupancy bar and the individual comparisons.
+			// base and compare spans nest under it, so Perfetto shows both
+			// the worker occupancy bar and the individual steps.
 			wsp := lane.Start("worker")
 			defer wsp.End()
-			for j := range in {
-				sp := lane.Start("compare")
-				sp.SetAttr("subject", j.subject.Name)
-				sp.SetAttr("stages", j.stages.String())
-				rec.JobStart()
-				jobStart := time.Now()
-				o := compareWithBackstop(cfg, j)
-				rec.JobDone(o.Status, time.Since(jobStart))
-				sp.SetAttr("status", o.Status)
-				sp.End()
-				out <- o
+			for s := range in {
+				b := sync.OnceValue(func() *base { return newBase(cfg, s) })
+				bsp := lane.Start("base")
+				bsp.SetAttr("subject", s.Name)
+				// A panic or an overrun here is left to the comparisons'
+				// backstops: b re-panics with the same value on every
+				// call, and a call made while the build runs waits for it.
+				backstop(cfg.Timeout, func() { b() })
+				bsp.End()
+				for _, st := range combos {
+					sp := lane.Start("compare")
+					sp.SetAttr("subject", s.Name)
+					sp.SetAttr("stages", st.String())
+					rec.JobStart()
+					jobStart := time.Now()
+					o := compareWithBackstop(cfg, s, st, b)
+					rec.JobDone(o.Status, time.Since(jobStart))
+					sp.SetAttr("status", o.Status)
+					sp.End()
+					out <- o
+				}
 			}
 		}(w)
 	}
-	for _, j := range jobs {
-		in <- j
+	for _, s := range subs {
+		in <- s
 	}
 	close(in)
 	wg.Wait()
@@ -268,37 +271,50 @@ func Run(cfg Config) (*Report, error) {
 	return rep, nil
 }
 
-// compareWithBackstop runs one comparison with panic isolation and a
-// wall-clock watchdog; both runs are fuel-bounded, so an abandoned
-// evaluation always terminates shortly after.
-func compareWithBackstop(cfg Config, j job) Outcome {
-	ch := make(chan Outcome, 1)
+// backstop runs f on its own goroutine with panic isolation and waits
+// at most timeout for it. It returns the recovered panic value (nil if
+// none) and whether the wait ran out; f's work is fuel-bounded, so an
+// abandoned call always ends shortly after.
+func backstop(timeout time.Duration, f func()) (panicked any, late bool) {
+	done := make(chan any, 1)
 	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				ch <- Outcome{
-					Subject: j.subject.Name, Stages: j.stages.String(),
-					Status: StatusPanic, Detail: fmt.Sprint(r),
-					Div: &Divergence{
-						Subject: j.subject.Name, Stages: j.stages.String(),
-						Kind: "panic", Detail: fmt.Sprint(r),
-						Source: j.subject.Source, Input: j.subject.Input,
-					},
-				}
-			}
-		}()
-		ch <- Compare(cfg, j.subject, j.stages)
+		defer func() { done <- recover() }()
+		f()
 	}()
+	// Stopped, the timer is freed now; time.After's would live until it fired.
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
 	select {
-	case o := <-ch:
-		return o
-	case <-time.After(cfg.Timeout):
+	case p := <-done:
+		return p, false
+	case <-timer.C:
+		return nil, true
+	}
+}
+
+// compareWithBackstop runs one comparison under a backstop.
+func compareWithBackstop(cfg Config, s Subject, stages transform.Stages, b func() *base) Outcome {
+	var o Outcome
+	p, late := backstop(cfg.Timeout, func() { o = compare(cfg, s, stages, b()) })
+	switch {
+	case late:
 		return Outcome{
-			Subject: j.subject.Name, Stages: j.stages.String(),
+			Subject: s.Name, Stages: stages.String(),
 			Status: StatusTimeout,
 			Detail: fmt.Sprintf("wall-clock backstop (%s) exceeded", cfg.Timeout),
 		}
+	case p != nil:
+		return Outcome{
+			Subject: s.Name, Stages: stages.String(),
+			Status: StatusPanic, Detail: fmt.Sprint(p),
+			Div: &Divergence{
+				Subject: s.Name, Stages: stages.String(),
+				Kind: "panic", Detail: fmt.Sprint(p),
+				Source: s.Source, Input: s.Input,
+			},
+		}
 	}
+	return o
 }
 
 // baseMaxDepth is the untransformed run's call-depth budget; the
@@ -371,41 +387,38 @@ func globalNames(info *sem.Info) map[string]bool {
 // combination, and compares the two behaviors.
 func Compare(cfg Config, s Subject, stages transform.Stages) Outcome {
 	cfg = cfg.withDefaults()
+	return compare(cfg, s, stages, newBase(cfg, s))
+}
+
+// compare turns the comparison of one stage combination against the
+// subject's base into an outcome.
+func compare(cfg Config, s Subject, stages transform.Stages, b *base) Outcome {
 	start := time.Now()
 	o := Outcome{Subject: s.Name, Stages: stages.String()}
-	defer func() { o.ElapsedMS = time.Since(start).Milliseconds() }()
-
-	diverge := func(kind, detail string) Outcome {
-		o.Status = StatusDivergent
-		o.Detail = fmt.Sprintf("%s: %s", kind, detail)
-		o.Div = &Divergence{
-			Subject: s.Name, Stages: stages.String(),
-			Kind: kind, Detail: detail,
-			Source: s.Source, Input: s.Input,
-		}
-		return o
-	}
-
-	d := diff(cfg, s, stages)
-	if d == nil {
+	d := b.diff(cfg, s.Input, stages)
+	switch {
+	case d == nil:
 		o.Status = StatusEquivalent
-		return o
-	}
-	switch d.kind {
-	case "invalid":
+	case d.kind == "invalid":
 		o.Status = StatusInconclusive
 		o.Detail = "subject does not compile: " + d.detail
-		return o
-	case "rejected":
+	case d.kind == "rejected":
 		o.Status = StatusRejected
 		o.Detail = d.detail
-		return o
-	case "fuel":
+	case d.kind == "fuel":
 		o.Status = StatusInconclusive
 		o.Detail = d.detail
-		return o
+	default:
+		o.Status = StatusDivergent
+		o.Detail = fmt.Sprintf("%s: %s", d.kind, d.detail)
+		o.Div = &Divergence{
+			Subject: s.Name, Stages: stages.String(),
+			Kind: d.kind, Detail: d.detail,
+			Source: s.Source, Input: s.Input,
+		}
 	}
-	return diverge(d.kind, d.detail)
+	o.ElapsedMS = time.Since(start).Milliseconds()
+	return o
 }
 
 // delta is an internal comparison verdict (nil = equivalent).
@@ -414,26 +427,44 @@ type delta struct {
 	detail string
 }
 
-// diff performs the actual differential comparison for one subject and
-// stage combination; nil means the behaviors agree. The shrinker calls
-// this directly to re-check candidate reductions.
-func diff(cfg Config, s Subject, stages transform.Stages) *delta {
+// base is the untransformed side of a subject, shared by all its
+// comparisons: the analysis, the global names both runs must agree on
+// and the untransformed run, or the verdict that ends every comparison
+// of the subject ("invalid" or "fuel"). Comparisons only read it, since
+// transform.ApplyStages leaves its input untouched.
+type base struct {
+	info *sem.Info
+	keep map[string]bool
+	run  *runResult
+	end  *delta
+}
+
+// newBase parses, analyzes and runs the untransformed subject.
+func newBase(cfg Config, s Subject) *base {
 	prog, err := parser.ParseProgram(s.Name+".pas", s.Source)
 	if err != nil {
-		return &delta{kind: "invalid", detail: err.Error()}
+		return &base{end: &delta{kind: "invalid", detail: err.Error()}}
 	}
 	info, err := sem.Analyze(prog)
 	if err != nil {
-		return &delta{kind: "invalid", detail: err.Error()}
+		return &base{end: &delta{kind: "invalid", detail: err.Error()}}
 	}
 	keep := globalNames(info)
-
-	base := exec(info, s.Input, cfg.Fuel, baseMaxDepth, keep)
-	if base.status == "fuel" {
-		return &delta{kind: "fuel", detail: "untransformed run exhausted its budget"}
+	run := exec(info, s.Input, cfg.Fuel, baseMaxDepth, keep)
+	if run.status == "fuel" {
+		return &base{end: &delta{kind: "fuel", detail: "untransformed run exhausted its budget"}}
 	}
+	return &base{info: info, keep: keep, run: run}
+}
 
-	res, err := transform.ApplyStages(info, stages)
+// diff transforms the base program by stages, runs it on input and
+// compares the run with the base's; nil means the behaviors agree. The
+// shrinker calls it on a fresh base to re-check candidate reductions.
+func (b *base) diff(cfg Config, input string, stages transform.Stages) *delta {
+	if b.end != nil {
+		return b.end
+	}
+	res, err := transform.ApplyStages(b.info, stages)
 	if err != nil {
 		if strings.Contains(err.Error(), "non-local goto") {
 			// The paper's transformation cannot break a goto that exits
@@ -447,7 +478,7 @@ func diff(cfg Config, s Subject, stages transform.Stages) *delta {
 	// recursion, multiplying both counters by a constant factor. The
 	// depth cap stays far below the Go stack limit so an introduced
 	// infinite recursion degrades into ErrDepthExhausted, not a crash.
-	trans := exec(res.Info, s.Input, 8*cfg.Fuel, 10*baseMaxDepth, keep)
+	trans := exec(res.Info, input, 8*cfg.Fuel, 10*baseMaxDepth, b.keep)
 	if trans.status == "fuel" {
 		// The untransformed run finished within 1x budget, so at 8x this
 		// is overwhelmingly a transformation-introduced loop — but it
@@ -456,22 +487,23 @@ func diff(cfg Config, s Subject, stages transform.Stages) *delta {
 		return &delta{kind: "status", detail: "transformed run exhausted 8x budget while original completed"}
 	}
 
-	if base.status != trans.status {
+	orig := b.run
+	if orig.status != trans.status {
 		return &delta{kind: "status", detail: fmt.Sprintf(
 			"original %s (%s) but transformed %s (%s)",
-			describeStatus(base), base.errMsg, describeStatus(trans), trans.errMsg)}
+			describeStatus(orig), orig.errMsg, describeStatus(trans), trans.errMsg)}
 	}
-	if base.output != trans.output {
-		return &delta{kind: "output", detail: outputDiff(base.output, trans.output)}
+	if orig.output != trans.output {
+		return &delta{kind: "output", detail: outputDiff(orig.output, trans.output)}
 	}
-	if base.status == "error" {
-		if base.errMsg != trans.errMsg {
+	if orig.status == "error" {
+		if orig.errMsg != trans.errMsg {
 			return &delta{kind: "error", detail: fmt.Sprintf(
-				"original failed with %q, transformed with %q", base.errMsg, trans.errMsg)}
+				"original failed with %q, transformed with %q", orig.errMsg, trans.errMsg)}
 		}
 		return nil // same failure, same output up to the failure point
 	}
-	if d := stateDiff(base.globals, trans.globals); d != "" {
+	if d := stateDiff(orig.globals, trans.globals); d != "" {
 		return &delta{kind: "state", detail: d}
 	}
 	return nil

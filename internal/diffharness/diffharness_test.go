@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"gadt/internal/obs"
 	"gadt/internal/progen"
@@ -35,7 +37,7 @@ func TestSmallCampaignIsEquivalent(t *testing.T) {
 
 // TestCompareDetectsSeededOutputBug checks the harness actually fires:
 // comparing a program against a transformation of a DIFFERENT program
-// is simulated by checking that diff() reports ok on identity and that
+// is simulated by checking that Compare reports ok on identity and that
 // a status mismatch is caught via a program whose transformed run is
 // compared under an absurdly small budget.
 func TestCompareEquivalentProgram(t *testing.T) {
@@ -172,5 +174,67 @@ func TestWriteJSONListsOnlyNonEquivalent(t *testing.T) {
 	}
 	if len(rep.Outcomes) != 2 {
 		t.Errorf("in-memory outcomes = %d, want 2", len(rep.Outcomes))
+	}
+}
+
+// TestPinnedSeedOne pins the standing seed-1 campaign (`pdiff -n 250
+// -seed 1`, the campaign bench/ also runs): every one of the 265
+// subjects is equivalent under every stage combination, and the
+// verdicts do not depend on the worker count.
+func TestPinnedSeedOne(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the 1,060-comparison campaign is not short")
+	}
+	var statuses []string
+	for _, workers := range []int{1, 2} {
+		rep, err := Run(Config{Seed: 1, Programs: 250, Corpus: true, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Subjects != 265 || rep.Compared != 1060 || rep.Equivalent != 1060 {
+			t.Errorf("workers=%d: %d subjects, %d compared, %d equivalent; want 265, 1060, 1060",
+				workers, rep.Subjects, rep.Compared, rep.Equivalent)
+		}
+		for _, st := range Combos() {
+			if row := rep.ByStages[st.String()]; row == nil || row.Compared != 265 || row.Equivalent != 265 {
+				t.Errorf("workers=%d: stages %s: %+v, want 265/265 equivalent", workers, st, row)
+			}
+		}
+		var b strings.Builder
+		for _, o := range rep.Outcomes {
+			b.WriteString(o.Subject + " [" + o.Stages + "] " + o.Status + "\n")
+		}
+		statuses = append(statuses, b.String())
+	}
+	if statuses[0] != statuses[1] {
+		t.Error("one and two workers give different per-outcome statuses")
+	}
+}
+
+// TestBaseFailureReachesEveryComparison: a subject's comparisons share
+// one base, so a panic or an overrun while building it must still be
+// reported on each comparison, as a panic or a timeout outcome.
+func TestBaseFailureReachesEveryComparison(t *testing.T) {
+	cfg := Config{Timeout: 50 * time.Millisecond}
+	cfg = cfg.withDefaults()
+	s := Subject{Name: "p", Source: "program p; begin end."}
+	panicky := sync.OnceValue(func() *base { panic("boom") })
+	release := make(chan struct{})
+	defer close(release)
+	slow := sync.OnceValue(func() *base { <-release; return newBase(cfg, s) })
+	for _, c := range []struct {
+		b      func() *base
+		status string
+	}{{panicky, StatusPanic}, {slow, StatusTimeout}} {
+		backstop(cfg.Timeout, func() { c.b() })
+		for _, st := range Combos() {
+			o := compareWithBackstop(cfg, s, st, c.b)
+			if o.Status != c.status || o.Stages != st.String() {
+				t.Errorf("[%s] %s (%s), want %s", o.Stages, o.Status, o.Detail, c.status)
+			}
+			if c.status == StatusPanic && (o.Detail != "boom" || o.Div == nil || o.Div.Source != s.Source) {
+				t.Errorf("[%s] panic outcome %+v does not carry the panic and the subject", o.Stages, o)
+			}
+		}
 	}
 }

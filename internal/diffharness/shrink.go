@@ -30,7 +30,7 @@ func Shrink(source, input string, stages transform.Stages, cfg Config) string {
 			return false
 		}
 		checks++
-		d := diff(cfg, Subject{Name: "shrink", Source: src, Input: input}, stages)
+		d := newBase(cfg, Subject{Name: "shrink", Source: src, Input: input}).diff(cfg, input, stages)
 		return d != nil && d.kind != "invalid" && d.kind != "fuel" && d.kind != "rejected"
 	}
 	if !diverges(source) {

@@ -4,8 +4,8 @@
 // Nodes are identified by pointer; the semantic analyzer and the program
 // transformer attach information to nodes through side tables keyed by
 // these pointers rather than by mutating the tree. The one exception is
-// the UID that sem.Analyze gives identifiers and calls, which indexes its
-// resolution tables. Clone produces a deep
+// the UID that sem.Analyze gives expressions and call statements, which
+// indexes its resolution and type tables. Clone produces a deep
 // copy together with an old→new node map so that the transformer can
 // maintain the paper's "construct map" between the original and the
 // transformed program (Section 5.1).
@@ -44,8 +44,8 @@ type Program struct {
 	ProgPos token.Pos
 	Name    string
 	Block   *Block
-	// UIDs counts the UIDs sem.Analyze has given this program's Ident,
-	// CallExpr and CallStmt nodes; it only grows. A node belongs to one
+	// UIDs counts the UIDs sem.Analyze has given this program's
+	// expression and CallStmt nodes; it only grows. A node belongs to one
 	// program: copy it into another with Clone, which leaves the copy
 	// unnumbered.
 	UIDs int
@@ -340,9 +340,9 @@ func (*EmptyStmt) stmtNode()        {}
 type Ident struct {
 	NamePos token.Pos
 	Name    string
-	// UID indexes sem.Info's resolution tables. sem.Analyze numbers the
-	// node from its program's counter when it has none (0) and never
-	// renumbers it.
+	// UID indexes sem.Info's resolution and type tables. sem.Analyze
+	// numbers the node from its program's counter when it has none (0)
+	// and never renumbers it.
 	UID int
 }
 
@@ -353,6 +353,7 @@ func (*Ident) exprNode()        {}
 type IntLit struct {
 	LitPos token.Pos
 	Value  int64
+	UID    int // indexes sem.Info's tables; see Ident
 }
 
 func (e *IntLit) Pos() token.Pos { return e.LitPos }
@@ -364,6 +365,7 @@ type RealLit struct {
 	Value  float64
 	// Text preserves the source spelling for printing.
 	Text string
+	UID  int // indexes sem.Info's tables; see Ident
 }
 
 func (e *RealLit) Pos() token.Pos { return e.LitPos }
@@ -373,6 +375,7 @@ func (*RealLit) exprNode()        {}
 type StringLit struct {
 	LitPos token.Pos
 	Value  string
+	UID    int // indexes sem.Info's tables; see Ident
 }
 
 func (e *StringLit) Pos() token.Pos { return e.LitPos }
@@ -382,6 +385,7 @@ func (*StringLit) exprNode()        {}
 type BinaryExpr struct {
 	Op   token.Kind
 	X, Y Expr
+	UID  int // indexes sem.Info's tables; see Ident
 }
 
 func (e *BinaryExpr) Pos() token.Pos { return e.X.Pos() }
@@ -392,6 +396,7 @@ type UnaryExpr struct {
 	OpPos token.Pos
 	Op    token.Kind
 	X     Expr
+	UID   int // indexes sem.Info's tables; see Ident
 }
 
 func (e *UnaryExpr) Pos() token.Pos { return e.OpPos }
@@ -401,6 +406,7 @@ func (*UnaryExpr) exprNode()        {}
 type IndexExpr struct {
 	X       Expr
 	Indices []Expr
+	UID     int // indexes sem.Info's tables; see Ident
 }
 
 func (e *IndexExpr) Pos() token.Pos { return e.X.Pos() }
@@ -410,6 +416,7 @@ func (*IndexExpr) exprNode()        {}
 type FieldExpr struct {
 	X     Expr
 	Field string
+	UID   int // indexes sem.Info's tables; see Ident
 }
 
 func (e *FieldExpr) Pos() token.Pos { return e.X.Pos() }
@@ -420,7 +427,7 @@ type CallExpr struct {
 	CallPos token.Pos
 	Name    string
 	Args    []Expr
-	// UID indexes sem.Info's resolution tables; see Ident.
+	// UID indexes sem.Info's tables; see Ident.
 	UID int
 }
 
@@ -433,6 +440,7 @@ func (*CallExpr) exprNode()        {}
 type SetLit struct {
 	LitPos token.Pos
 	Elems  []Expr
+	UID    int // indexes sem.Info's tables; see Ident
 }
 
 func (e *SetLit) Pos() token.Pos { return e.LitPos }

@@ -976,7 +976,7 @@ func (it *Interp) execBuiltinProc(b *sem.Builtin, s *ast.CallStmt) error {
 			if err != nil {
 				return it.errorf(a.Pos(), "read: %v", err)
 			}
-			t := it.info.TypeOf[a]
+			t := it.info.TypeOf(a)
 			var v Value
 			switch {
 			case t != nil && t.Equal(types.RealT):
@@ -1222,7 +1222,7 @@ func (it *Interp) evalExpr(e ast.Expr) (Value, error) {
 		}
 		return v, nil
 	case *ast.SetLit:
-		t, _ := it.info.TypeOf[e].(*types.Array)
+		t, _ := it.info.TypeOf(e).(*types.Array)
 		var arr *ArrayVal
 		if t != nil {
 			arr = NewArray(t)

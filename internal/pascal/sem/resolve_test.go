@@ -6,6 +6,7 @@ import (
 	"gadt/internal/pascal/ast"
 	"gadt/internal/pascal/parser"
 	"gadt/internal/pascal/sem"
+	"gadt/internal/pascal/types"
 )
 
 // resolveSrc has every kind of resolution: variable uses, a
@@ -36,11 +37,12 @@ begin
   show(y);
 end.`
 
-// resolution is what an Info says about one identifier or call node.
+// resolution is what an Info says about one expression or call node.
 type resolution struct {
 	use     sem.Symbol
 	call    *sem.Routine
 	builtin *sem.Builtin
+	typ     types.Type
 }
 
 func resolveNode(info *sem.Info, n ast.Node) resolution {
@@ -48,20 +50,27 @@ func resolveNode(info *sem.Info, n ast.Node) resolution {
 	if id, ok := n.(*ast.Ident); ok {
 		r.use = info.UseOf(id)
 	}
+	if e, ok := n.(ast.Expr); ok {
+		r.typ = info.TypeOf(e)
+	}
 	return r
 }
 
-// resolveAll resolves every Ident, CallExpr and CallStmt of prog.
+// resolveAll resolves every expression and CallStmt of prog.
 func resolveAll(info *sem.Info, prog *ast.Program) map[ast.Node]resolution {
 	out := make(map[ast.Node]resolution)
 	ast.Inspect(prog, func(n ast.Node) bool {
 		switch n.(type) {
-		case *ast.Ident, *ast.CallExpr, *ast.CallStmt:
+		case ast.Expr, *ast.CallStmt:
 			out[n] = resolveNode(info, n)
 		}
 		return true
 	})
 	return out
+}
+
+func sameType(a, b types.Type) bool {
+	return (a == nil) == (b == nil) && (a == nil || a.Equal(b))
 }
 
 func symName(s sem.Symbol) string {
@@ -88,7 +97,7 @@ func TestReanalysisKeepsEarlierInfo(t *testing.T) {
 	prog := parser.MustParse("r.pas", resolveSrc)
 	first := mustAnalyze(t, prog)
 	before := resolveAll(first, prog)
-	var uses, calls, builtins int
+	var uses, calls, builtins, typed int
 	for _, r := range before {
 		if r.use != nil {
 			uses++
@@ -99,9 +108,12 @@ func TestReanalysisKeepsEarlierInfo(t *testing.T) {
 		if r.builtin != nil {
 			builtins++
 		}
+		if r.typ != nil {
+			typed++
+		}
 	}
-	if uses == 0 || calls < 3 || builtins < 2 {
-		t.Fatalf("resolved %d uses, %d calls, %d builtins; want some of each", uses, calls, builtins)
+	if uses == 0 || calls < 3 || builtins < 2 || typed < uses {
+		t.Fatalf("resolved %d uses, %d calls, %d builtins, %d typed expressions; want some of each", uses, calls, builtins, typed)
 	}
 
 	// Add a call ahead of every other node, so renumbering the whole
@@ -122,7 +134,8 @@ func TestReanalysisKeepsEarlierInfo(t *testing.T) {
 		}
 		got := resolveNode(second, n)
 		if symName(got.use) != symName(want.use) || (got.call == nil) != (want.call == nil) ||
-			(got.call != nil && got.call.Name != want.call.Name) || got.builtin != want.builtin {
+			(got.call != nil && got.call.Name != want.call.Name) || got.builtin != want.builtin ||
+			!sameType(got.typ, want.typ) {
 			t.Errorf("second Info resolves %T %v as %+v, want %+v", n, n.Pos(), got, want)
 		}
 	}
@@ -132,14 +145,15 @@ func TestReanalysisKeepsEarlierInfo(t *testing.T) {
 	if got := resolveNode(first, arg); got != (resolution{}) {
 		t.Errorf("first Info resolves an identifier added after it: %+v", got)
 	}
-	if second.BuiltinOf(added) == nil || second.UseOf(arg) == nil {
+	if second.BuiltinOf(added) == nil || second.UseOf(arg) == nil || second.TypeOf(arg) != types.Integer {
 		t.Error("second Info does not resolve the added call")
 	}
 }
 
 // TestForeignNodesReadUnresolved pins that an Info answers only for the
 // nodes it resolved: a node of another program carrying the same UID,
-// and an unnumbered clone, read as unresolved.
+// an unnumbered clone and a node no analysis has seen read as
+// unresolved and untyped.
 func TestForeignNodesReadUnresolved(t *testing.T) {
 	progA := parser.MustParse("a.pas", resolveSrc)
 	infoA := mustAnalyze(t, progA)
@@ -149,7 +163,7 @@ func TestForeignNodesReadUnresolved(t *testing.T) {
 		t.Fatalf("identical sources numbered %d and %d nodes", progA.UIDs, progB.UIDs)
 	}
 
-	var idents, stmts int
+	var idents, stmts, binaries int
 	for n, r := range resolveAll(infoB, progB) {
 		switch n := n.(type) {
 		case *ast.Ident:
@@ -160,13 +174,18 @@ func TestForeignNodesReadUnresolved(t *testing.T) {
 			if (r.call != nil || r.builtin != nil) && n.UID > 0 && n.UID <= progA.UIDs {
 				stmts++
 			}
+		case *ast.BinaryExpr:
+			if r.typ != nil && n.UID > 0 && n.UID <= progA.UIDs {
+				binaries++
+			}
 		}
 		if got := resolveNode(infoA, n); got != (resolution{}) {
 			t.Errorf("%T %v of another program resolves as %+v", n, n.Pos(), got)
 		}
 	}
-	if idents == 0 || stmts < 2 {
-		t.Fatalf("checked %d identifiers and %d call statements inside the table; want both", idents, stmts)
+	if idents == 0 || stmts < 2 || binaries == 0 {
+		t.Fatalf("checked %d identifiers, %d call statements and %d binary expressions inside the table; want all three",
+			idents, stmts, binaries)
 	}
 
 	clone, _ := ast.Clone(progA)
@@ -174,5 +193,9 @@ func TestForeignNodesReadUnresolved(t *testing.T) {
 		if got != (resolution{}) {
 			t.Errorf("clone of %T %v resolves as %+v", n, n.Pos(), got)
 		}
+	}
+	// Slot 0 stays empty: a node no analysis numbered reads no type.
+	if got := infoA.TypeOf(&ast.IntLit{}); got != nil {
+		t.Errorf("an unnumbered literal reads type %s", got)
 	}
 }

@@ -44,22 +44,23 @@ type Info struct {
 	Routines []*Routine // all routines including Main, in pre-order
 
 	RoutineOf map[*ast.Routine]*Routine // declaration → symbol
-	TypeOf    map[ast.Expr]types.Type
 	GotoTgt   map[*ast.GotoStmt]*LabelInfo
 
 	Errors ErrorList
 
-	// Resolution tables, indexed by the UID Analyze gives every Ident,
-	// CallExpr and CallStmt. owner[uid] is the UID field of the node
-	// this analysis resolved under uid (nil if none), so a node of
-	// another program, or one added after this analysis, reads as
-	// unresolved; comparing field addresses keeps interface compares
-	// off the interpreter's hot path. syms holds identifier uses;
-	// routines and builtins hold call targets.
-	owner    []*int
-	syms     []Symbol
-	routines []*Routine
-	builtins []*Builtin
+	// Resolution and type tables, indexed by the UID Analyze gives
+	// every expression and CallStmt. owner[uid] is the UID field of the
+	// node this analysis resolved or typed under uid (nil if none), so
+	// a node of another program, or one added after this analysis,
+	// reads as unresolved; comparing field addresses keeps interface
+	// compares off the interpreter's hot path. syms holds identifier
+	// uses; routines and builtins hold call targets; exprTypes holds
+	// expression types.
+	owner     []*int
+	syms      []Symbol
+	routines  []*Routine
+	builtins  []*Builtin
+	exprTypes []types.Type
 }
 
 // UseOf resolves an identifier use to its variable or constant symbol
@@ -84,8 +85,14 @@ func (in *Info) BuiltinOf(n ast.Node) *Builtin {
 	return in.builtins[in.uidOf(n)]
 }
 
-// uidOf returns n's UID when this analysis resolved n under it, else 0
-// (whose table slots are always empty).
+// TypeOf returns the type this analysis gave expression e (nil when e
+// was not checked under it).
+func (in *Info) TypeOf(e ast.Expr) types.Type {
+	return in.exprTypes[in.uidOf(e)]
+}
+
+// uidOf returns n's UID when this analysis resolved or typed n under
+// it, else 0 (whose table slots are always empty).
 func (in *Info) uidOf(n ast.Node) int {
 	if p := uidField(n); p != nil && *p < len(in.owner) && in.owner[*p] == p {
 		return *p
@@ -93,8 +100,8 @@ func (in *Info) uidOf(n ast.Node) int {
 	return 0
 }
 
-// uidField returns the UID field of an Ident, CallExpr or CallStmt (nil
-// for any other node).
+// uidField returns the UID field of an expression or CallStmt (nil for
+// any other node).
 func uidField(n ast.Node) *int {
 	switch n := n.(type) {
 	case *ast.Ident:
@@ -103,14 +110,30 @@ func uidField(n ast.Node) *int {
 		return &n.UID
 	case *ast.CallStmt:
 		return &n.UID
+	case *ast.IntLit:
+		return &n.UID
+	case *ast.RealLit:
+		return &n.UID
+	case *ast.StringLit:
+		return &n.UID
+	case *ast.BinaryExpr:
+		return &n.UID
+	case *ast.UnaryExpr:
+		return &n.UID
+	case *ast.IndexExpr:
+		return &n.UID
+	case *ast.FieldExpr:
+		return &n.UID
+	case *ast.SetLit:
+		return &n.UID
 	}
 	return nil
 }
 
-// numberNodes gives every Ident, CallExpr and CallStmt of prog without a
-// UID the next number from prog's counter, then sizes the resolution
-// tables to cover every UID the program has handed out. UIDs are never
-// reassigned, so an earlier Info of the same program stays valid.
+// numberNodes gives every expression and CallStmt of prog without a UID
+// the next number from prog's counter, then sizes the tables to cover
+// every UID the program has handed out. UIDs are never reassigned, so
+// an earlier Info of the same program stays valid.
 func (in *Info) numberNodes(prog *ast.Program) {
 	ast.Inspect(prog, func(n ast.Node) bool {
 		if p := uidField(n); p != nil && *p == 0 {
@@ -124,6 +147,7 @@ func (in *Info) numberNodes(prog *ast.Program) {
 	in.syms = make([]Symbol, n)
 	in.routines = make([]*Routine, n)
 	in.builtins = make([]*Builtin, n)
+	in.exprTypes = make([]types.Type, n)
 }
 
 func (in *Info) setUse(e *ast.Ident, sym Symbol) {
@@ -138,6 +162,11 @@ func (in *Info) setCall(n ast.Node, r *Routine) {
 func (in *Info) setBuiltin(n ast.Node, b *Builtin) {
 	p := uidField(n)
 	in.owner[*p], in.builtins[*p] = p, b
+}
+
+func (in *Info) setType(e ast.Expr, t types.Type) {
+	p := uidField(e)
+	in.owner[*p], in.exprTypes[*p] = p, t
 }
 
 // LookupRoutine finds a routine symbol by name, preferring the first
@@ -179,7 +208,6 @@ func Analyze(prog *ast.Program) (*Info, error) {
 		info: &Info{
 			Program:   prog,
 			RoutineOf: make(map[*ast.Routine]*Routine),
-			TypeOf:    make(map[ast.Expr]types.Type),
 			GotoTgt:   make(map[*ast.GotoStmt]*LabelInfo),
 		},
 	}
@@ -564,7 +592,7 @@ func (c *checker) checkAssign(s *ast.AssignStmt, r *Routine, sc *scope) {
 		for fr := r; fr != nil; fr = fr.Parent {
 			if fr.Kind == ast.FuncKind && fr.Name == id.Name && fr.Result != nil {
 				c.info.setUse(id, fr.Result)
-				c.info.TypeOf[id] = fr.Result.Type
+				c.info.setType(id, fr.Result.Type)
 				rt := c.checkExpr(s.Rhs, r, sc)
 				if rt != types.Bad && !types.AssignableTo(rt, fr.Result.Type) {
 					c.errorf(s.Pos(), "cannot assign %s result to function %s of type %s", rt, fr.Name, fr.Result.Type)
@@ -594,7 +622,7 @@ func (c *checker) setLitFits(sl *ast.SetLit, at *types.Array) bool {
 		return false
 	}
 	for _, e := range sl.Elems {
-		t := c.info.TypeOf[e]
+		t := c.info.TypeOf(e)
 		if t == nil || !types.AssignableTo(t, at.Elem) {
 			return false
 		}
@@ -662,7 +690,7 @@ func (c *checker) checkCall(node ast.Node, name string, args []ast.Expr, pos tok
 			if !types.AssignableTo(at, p.Type) {
 				if sl, ok := a.(*ast.SetLit); ok {
 					if arr, isArr := p.Type.(*types.Array); isArr && c.setLitFits(sl, arr) {
-						c.info.TypeOf[a] = arr
+						c.info.setType(a, arr)
 						continue
 					}
 				}
@@ -726,7 +754,7 @@ func (c *checker) checkBuiltinCall(b *Builtin, args []ast.Expr, pos token.Pos, r
 
 func (c *checker) checkExpr(e ast.Expr, r *Routine, sc *scope) types.Type {
 	t := c.exprType(e, r, sc)
-	c.info.TypeOf[e] = t
+	c.info.setType(e, t)
 	return t
 }
 
