@@ -75,7 +75,7 @@ func dynamicSlices() {
 		{"computs", "r1"},
 		{"partialsums", "s2"},
 	} {
-		sl, err := run.Recorder.SliceOnOutput(run.Tree, find(c.unit), c.output)
+		sl, err := run.Deps.SliceOnOutput(run.Tree, find(c.unit), c.output)
 		if err != nil {
 			log.Fatal(err)
 		}

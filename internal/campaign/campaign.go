@@ -230,7 +230,11 @@ func Run(cfg Config) (*Report, error) {
 				rec.JobStart()
 				jobStart := time.Now()
 				o := evalWithBackstop(cfg, j)
-				rec.JobDone(o.Status, time.Since(jobStart))
+				elapsed := time.Since(jobStart)
+				if o.ElapsedMS == 0 { // a backstop timeout reports cfg.Timeout
+					o.ElapsedMS = elapsed.Milliseconds()
+				}
+				rec.JobDone(o.Status, elapsed)
 				sp.SetAttr("status", o.Status)
 				sp.End()
 				out <- o
@@ -402,9 +406,7 @@ func skeleton(j job) MutantOutcome {
 
 // eval pushes one mutant through the pipeline.
 func eval(cfg Config, j job) MutantOutcome {
-	start := time.Now()
 	o := skeleton(j)
-	defer func() { o.ElapsedMS = time.Since(start).Milliseconds() }()
 
 	sys, err := gadt.Load(j.subject.Name+".pas", j.mutant.Source)
 	if err != nil {
@@ -416,6 +418,9 @@ func eval(cfg Config, j job) MutantOutcome {
 		o.Status, o.Detail = StatusStillborn, err.Error()
 		return o
 	}
+	// The mutant's phases go unobserved, but its dependence graph, built
+	// only if a session slices, reports slicing.dynamic.builds.
+	run.Deps.Metrics = cfg.Metrics
 
 	switch {
 	case errors.Is(run.RunErr, interp.ErrFuelExhausted), errors.Is(run.RunErr, interp.ErrDepthExhausted):

@@ -232,6 +232,17 @@ func TestPinnedSeedOne(t *testing.T) {
 		}
 		pin(strat+" localized", got, want)
 	}
+	// Each executed mutant is timed. The fuel timeouts alone run for
+	// milliseconds, so times that are all 0 were lost, not short.
+	timed := 0
+	for _, o := range rep.Outcomes {
+		if o.Status != campaign.StatusEquivalent && o.ElapsedMS > 0 {
+			timed++
+		}
+	}
+	if timed == 0 {
+		t.Error("every executed mutant reports elapsed_ms 0")
+	}
 }
 
 // TestCampaignBudgetAndOps: budget caps the evaluated set, ops filter

@@ -86,9 +86,9 @@ type Options struct {
 	Tests TestLookup
 
 	// Slicing enables execution-tree pruning on "error on output X"
-	// answers. Requires Recorder.
-	Slicing  bool
-	Recorder *dynamic.Recorder
+	// answers. Requires Deps.
+	Slicing bool
+	Deps    *dynamic.Deps
 
 	// Meta, when non-nil, improves query rendering for transformed
 	// programs (logical parameter modes, loop-unit presentation,
@@ -116,8 +116,9 @@ type Options struct {
 	// counters: debugger.oracle.queries (plus the labeled
 	// debugger.oracle.queries.verdict{verdict=...} and
 	// debugger.oracle.queries.strategy{strategy=...} breakdowns),
-	// debugger.answers.{memo,assertions,tests}, debugger.slices, the
-	// debugger.slice.kept.nodes gauge, and the sessions.active gauge.
+	// debugger.answers.{memo,assertions,tests}, debugger.slices,
+	// debugger.slice.errors, the debugger.slice.kept.nodes gauge, and the
+	// sessions.active gauge.
 	Metrics *obs.Registry
 
 	// NoRootAssumption disables the premise that the program block
@@ -134,12 +135,13 @@ type Options struct {
 type EventKind int
 
 const (
-	EvQuestion  EventKind = iota // answered by the oracle (a user interaction)
-	EvMemo                       // answered from remembered answers
-	EvAssertion                  // answered by the assertion database
-	EvTest                       // answered by the test-case lookup
-	EvSlice                      // tree sliced on a flagged output
-	EvLocalized                  // bug localized
+	EvQuestion   EventKind = iota // answered by the oracle (a user interaction)
+	EvMemo                        // answered from remembered answers
+	EvAssertion                   // answered by the assertion database
+	EvTest                        // answered by the test-case lookup
+	EvSlice                       // tree sliced on a flagged output
+	EvSliceError                  // slice on a flagged output failed; the view is kept
+	EvLocalized                   // bug localized
 )
 
 func (k EventKind) String() string {
@@ -152,6 +154,8 @@ func (k EventKind) String() string {
 		return "test-db"
 	case EvSlice:
 		return "slice"
+	case EvSliceError:
+		return "slice-error"
 	case EvLocalized:
 		return "localized"
 	}
@@ -372,12 +376,19 @@ func (s *Session) judge(n *exectree.Node) (Answer, error) {
 // reports whether the view actually changed (so divide-and-query knows
 // to rebuild its weight memo).
 func (s *Session) applySlice(n *exectree.Node, output string) bool {
-	if !s.Opts.Slicing || s.Opts.Recorder == nil || output == "" {
+	if !s.Opts.Slicing || s.Opts.Deps == nil || output == "" {
 		return false
 	}
-	sl, err := s.Opts.Recorder.SliceOnOutput(s.Tree, n, output)
+	sl, err := s.Opts.Deps.SliceOnOutput(s.Tree, n, output)
 	if err != nil {
-		return false // conservatively keep the full view
+		// Conservatively keep the full view.
+		s.Opts.Metrics.Counter("debugger.slice.errors").Inc()
+		s.record(Event{
+			Kind: EvSliceError, Node: n,
+			Text:   fmt.Sprintf("slice on output %s of %s", output, s.renderUnitName(n)),
+			Detail: err.Error(),
+		})
+		return false
 	}
 	if s.view == nil {
 		s.view = sl.Kept

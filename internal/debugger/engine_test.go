@@ -7,6 +7,7 @@ import (
 	"gadt/internal/assertion"
 	"gadt/internal/debugger"
 	"gadt/internal/exectree"
+	"gadt/internal/obs"
 	"gadt/internal/paper"
 	"gadt/internal/pascal/parser"
 	"gadt/internal/pascal/sem"
@@ -24,15 +25,14 @@ func analyze(t *testing.T, src string) *sem.Info {
 	return info
 }
 
-func traceIt(t *testing.T, src string) (*exectree.TraceResult, *dynamic.Recorder) {
+func traceIt(t *testing.T, src string) (*exectree.TraceResult, *dynamic.Deps) {
 	t.Helper()
 	info := analyze(t, src)
-	rec := dynamic.NewRecorder(info)
-	res := exectree.Trace(info, "", rec)
+	res := exectree.Trace(info, "")
 	if res.Err != nil {
 		t.Fatalf("trace: %v", res.Err)
 	}
-	return res, rec
+	return res, &dynamic.Deps{Info: info, Nodes: res.Tree.Size()}
 }
 
 // TestSection3Session reproduces the paper's Section 3 interaction:
@@ -81,7 +81,7 @@ func TestPureADTopDownSqrtest(t *testing.T) {
 }
 
 func TestSlicingReducesQuestions(t *testing.T) {
-	res, rec := traceIt(t, paper.Sqrtest)
+	res, deps := traceIt(t, paper.Sqrtest)
 	ref := analyze(t, paper.SqrtestFixed)
 
 	pure := debugger.New(res.Tree, &debugger.IntendedOracle{Ref: ref}, debugger.Options{})
@@ -91,7 +91,7 @@ func TestSlicingReducesQuestions(t *testing.T) {
 	}
 
 	sliced := debugger.New(res.Tree, &debugger.IntendedOracle{Ref: ref}, debugger.Options{
-		Slicing: true, Recorder: rec,
+		Slicing: true, Deps: deps,
 	})
 	slicedOut, err := sliced.Run()
 	if err != nil {
@@ -111,6 +111,69 @@ func TestSlicingReducesQuestions(t *testing.T) {
 	}
 }
 
+// TestFailedSliceKeepsView: an answer flags an output the callee never
+// wrote, so there is no slice on it. The session counts the failure,
+// records it in the transcript with its error, and keeps the full view.
+func TestFailedSliceKeepsView(t *testing.T) {
+	res, deps := traceIt(t, `
+program t;
+var x: integer;
+
+procedure a;
+var u: integer;
+begin
+  u := 1;
+end;
+
+procedure b;
+var u: integer;
+begin
+  u := 2;
+end;
+
+procedure p(var r: integer);
+begin
+  a;
+  b;
+end;
+
+begin
+  p(x);
+  writeln(x);
+end.`)
+	reg := obs.NewRegistry()
+	out, err := debugger.New(res.Tree, &debugger.ScriptedOracle{
+		ByUnit: map[string]debugger.Answer{
+			"p": {Verdict: debugger.Incorrect, WrongOutput: "r"},
+			"a": {Verdict: debugger.Correct},
+			"b": {Verdict: debugger.Correct},
+		},
+	}, debugger.Options{Slicing: true, Deps: deps, Metrics: reg}).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !out.Localized() || out.Bug.Unit.Name != "p" {
+		t.Fatalf("bug = %v, want p", out.Bug)
+	}
+	// The full view still holds a and b, so both are asked.
+	if out.Questions != 3 || out.Slices != 0 {
+		t.Errorf("questions = %d, slices = %d; want 3 and 0\n%s", out.Questions, out.Slices, transcript(out))
+	}
+	if got := reg.Counter("debugger.slice.errors").Value(); got != 1 {
+		t.Errorf("debugger.slice.errors = %d, want 1", got)
+	}
+	var failed []debugger.Event
+	for _, ev := range out.Transcript {
+		if ev.Kind == debugger.EvSliceError {
+			failed = append(failed, ev)
+		}
+	}
+	if len(failed) != 1 || failed[0].Node.Unit.Name != "p" ||
+		!strings.Contains(failed[0].Detail, `p has no recorded output "r"`) {
+		t.Errorf("slice-error events = %+v, want one on p carrying the error", failed)
+	}
+}
+
 // fakeTests simulates the test-case lookup: arrsum is covered by a
 // passing test report.
 type fakeTests struct{}
@@ -126,10 +189,10 @@ func (fakeTests) Judge(n *exectree.Node) debugger.Verdict {
 // arrsum query is never shown to the user (the paper's Step 1) and the
 // bug is localized in decrement with 6 user interactions.
 func TestSection8GADTSession(t *testing.T) {
-	res, rec := traceIt(t, paper.Sqrtest)
+	res, deps := traceIt(t, paper.Sqrtest)
 	ref := analyze(t, paper.SqrtestFixed)
 	sess := debugger.New(res.Tree, &debugger.IntendedOracle{Ref: ref}, debugger.Options{
-		Slicing: true, Recorder: rec, Tests: fakeTests{},
+		Slicing: true, Deps: deps, Tests: fakeTests{},
 	})
 	out, err := sess.Run()
 	if err != nil {
@@ -296,13 +359,13 @@ func TestTransformedProgramDebugging(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := dynamic.NewRecorder(tbuggy.Info)
-	res := exectree.Trace(tbuggy.Info, "", rec)
+	res := exectree.Trace(tbuggy.Info, "")
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
+	deps := &dynamic.Deps{Info: tbuggy.Info, Nodes: res.Tree.Size()}
 	sess := debugger.New(res.Tree, &debugger.IntendedOracle{Ref: tfixed.Info}, debugger.Options{
-		Slicing: true, Recorder: rec, Meta: tbuggy,
+		Slicing: true, Deps: deps, Meta: tbuggy,
 	})
 	out, err := sess.Run()
 	if err != nil {
@@ -547,11 +610,11 @@ func TestScriptedOracleByText(t *testing.T) {
 }
 
 func TestDivideAndQueryWithSlicing(t *testing.T) {
-	res, rec := traceIt(t, paper.Sqrtest)
+	res, deps := traceIt(t, paper.Sqrtest)
 	ref := analyze(t, paper.SqrtestFixed)
 	sess := debugger.New(res.Tree, &debugger.IntendedOracle{Ref: ref}, debugger.Options{
 		Strategy: debugger.DivideAndQuery,
-		Slicing:  true, Recorder: rec,
+		Slicing:  true, Deps: deps,
 	})
 	out, err := sess.Run()
 	if err != nil {
@@ -563,11 +626,11 @@ func TestDivideAndQueryWithSlicing(t *testing.T) {
 }
 
 func TestBottomUpWithSlicing(t *testing.T) {
-	res, rec := traceIt(t, paper.Sqrtest)
+	res, deps := traceIt(t, paper.Sqrtest)
 	ref := analyze(t, paper.SqrtestFixed)
 	sess := debugger.New(res.Tree, &debugger.IntendedOracle{Ref: ref}, debugger.Options{
 		Strategy: debugger.BottomUp,
-		Slicing:  true, Recorder: rec,
+		Slicing:  true, Deps: deps,
 	})
 	out, err := sess.Run()
 	if err != nil {

@@ -14,7 +14,7 @@ import (
 // oracle, then replays it: the replayed session must ask the same
 // questions, localize the same node, and consume the whole journal.
 func TestJournalRoundTrip(t *testing.T) {
-	res, rec := traceIt(t, paper.Sqrtest)
+	res, deps := traceIt(t, paper.Sqrtest)
 	oracle := &debugger.IntendedOracle{Ref: analyze(t, paper.SqrtestFixed)}
 
 	var buf strings.Builder
@@ -24,7 +24,7 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 	reg := obs.NewRegistry()
 	live, err := debugger.New(res.Tree, &debugger.JournalingOracle{Inner: oracle, Journal: jw},
-		debugger.Options{Slicing: true, Recorder: rec, Metrics: reg}).Run()
+		debugger.Options{Slicing: true, Deps: deps, Metrics: reg}).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,9 +50,9 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 
 	// Replay on a fresh trace of the same program.
-	res2, rec2 := traceIt(t, paper.Sqrtest)
+	res2, deps2 := traceIt(t, paper.Sqrtest)
 	replayed, err := debugger.New(res2.Tree, debugger.NewReplayOracle(j),
-		debugger.Options{Slicing: true, Recorder: rec2}).Run()
+		debugger.Options{Slicing: true, Deps: deps2}).Run()
 	if err != nil {
 		t.Fatal(err)
 	}

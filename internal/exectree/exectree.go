@@ -33,11 +33,6 @@ type Node struct {
 	// per-node cost the weighted divide-and-query strategy uses.
 	Steps int64
 
-	// Location bookkeeping for dynamic slicing.
-	ArgLocs   []interp.Loc
-	ParamLocs []interp.Loc
-	ResultLoc interp.Loc
-
 	// Incomplete marks nodes whose invocation did not finish (a runtime
 	// error unwound through them).
 	Incomplete bool
@@ -194,9 +189,6 @@ func (b *Builder) EnterCall(ci *interp.CallInfo) {
 		CallSite:   ci.CallSite,
 		Depth:      ci.Depth,
 		Ins:        append([]interp.Binding(nil), ci.Ins...),
-		ArgLocs:    append([]interp.Loc(nil), ci.ArgLocs...),
-		ParamLocs:  append([]interp.Loc(nil), ci.ParamLocs...),
-		ResultLoc:  ci.ResultLoc,
 		Incomplete: true,
 	}
 	if len(b.stack) > 0 {
@@ -257,11 +249,10 @@ type TraceResult struct {
 	Steps  int
 }
 
-// Trace executes an analyzed program and builds its execution tree.
-// Extra sinks (e.g. the dynamic dependence recorder) receive the same
-// event stream. A runtime error does not discard the partial tree.
-func Trace(info *sem.Info, input string, extra ...interp.EventSink) *TraceResult {
-	return TraceWith(info, TraceOpts{Input: input, Extra: extra})
+// Trace executes an analyzed program and builds its execution tree. A
+// runtime error does not discard the partial tree.
+func Trace(info *sem.Info, input string) *TraceResult {
+	return TraceWith(info, TraceOpts{Input: input})
 }
 
 // TraceOpts configures TraceWith beyond the common defaults.
@@ -271,7 +262,6 @@ type TraceOpts struct {
 	// counters plus the tree-shape gauges exectree.nodes and
 	// exectree.depth.max.
 	Metrics *obs.Registry
-	Extra   []interp.EventSink
 
 	// MaxSteps and MaxDepth bound the traced execution (<= 0 uses the
 	// interpreter defaults). The mutation campaign sets tight budgets so
@@ -287,13 +277,12 @@ type TraceOpts struct {
 // not discard the partial tree.
 func TraceWith(info *sem.Info, o TraceOpts) *TraceResult {
 	b := NewBuilder()
-	sinks := append(interp.MultiSink{b}, o.Extra...)
 	var out strings.Builder
 	metrics := o.Metrics
 	it := interp.New(info, interp.Config{
 		Input:    strings.NewReader(o.Input),
 		Output:   &out,
-		Sink:     sinks,
+		Sink:     b,
 		Metrics:  metrics,
 		MaxSteps: o.MaxSteps,
 		MaxDepth: o.MaxDepth,

@@ -214,7 +214,7 @@ func slicedTree(unit, output string) (string, error) {
 	if target == nil {
 		return "", fmt.Errorf("unit %s not traced", unit)
 	}
-	sl, err := run.Recorder.SliceOnOutput(run.Tree, target, output)
+	sl, err := run.Deps.SliceOnOutput(run.Tree, target, output)
 	if err != nil {
 		return "", err
 	}

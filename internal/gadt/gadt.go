@@ -6,8 +6,9 @@
 //     transformation to a form without global side-effects
 //     (package transform).
 //  2. Tracing phase — execution of the transformed program building the
-//     execution tree plus the dynamic dependence graph
-//     (packages exectree, slicing/dynamic).
+//     execution tree (package exectree). The dynamic dependence graph
+//     that slicing reads is built on the first slice, by executing the
+//     traced run again (package slicing/dynamic).
 //  3. Debugging phase — algorithmic debugging with assertion lookup,
 //     category-partition test lookup and program slicing
 //     (packages debugger, assertion, tgen).
@@ -30,7 +31,6 @@ import (
 	"gadt/internal/debugger"
 	"gadt/internal/exectree"
 	"gadt/internal/obs"
-	"gadt/internal/pascal/interp"
 	"gadt/internal/pascal/parser"
 	"gadt/internal/pascal/printer"
 	"gadt/internal/pascal/sem"
@@ -134,14 +134,15 @@ func (s *System) LintHints() map[string]float64 {
 }
 
 // Run is a completed tracing phase: the execution tree of the
-// transformed program plus the dynamic dependence graph.
+// transformed program, and its dynamic dependence graph, built on the
+// first slice.
 type Run struct {
-	System   *System
-	Tree     *exectree.Tree
-	Recorder *dynamic.Recorder
-	Output   string
-	RunErr   error // runtime error of the traced execution, if any
-	Steps    int
+	System *System
+	Tree   *exectree.Tree
+	Deps   *dynamic.Deps
+	Output string
+	RunErr error // runtime error of the traced execution, if any
+	Steps  int
 }
 
 // Trace runs phases 1–2: transform (if not yet done) and execute with
@@ -172,26 +173,26 @@ func (s *System) TraceOriginal(input string) *Run {
 }
 
 // trace executes info under the given budgets, building its execution
-// tree and dynamic dependence graph.
+// tree; the dependence graph waits for the first slice.
 func (s *System) trace(info *sem.Info, input string, maxSteps, maxDepth int) *Run {
-	rec := dynamic.NewRecorder(info)
 	sp := s.Tracer.Start("trace")
 	tr := exectree.TraceWith(info, exectree.TraceOpts{
 		Input:    input,
 		Metrics:  s.Metrics,
-		Extra:    []interp.EventSink{rec},
 		MaxSteps: maxSteps,
 		MaxDepth: maxDepth,
 	})
 	sp.End()
-	rec.RecordMetrics(s.Metrics)
 	return &Run{
-		System:   s,
-		Tree:     tr.Tree,
-		Recorder: rec,
-		Output:   tr.Output,
-		RunErr:   tr.Err,
-		Steps:    tr.Steps,
+		System: s,
+		Tree:   tr.Tree,
+		Deps: &dynamic.Deps{
+			Info: info, Input: input, MaxSteps: maxSteps, MaxDepth: maxDepth,
+			Nodes: tr.Tree.Size(), Metrics: s.Metrics, Tracer: s.Tracer,
+		},
+		Output: tr.Output,
+		RunErr: tr.Err,
+		Steps:  tr.Steps,
 	}
 }
 
@@ -221,7 +222,7 @@ func (r *Run) Debug(oracle debugger.Oracle, cfg DebugConfig) (*debugger.Outcome,
 		Assertions:       cfg.Assertions,
 		Tests:            cfg.Tests,
 		Slicing:          cfg.Slicing,
-		Recorder:         r.Recorder,
+		Deps:             r.Deps,
 		Meta:             r.System.Transformed,
 		Hints:            cfg.Hints,
 		MaxQuestions:     cfg.MaxQuestions,

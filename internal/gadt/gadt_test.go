@@ -7,6 +7,7 @@ import (
 	"gadt/internal/debugger"
 	"gadt/internal/exectree"
 	"gadt/internal/gadt"
+	"gadt/internal/obs"
 	"gadt/internal/paper"
 )
 
@@ -302,5 +303,68 @@ func TestDebugStrategiesAgree(t *testing.T) {
 		if !out.Localized() || out.Bug.Unit.Name != "decrement" {
 			t.Errorf("%v localized %v, want decrement", strat, out.Bug)
 		}
+	}
+}
+
+// spans collects begin events.
+type spans []obs.TraceEvent
+
+func (s *spans) Emit(e obs.TraceEvent) {
+	if e.Phase == "B" {
+		*s = append(*s, e)
+	}
+}
+
+// TestDependenceGraphOnFirstSlice: tracing builds no dependence graph;
+// the first session that slices builds it once, under a deps span
+// inside debug, and later sessions reuse it.
+func TestDependenceGraphOnFirstSlice(t *testing.T) {
+	reg := obs.NewRegistry()
+	var got spans
+	sys, err := gadt.LoadObserved("sqrtest.pas", paper.Sqrtest, reg, obs.NewTracer(&got))
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := sys.Trace("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	builds := reg.Counter("slicing.dynamic.builds")
+	if builds.Value() != 0 || reg.Gauge("slicing.dynamic.events").Value() != 0 {
+		t.Fatal("tracing built the dependence graph")
+	}
+	oracle, err := gadt.IntendedOracle(paper.SqrtestFixed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		out, err := run.Debug(oracle, gadt.DebugConfig{Slicing: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Slices == 0 {
+			t.Fatal("the session did not slice")
+		}
+	}
+	if builds.Value() != 1 {
+		t.Errorf("slicing.dynamic.builds = %d, want 1 across two sessions", builds.Value())
+	}
+	rec, err := run.Deps.Recorder()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Gauge("slicing.dynamic.events").Value(); got != int64(rec.Events()) {
+		t.Errorf("slicing.dynamic.events = %d, want %d", got, rec.Events())
+	}
+	byID := map[int64]string{}
+	var deps []obs.TraceEvent
+	for _, e := range got {
+		byID[e.ID] = e.Name
+		if e.Name == "deps" {
+			deps = append(deps, e)
+		}
+	}
+	if len(deps) != 1 || byID[deps[0].Parent] != "debug" {
+		t.Errorf("deps spans = %+v, want one inside debug", deps)
 	}
 }

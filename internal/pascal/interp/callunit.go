@@ -43,7 +43,6 @@ func (it *Interp) CallUnit(target *sem.Routine, args []Value) (*CallInfo, error)
 		ID:        it.nextID,
 		Routine:   target,
 		Depth:     1,
-		ArgLocs:   make([]Loc, len(args)),
 		ParamLocs: make([]Loc, len(args)),
 	}
 	it.nextID++

@@ -44,11 +44,8 @@ type CallInfo struct {
 
 	Result Value // function result, Undef for procedures
 
-	// ArgLocs holds the location of each argument that is a variable
-	// designator (zero otherwise), in parameter order; ParamLocs holds
-	// the location bound to each formal. For var/out parameters these
-	// coincide.
-	ArgLocs   []Loc
+	// ParamLocs holds the location bound to each formal, in parameter
+	// order: a var/out formal's is its argument's.
 	ParamLocs []Loc
 	ResultLoc Loc
 }
@@ -815,7 +812,6 @@ func (it *Interp) call(target *sem.Routine, site ast.Node, args []ast.Expr, pos 
 			Routine:   target,
 			CallSite:  site,
 			Depth:     it.depth + 1,
-			ArgLocs:   make([]Loc, len(args)),
 			ParamLocs: make([]Loc, len(target.Params)),
 		}
 		it.nextID++
@@ -848,11 +844,6 @@ func (it *Interp) call(target *sem.Routine, site ast.Node, args []ast.Expr, pos 
 			c.val = CopyValue(av)
 			if ci != nil {
 				ci.Ins = append(ci.Ins, Binding{Name: p.Name, Mode: p.Mode, Value: CopyValue(av), Sym: p})
-				if bv := it.info.VarOf(a); bv != nil {
-					if bc := it.cellOf(bv); bc != nil {
-						ci.ArgLocs[i] = bc.loc
-					}
-				}
 				ci.ParamLocs[i] = c.loc
 			}
 			continue
@@ -878,7 +869,6 @@ func (it *Interp) call(target *sem.Routine, site ast.Node, args []ast.Expr, pos 
 		}
 		if ci != nil {
 			ci.Ins = append(ci.Ins, Binding{Name: p.Name, Mode: p.Mode, Value: CopyValue(*addr), Sym: p})
-			ci.ArgLocs[i] = base.loc
 			ci.ParamLocs[i] = base.loc
 		}
 	}

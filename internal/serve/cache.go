@@ -10,7 +10,6 @@ import (
 	"gadt/internal/analysis/lint"
 	"gadt/internal/exectree"
 	"gadt/internal/obs"
-	"gadt/internal/pascal/interp"
 	"gadt/internal/pascal/parser"
 	"gadt/internal/pascal/sem"
 	"gadt/internal/slicing/dynamic"
@@ -22,14 +21,15 @@ import (
 // change the result:
 //
 //	artifact  parse + sem + transform + lint hints   (input-independent)
-//	trace     execution tree + dynamic-dependence recorder + output
+//	trace     execution tree + output + the on-demand dependence graph
 //	          (adds the input hash and the fuel/depth budgets)
 //
 // Entries are built once under singleflight — concurrent sessions for
 // the same program block on the first builder instead of duplicating
 // work — and shared read-only afterwards: the debugger keeps all
-// per-session state (view, memo, assertion DB) outside the tree, and
-// dynamic.Recorder.SliceOnOutput only reads recorded events, so one
+// per-session state (view, memo, assertion DB) outside the tree. A
+// trace's dependence graph (dynamic.Deps) is built at most once, by the
+// first session that slices, and later slices only read it, so one
 // trace can back any number of concurrent sessions. Build errors are
 // cached too (they are deterministic for a given key), which makes
 // hostile resubmission of a fuel bomb cost one lookup, not one trace.
@@ -61,11 +61,11 @@ func (a *Artifact) TraceInfo() *sem.Info {
 
 // TraceArtifact is one cached traced execution.
 type TraceArtifact struct {
-	Tree     *exectree.Tree
-	Recorder *dynamic.Recorder
-	Output   string
-	RunErr   error
-	Steps    int
+	Tree   *exectree.Tree
+	Deps   *dynamic.Deps
+	Output string
+	RunErr error
+	Steps  int
 }
 
 // hashProgram returns the hex SHA-256 of the source text.
@@ -99,6 +99,7 @@ type Cache struct {
 	entries    map[string]*cacheEntry
 	maxEntries int
 
+	reg    *obs.Registry // observes each trace's dependence-graph build
 	hits   *obs.CounterVec
 	misses *obs.CounterVec
 }
@@ -111,6 +112,7 @@ func NewCache(reg *obs.Registry, maxEntries int) *Cache {
 	return &Cache{
 		entries:    make(map[string]*cacheEntry),
 		maxEntries: maxEntries,
+		reg:        reg,
 		hits:       reg.CounterVec("serve.cache.hits", "layer"),
 		misses:     reg.CounterVec("serve.cache.misses", "layer"),
 	}
@@ -189,7 +191,7 @@ func (c *Cache) Artifact(file, src string, doTransform, doLint bool) (*Artifact,
 func (c *Cache) Trace(art *Artifact, file string, doTransform, doLint bool, input string, fuel, depth int) (*TraceArtifact, error, bool) {
 	key := traceKey(artifactKey(art.Hash, file, doTransform, doLint), input, fuel, depth)
 	v, err, hit := c.getOrBuild("trace", key, func() (any, error) {
-		return buildTrace(art, input, fuel, depth), nil
+		return buildTrace(art, input, fuel, depth, c.reg), nil
 	})
 	if err != nil {
 		return nil, err, hit
@@ -224,23 +226,24 @@ func buildArtifact(hash, file, src string, doTransform, doLint bool) (*Artifact,
 }
 
 // buildTrace executes the program under budgets, recording the
-// execution tree and the dynamic-dependence events for slicing. A
-// runtime error still yields the partial tree — crashes are debuggable
-// — so it is stored in the artifact, not returned.
-func buildTrace(art *Artifact, input string, fuel, depth int) *TraceArtifact {
+// execution tree; the dependence graph for slicing is built on the first
+// slice. A runtime error still yields the partial tree — crashes are
+// debuggable — so it is stored in the artifact, not returned.
+func buildTrace(art *Artifact, input string, fuel, depth int, reg *obs.Registry) *TraceArtifact {
 	info := art.TraceInfo()
-	rec := dynamic.NewRecorder(info)
 	tr := exectree.TraceWith(info, exectree.TraceOpts{
 		Input:    input,
-		Extra:    []interp.EventSink{rec},
 		MaxSteps: fuel,
 		MaxDepth: depth,
 	})
 	return &TraceArtifact{
-		Tree:     tr.Tree,
-		Recorder: rec,
-		Output:   tr.Output,
-		RunErr:   tr.Err,
-		Steps:    tr.Steps,
+		Tree: tr.Tree,
+		Deps: &dynamic.Deps{
+			Info: info, Input: input, MaxSteps: fuel, MaxDepth: depth,
+			Nodes: tr.Tree.Size(), Metrics: reg,
+		},
+		Output: tr.Output,
+		RunErr: tr.Err,
+		Steps:  tr.Steps,
 	}
 }

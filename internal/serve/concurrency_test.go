@@ -8,6 +8,7 @@ package serve_test
 
 import (
 	"encoding/json"
+	"strings"
 	"sync"
 	"testing"
 
@@ -107,6 +108,25 @@ func TestConcurrentSessions(t *testing.T) {
 		if got := hits.With(layer).Value(); got != total-int64(len(subjects)) {
 			t.Errorf("%s hits = %d, want %d", layer, got, total-int64(len(subjects)))
 		}
+	}
+
+	// Sessions sharing a trace share its dependence graph: it is built
+	// once, by the first of them to slice, and only for the programs
+	// whose journals flag a wrong output.
+	slicing := 0
+	for _, sub := range subjects {
+		for _, line := range sub.lines {
+			if strings.Contains(line, `"wrong_output"`) {
+				slicing++
+				break
+			}
+		}
+	}
+	if slicing == 0 {
+		t.Fatal("no journal flags a wrong output: the shared graph build went untested")
+	}
+	if got := reg.Counter("slicing.dynamic.builds").Value(); got != int64(slicing) {
+		t.Errorf("slicing.dynamic.builds = %d, want %d (one per trace that is sliced)", got, slicing)
 	}
 
 	if got := reg.Counter("serve.sessions.created").Value(); got != total {

@@ -247,7 +247,7 @@ func (m *Manager) prepare(sess *Session, req CreateRequest) {
 			Strategy:     sess.Strategy,
 			Assertions:   sess.db,
 			Slicing:      !req.NoSlicing,
-			Recorder:     tr.Recorder,
+			Deps:         tr.Deps,
 			Meta:         art.Transformed,
 			Hints:        art.Hints,
 			MaxQuestions: req.MaxQuestions,

@@ -1,10 +1,12 @@
 // Package dynamic implements interprocedural dynamic slicing at the
-// execution-tree level (Section 7 of the paper; [Kamkar-91b]): during
-// tracing, a Recorder builds a dynamic data-dependence graph over
+// execution-tree level (Section 7 of the paper; [Kamkar-91b]): a
+// Recorder builds a dynamic data-dependence graph over
 // statement-execution events; slicing on an output variable of a unit
 // invocation then prunes the execution tree to the invocations that
 // actually contributed to that value — exactly the tree reductions shown
-// in Figures 8 and 9.
+// in Figures 8 and 9. Tracing builds the execution tree alone; Deps
+// builds a traced run's graph on its first slice by executing the run
+// again with only the Recorder attached.
 //
 // Dependences combine data flow (at whole-variable granularity, one
 // memory location per variable like the rest of the system) with
@@ -16,6 +18,8 @@ package dynamic
 
 import (
 	"fmt"
+	"strings"
+	"sync"
 
 	"gadt/internal/analysis/cfg"
 	"gadt/internal/analysis/pdg"
@@ -37,9 +41,9 @@ type event struct {
 const noEvent = int32(-1)
 
 // Recorder builds the dynamic dependence graph; it implements
-// interp.EventSink and is meant to run alongside exectree.Builder via
-// interp.MultiSink.
+// interp.EventSink.
 type Recorder struct {
+	calls     int // EnterCall events seen
 	events    []event
 	lastWrite map[interp.Loc]int32
 
@@ -180,6 +184,7 @@ func (r *Recorder) EnterCall(ci *interp.CallInfo) {
 			}
 		}
 	}
+	r.calls++
 	r.stack = append(r.stack, &frameRec{id: ci.ID, cur: noEvent})
 	// The callee's events are control-dependent on the call statement:
 	// without the caller reaching this call, nothing below runs. That is
@@ -229,14 +234,74 @@ func (r *Recorder) Edges() int {
 	return total
 }
 
-// RecordMetrics sets the recorder's graph-size gauges
-// (slicing.dynamic.events, slicing.dynamic.edges). Nil-safe.
-func (r *Recorder) RecordMetrics(m *obs.Registry) {
-	if m == nil {
+// Deps is the dynamic dependence graph of one traced run, built on
+// demand. The first SliceOnOutput (or Recorder) call executes the traced
+// program again, on the same input and budgets, with a Recorder as the
+// only sink, and keeps the graph for every later slice; a run that is
+// never sliced never pays for its graph. The interpreter is
+// deterministic and numbers calls from one counter, so the replay's call
+// IDs are the execution tree's node IDs. As a check, the replay must see
+// exactly Nodes calls: otherwise every slice fails rather than slicing a
+// different run. Safe for concurrent use; set the fields before the
+// first slice and do not change them after.
+type Deps struct {
+	// Info, Input, MaxSteps and MaxDepth are those of the traced run;
+	// Nodes is the size of its execution tree.
+	Info     *sem.Info
+	Input    string
+	MaxSteps int
+	MaxDepth int
+	Nodes    int
+
+	// Metrics and Tracer (either may be nil) observe the build: the
+	// slicing.dynamic.builds counter, the slicing.dynamic.events and
+	// slicing.dynamic.edges gauges, and a "deps" span.
+	Metrics *obs.Registry
+	Tracer  *obs.Tracer
+
+	once sync.Once
+	rec  *Recorder
+	err  error
+}
+
+// Recorder returns the run's dependence graph, building it on first use.
+func (d *Deps) Recorder() (*Recorder, error) {
+	d.once.Do(d.build)
+	return d.rec, d.err
+}
+
+// SliceOnOutput is Recorder.SliceOnOutput on the run's graph.
+func (d *Deps) SliceOnOutput(t *exectree.Tree, n *exectree.Node, output string) (*TreeSlice, error) {
+	r, err := d.Recorder()
+	if err != nil {
+		return nil, err
+	}
+	return r.SliceOnOutput(t, n, output)
+}
+
+// build replays the traced run with a Recorder attached. The replay
+// stops where the traced run stopped, so a run error (a crash, an
+// exhausted budget) recurs and is not a build failure; the graph then
+// covers the same partial tree. No Metrics reach the interpreter, so
+// its counters keep counting only traced runs.
+func (d *Deps) build() {
+	sp := d.Tracer.Start("deps")
+	defer sp.End()
+	d.Metrics.Counter("slicing.dynamic.builds").Inc()
+	rec := NewRecorder(d.Info)
+	_ = interp.New(d.Info, interp.Config{
+		Input:    strings.NewReader(d.Input),
+		Sink:     rec,
+		MaxSteps: d.MaxSteps,
+		MaxDepth: d.MaxDepth,
+	}).Run()
+	if rec.calls != d.Nodes {
+		d.err = fmt.Errorf("dynamic: replay made %d calls, the execution tree has %d nodes", rec.calls, d.Nodes)
 		return
 	}
-	m.Gauge("slicing.dynamic.events").Set(int64(r.Events()))
-	m.Gauge("slicing.dynamic.edges").Set(int64(r.Edges()))
+	d.rec = rec
+	d.Metrics.Gauge("slicing.dynamic.events").Set(int64(rec.Events()))
+	d.Metrics.Gauge("slicing.dynamic.edges").Set(int64(rec.Edges()))
 }
 
 // ---------------------------------------------------------------------------

@@ -11,19 +11,18 @@ import (
 	"gadt/internal/slicing/dynamic"
 )
 
-func traceWithDeps(t *testing.T, src, input string) (*exectree.TraceResult, *dynamic.Recorder) {
+func traceWithDeps(t *testing.T, src, input string) (*exectree.TraceResult, *dynamic.Deps) {
 	t.Helper()
 	prog := parser.MustParse("t.pas", src)
 	info, err := sem.Analyze(prog)
 	if err != nil {
 		t.Fatalf("analyze: %v", err)
 	}
-	rec := dynamic.NewRecorder(info)
-	res := exectree.Trace(info, input, rec)
+	res := exectree.Trace(info, input)
 	if res.Err != nil {
 		t.Fatalf("trace: %v", res.Err)
 	}
-	return res, rec
+	return res, &dynamic.Deps{Info: info, Input: input, Nodes: res.Tree.Size()}
 }
 
 func findNode(t *testing.T, tree *exectree.Tree, unit string) *exectree.Node {
@@ -54,9 +53,9 @@ func keptNames(sl *dynamic.TreeSlice) map[string]bool {
 // subtree (partialsums, sum1, sum2, increment, decrement, add) and drops
 // comput2/square and test.
 func TestFigure8(t *testing.T) {
-	res, rec := traceWithDeps(t, paper.Sqrtest, "")
+	res, deps := traceWithDeps(t, paper.Sqrtest, "")
 	computs := findNode(t, res.Tree, "computs")
-	sl, err := rec.SliceOnOutput(res.Tree, computs, "r1")
+	sl, err := deps.SliceOnOutput(res.Tree, computs, "r1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,9 +83,9 @@ func TestFigure8(t *testing.T) {
 // TestFigure9 reproduces the second slicing step: slicing on the second
 // output (s2) of partialsums keeps only sum2 → decrement below it.
 func TestFigure9(t *testing.T) {
-	res, rec := traceWithDeps(t, paper.Sqrtest, "")
+	res, deps := traceWithDeps(t, paper.Sqrtest, "")
 	partial := findNode(t, res.Tree, "partialsums")
-	sl, err := rec.SliceOnOutput(res.Tree, partial, "s2")
+	sl, err := deps.SliceOnOutput(res.Tree, partial, "s2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,14 +103,14 @@ func TestFigure9(t *testing.T) {
 }
 
 func TestSuccessiveSlicesShrink(t *testing.T) {
-	res, rec := traceWithDeps(t, paper.Sqrtest, "")
+	res, deps := traceWithDeps(t, paper.Sqrtest, "")
 	computs := findNode(t, res.Tree, "computs")
-	s1, err := rec.SliceOnOutput(res.Tree, computs, "r1")
+	s1, err := deps.SliceOnOutput(res.Tree, computs, "r1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	partial := findNode(t, res.Tree, "partialsums")
-	s2, err := rec.SliceOnOutput(res.Tree, partial, "s2")
+	s2, err := deps.SliceOnOutput(res.Tree, partial, "s2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,9 +124,9 @@ func TestSuccessiveSlicesShrink(t *testing.T) {
 }
 
 func TestFunctionResultSlice(t *testing.T) {
-	res, rec := traceWithDeps(t, paper.Sqrtest, "")
+	res, deps := traceWithDeps(t, paper.Sqrtest, "")
 	dec := findNode(t, res.Tree, "decrement")
-	sl, err := rec.SliceOnOutput(res.Tree, dec, "decrement")
+	sl, err := deps.SliceOnOutput(res.Tree, dec, "decrement")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,16 +144,16 @@ func TestFunctionResultSlice(t *testing.T) {
 }
 
 func TestSliceUnknownOutput(t *testing.T) {
-	res, rec := traceWithDeps(t, paper.Sqrtest, "")
+	res, deps := traceWithDeps(t, paper.Sqrtest, "")
 	computs := findNode(t, res.Tree, "computs")
-	if _, err := rec.SliceOnOutput(res.Tree, computs, "nonexistent"); err == nil {
+	if _, err := deps.SliceOnOutput(res.Tree, computs, "nonexistent"); err == nil {
 		t.Error("expected error for unknown output")
 	}
 }
 
 func TestVarParamChainProvenance(t *testing.T) {
 	// x flows a → b → c through var parameters; noise does not.
-	res, rec := traceWithDeps(t, `
+	res, deps := traceWithDeps(t, `
 program t;
 var x, noise: integer;
 
@@ -185,7 +184,7 @@ begin
   writeln(x);
 end.`, "")
 	an := findNode(t, res.Tree, "a")
-	sl, err := rec.SliceOnOutput(res.Tree, an, "v")
+	sl, err := deps.SliceOnOutput(res.Tree, an, "v")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +202,7 @@ end.`, "")
 func TestArrayElementProvenance(t *testing.T) {
 	// Writing one array element keeps the whole array's provenance
 	// (whole-variable granularity: partial updates read the old value).
-	res, rec := traceWithDeps(t, `
+	res, deps := traceWithDeps(t, `
 program t;
 type arr = array [1 .. 3] of integer;
 var a: arr;
@@ -231,7 +230,7 @@ begin
   writeln(s);
 end.`, "")
 	tn := findNode(t, res.Tree, "total")
-	sl, err := rec.SliceOnOutput(res.Tree, tn, "r")
+	sl, err := deps.SliceOnOutput(res.Tree, tn, "r")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +247,7 @@ end.`, "")
 // unit that computed the condition's input — even though no data flows
 // from it into the value.
 func TestControlDependenceKeepsDecidingCondition(t *testing.T) {
-	res, rec := traceWithDeps(t, `
+	res, deps := traceWithDeps(t, `
 program t;
 var flag, out1, noise: integer;
 
@@ -277,7 +276,7 @@ begin
   writeln(out1);
 end.`, "")
 	pn := findNode(t, res.Tree, "produce")
-	sl, err := rec.SliceOnOutput(res.Tree, pn, "r")
+	sl, err := deps.SliceOnOutput(res.Tree, pn, "r")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +290,11 @@ end.`, "")
 }
 
 func TestEventsRecorded(t *testing.T) {
-	_, rec := traceWithDeps(t, paper.Sqrtest, "")
+	_, deps := traceWithDeps(t, paper.Sqrtest, "")
+	rec, err := deps.Recorder()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if rec.Events() == 0 {
 		t.Error("no events recorded")
 	}
@@ -327,13 +330,13 @@ end.`
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := dynamic.NewRecorder(info)
-	res := exectree.Trace(info, "", rec)
+	res := exectree.Trace(info, "")
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
+	deps := &dynamic.Deps{Info: info, Nodes: res.Tree.Size()}
 	dn := findNode(t, res.Tree, "dbl")
-	sl, err := rec.SliceOnOutput(res.Tree, dn, "r")
+	sl, err := deps.SliceOnOutput(res.Tree, dn, "r")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +361,7 @@ func containsLine(out, want string) bool {
 }
 
 func TestLoopCarriedDependence(t *testing.T) {
-	res, rec := traceWithDeps(t, `
+	res, deps := traceWithDeps(t, `
 program t;
 var i, acc, unused: integer;
 
@@ -383,7 +386,7 @@ end.`, "")
 	// slicing on seed's v then checking the forward picture via the
 	// recorder: here we slice on seed's output and expect only seed.
 	sn := findNode(t, res.Tree, "seed")
-	sl, err := rec.SliceOnOutput(res.Tree, sn, "v")
+	sl, err := deps.SliceOnOutput(res.Tree, sn, "v")
 	if err != nil {
 		t.Fatal(err)
 	}
