@@ -423,7 +423,7 @@ func computeUntracked(info *sem.Info, cg *callgraph.Graph, side *sideeffect.Resu
 				}
 				// The routine (or a callee) may write t under its own
 				// name while the formal still claims the old value.
-				if t.Owner == r || (eff != nil && eff.ModGlobals[t]) {
+				if t.Owner == r || (eff != nil && eff.ModGlobals.Has(t)) {
 					mark(r, p)
 				}
 			}
@@ -736,7 +736,7 @@ func (a *analyzer) callStmt(env Env, r *sem.Routine, s *ast.CallStmt, register b
 	env = env.clone()
 	// Modified non-locals take their summary exit values (Top when the
 	// callee does not track them, e.g. an enclosing routine's local).
-	for g := range a.res.side.Of[callee].ModGlobals {
+	for _, g := range a.res.side.Of[callee].ModGlobals.Slice() {
 		if a.trackedIn(r, g) {
 			env.set(g, exit.Lookup(g))
 		}
@@ -835,7 +835,7 @@ func (a *analyzer) havocCalls(env Env, roots []ast.Node, register ...bool) Env {
 		env = env.clone()
 		// A variable absent from the store is already ⊤ and needs no
 		// join; only present entries weaken.
-		for g := range a.res.side.Of[callee].ModGlobals {
+		for _, g := range a.res.side.Of[callee].ModGlobals.Slice() {
 			if val, ok := env.vals[g]; ok {
 				env.set(g, val.Join(exit.Lookup(g)))
 			}
@@ -1110,7 +1110,7 @@ func (a *analyzer) condModSet(cond ast.Expr) map[*sem.VarSym]bool {
 	mods := make(map[*sem.VarSym]bool)
 	for _, ref := range refs {
 		if eff := a.res.side.Of[ref.callee]; eff != nil {
-			for g := range eff.ModGlobals {
+			for _, g := range eff.ModGlobals.Slice() {
 				mods[g] = true
 			}
 		}
@@ -1215,7 +1215,7 @@ func (a *analyzer) loopVarWritten(fs *ast.ForStmt, v *sem.VarSym) bool {
 		if callee == nil {
 			return false
 		}
-		if eff := a.res.side.Of[callee]; eff != nil && eff.ModGlobals[v] {
+		if eff := a.res.side.Of[callee]; eff != nil && eff.ModGlobals.Has(v) {
 			return true
 		}
 		for i, p := range callee.Params {

@@ -28,22 +28,28 @@ type Resolver interface {
 	CallUses(site ast.Node) []*sem.VarSym
 }
 
-// Set is an insertion-ordered set of variable symbols.
+// Set is an insertion-ordered set of variable symbols. A set holds the
+// variables of one analysis: membership is one bit per sem.VarSym.ID,
+// and the IDs of two analyses overlap. The zero value is an empty set.
 type Set struct {
 	order []*sem.VarSym
-	seen  map[*sem.VarSym]bool
+	bits  []uint64
 }
 
 // NewSet returns an empty set.
-func NewSet() *Set { return &Set{seen: make(map[*sem.VarSym]bool)} }
+func NewSet() *Set { return &Set{} }
 
-// Add inserts v; nil symbols are ignored.
-func (s *Set) Add(v *sem.VarSym) {
-	if v == nil || s.seen[v] {
-		return
+// Add inserts v and reports whether it was new; nil symbols are ignored.
+func (s *Set) Add(v *sem.VarSym) bool {
+	if v == nil || s.Has(v) {
+		return false
 	}
-	s.seen[v] = true
+	if w := v.ID >> 6; w >= len(s.bits) {
+		s.bits = append(s.bits, make([]uint64, w+1-len(s.bits))...)
+	}
+	s.bits[v.ID>>6] |= 1 << (v.ID & 63)
 	s.order = append(s.order, v)
+	return true
 }
 
 // AddAll inserts every element of vs.
@@ -54,7 +60,13 @@ func (s *Set) AddAll(vs []*sem.VarSym) {
 }
 
 // Has reports membership.
-func (s *Set) Has(v *sem.VarSym) bool { return s.seen[v] }
+func (s *Set) Has(v *sem.VarSym) bool {
+	if v == nil {
+		return false
+	}
+	w := v.ID >> 6
+	return w < len(s.bits) && s.bits[w]&(1<<(v.ID&63)) != 0
+}
 
 // Slice returns the elements in insertion order.
 func (s *Set) Slice() []*sem.VarSym { return s.order }

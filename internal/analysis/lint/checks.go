@@ -356,7 +356,7 @@ func checkVarAliasing(cx *Context) []Diagnostic {
 				if _, whole := bnd.arg.(*ast.Ident); !whole {
 					continue
 				}
-				if !ce.ModGlobals[bnd.base] && !ce.RefGlobals[bnd.base] {
+				if !ce.ModGlobals.Has(bnd.base) && !ce.RefGlobals.Has(bnd.base) {
 					continue
 				}
 				out = append(out, Diagnostic{

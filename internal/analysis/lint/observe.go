@@ -48,11 +48,11 @@ func (o *observeResolver) CallUses(site ast.Node) []*sem.VarSym {
 		if p.Mode == ast.Value || i >= len(s.Args) {
 			continue
 		}
-		if ce.RefFormals[p] && ex[p] {
+		if ce.RefFormals.Has(p) && ex[p] {
 			out.Add(o.cx.Info.VarOf(s.Args[i]))
 		}
 	}
-	for v := range ce.RefGlobals {
+	for _, v := range ce.RefGlobals.Slice() {
 		if ex[v] {
 			out.Add(v)
 		}

@@ -279,12 +279,12 @@ func (s *SDG) buildRoutineSkeleton(r *sem.Routine) {
 	}
 	// Globals the routine touches are modeled as hidden parameters.
 	eff := s.SE.Of[r]
-	for v := range eff.RefGlobals {
+	for _, v := range eff.RefGlobals.Slice() {
 		if fins[v] == nil {
 			fins[v] = s.newNode(&Node{Kind: FormalIn, Routine: r, Var: v})
 		}
 	}
-	for v := range eff.ModGlobals {
+	for _, v := range eff.ModGlobals.Slice() {
 		if fins[v] == nil { // a modified global's old value may survive (may-def)
 			fins[v] = s.newNode(&Node{Kind: FormalIn, Routine: r, Var: v})
 		}
@@ -400,13 +400,13 @@ func (s *SDG) buildCallLinkage(r *sem.Routine) {
 		}
 		// Hidden parameters for the callee's global effects.
 		eff := s.SE.Of[callee]
-		for v := range eff.RefGlobals {
+		for _, v := range eff.RefGlobals.Slice() {
 			ain := s.newNode(&Node{Kind: ActualIn, Routine: r, Var: v, Site: site})
 			ains[v] = ain
 			s.addEdge(callNode, ain, ControlDep)
 			s.addEdge(ain, s.formalIns[callee][v], ParamIn)
 		}
-		for v := range eff.ModGlobals {
+		for _, v := range eff.ModGlobals.Slice() {
 			if ains[v] == nil {
 				ain := s.newNode(&Node{Kind: ActualIn, Routine: r, Var: v, Site: site})
 				ains[v] = ain

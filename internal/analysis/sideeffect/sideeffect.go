@@ -21,13 +21,13 @@ type Effects struct {
 
 	// ModGlobals / RefGlobals hold non-local variables (declared in a
 	// proper ancestor routine) that the routine may modify / reference.
-	ModGlobals map[*sem.VarSym]bool
-	RefGlobals map[*sem.VarSym]bool
+	ModGlobals defuse.Set
+	RefGlobals defuse.Set
 
 	// ModFormals / RefFormals hold the routine's own by-reference
 	// formals that may be modified / referenced.
-	ModFormals map[*sem.VarSym]bool
-	RefFormals map[*sem.VarSym]bool
+	ModFormals defuse.Set
+	RefFormals defuse.Set
 
 	// ExitTargets holds labels in proper ancestors that a goto inside
 	// the routine (or its callees) may jump to — Banning's exit side
@@ -38,14 +38,14 @@ type Effects struct {
 // HasGlobalEffects reports whether the routine touches any non-local
 // variable or can exit non-locally.
 func (e *Effects) HasGlobalEffects() bool {
-	return len(e.ModGlobals) > 0 || len(e.RefGlobals) > 0 || len(e.ExitTargets) > 0
+	return e.ModGlobals.Len() > 0 || e.RefGlobals.Len() > 0 || len(e.ExitTargets) > 0
 }
 
 // SortedMod returns ModGlobals sorted by name (then owner nesting level).
-func (e *Effects) SortedMod() []*sem.VarSym { return sortVars(e.ModGlobals) }
+func (e *Effects) SortedMod() []*sem.VarSym { return sortVars(&e.ModGlobals) }
 
 // SortedRef returns RefGlobals sorted by name.
-func (e *Effects) SortedRef() []*sem.VarSym { return sortVars(e.RefGlobals) }
+func (e *Effects) SortedRef() []*sem.VarSym { return sortVars(&e.RefGlobals) }
 
 // SortedExits returns ExitTargets sorted by label name.
 func (e *Effects) SortedExits() []*sem.LabelInfo {
@@ -62,11 +62,8 @@ func (e *Effects) SortedExits() []*sem.LabelInfo {
 	return out
 }
 
-func sortVars(m map[*sem.VarSym]bool) []*sem.VarSym {
-	out := make([]*sem.VarSym, 0, len(m))
-	for v := range m {
-		out = append(out, v)
-	}
+func sortVars(s *defuse.Set) []*sem.VarSym {
+	out := append([]*sem.VarSym(nil), s.Slice()...)
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Name != out[j].Name {
 			return out[i].Name < out[j].Name
@@ -95,14 +92,7 @@ func Analyze(info *sem.Info, cg *callgraph.Graph) *Result {
 		siteArgs: make(map[ast.Node]*callgraph.Site),
 	}
 	for _, r := range info.Routines {
-		res.Of[r] = &Effects{
-			Routine:     r,
-			ModGlobals:  make(map[*sem.VarSym]bool),
-			RefGlobals:  make(map[*sem.VarSym]bool),
-			ModFormals:  make(map[*sem.VarSym]bool),
-			RefFormals:  make(map[*sem.VarSym]bool),
-			ExitTargets: make(map[*sem.LabelInfo]bool),
-		}
+		res.Of[r] = &Effects{Routine: r, ExitTargets: make(map[*sem.LabelInfo]bool)}
 	}
 	for _, sites := range cg.Sites {
 		for _, s := range sites {
@@ -138,18 +128,18 @@ func classify(e *Effects, r *sem.Routine, v *sem.VarSym, write bool) {
 	if v.Owner == r {
 		if v.Kind == sem.ParamVar && v.Mode != ast.Value {
 			if write {
-				e.ModFormals[v] = true
+				e.ModFormals.Add(v)
 			} else {
-				e.RefFormals[v] = true
+				e.RefFormals.Add(v)
 			}
 		}
 		return
 	}
 	// Non-local.
 	if write {
-		e.ModGlobals[v] = true
+		e.ModGlobals.Add(v)
 	} else {
-		e.RefGlobals[v] = true
+		e.RefGlobals.Add(v)
 	}
 }
 
@@ -231,32 +221,31 @@ func (res *Result) exprDirect(e *Effects, r *sem.Routine, x ast.Expr) {
 func (res *Result) propagate(r *sem.Routine) bool {
 	e := res.Of[r]
 	changed := false
-	set := func(m map[*sem.VarSym]bool, v *sem.VarSym) {
-		if !m[v] {
-			m[v] = true
+	set := func(s *defuse.Set, v *sem.VarSym) {
+		if s.Add(v) {
 			changed = true
 		}
 	}
 	for _, site := range res.CG.Sites[r] {
 		ce := res.Of[site.Callee]
 		// Global effects of the callee that are not r's own locals.
-		for v := range ce.ModGlobals {
+		for _, v := range ce.ModGlobals.Slice() {
 			if v.Owner == r {
 				if v.Kind == sem.ParamVar && v.Mode != ast.Value {
-					set(e.ModFormals, v)
+					set(&e.ModFormals, v)
 				}
 				continue
 			}
-			set(e.ModGlobals, v)
+			set(&e.ModGlobals, v)
 		}
-		for v := range ce.RefGlobals {
+		for _, v := range ce.RefGlobals.Slice() {
 			if v.Owner == r {
 				if v.Kind == sem.ParamVar && v.Mode != ast.Value {
-					set(e.RefFormals, v)
+					set(&e.RefFormals, v)
 				}
 				continue
 			}
-			set(e.RefGlobals, v)
+			set(&e.RefGlobals, v)
 		}
 		// Effects through by-reference parameter bindings.
 		for i, p := range site.Callee.Params {
@@ -267,22 +256,22 @@ func (res *Result) propagate(r *sem.Routine) bool {
 			if base == nil {
 				continue
 			}
-			if ce.ModFormals[p] {
+			if ce.ModFormals.Has(p) {
 				if base.Owner == r {
 					if base.Kind == sem.ParamVar && base.Mode != ast.Value {
-						set(e.ModFormals, base)
+						set(&e.ModFormals, base)
 					}
 				} else {
-					set(e.ModGlobals, base)
+					set(&e.ModGlobals, base)
 				}
 			}
-			if ce.RefFormals[p] {
+			if ce.RefFormals.Has(p) {
 				if base.Owner == r {
 					if base.Kind == sem.ParamVar && base.Mode != ast.Value {
-						set(e.RefFormals, base)
+						set(&e.RefFormals, base)
 					}
 				} else {
-					set(e.RefGlobals, base)
+					set(&e.RefGlobals, base)
 				}
 			}
 		}
@@ -322,13 +311,11 @@ func (res *Result) CallDefs(site ast.Node) []*sem.VarSym {
 		if p.Mode == ast.Value || i >= len(s.Args) {
 			continue
 		}
-		if ce.ModFormals[p] {
+		if ce.ModFormals.Has(p) {
 			out.Add(res.Info.VarOf(s.Args[i]))
 		}
 	}
-	for v := range ce.ModGlobals {
-		out.Add(v)
-	}
+	out.AddAll(ce.ModGlobals.Slice())
 	return out.Slice()
 }
 
@@ -345,12 +332,10 @@ func (res *Result) CallUses(site ast.Node) []*sem.VarSym {
 		if p.Mode == ast.Value || i >= len(s.Args) {
 			continue
 		}
-		if ce.RefFormals[p] {
+		if ce.RefFormals.Has(p) {
 			out.Add(res.Info.VarOf(s.Args[i]))
 		}
 	}
-	for v := range ce.RefGlobals {
-		out.Add(v)
-	}
+	out.AddAll(ce.RefGlobals.Slice())
 	return out.Slice()
 }

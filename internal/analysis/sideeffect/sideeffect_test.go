@@ -1,11 +1,14 @@
 package sideeffect_test
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"gadt/internal/analysis/callgraph"
 	"gadt/internal/analysis/sideeffect"
 	"gadt/internal/paper"
+	"gadt/internal/pascal/ast"
 	"gadt/internal/pascal/parser"
 	"gadt/internal/pascal/sem"
 )
@@ -109,22 +112,22 @@ begin
   viaparam(g);
 end.`)
 	setit := res.Of[info.LookupRoutine("setit")]
-	if len(setit.ModFormals) != 1 {
-		t.Errorf("MODF(setit) = %v, want {x}", setit.ModFormals)
+	if setit.ModFormals.Len() != 1 {
+		t.Errorf("MODF(setit) = %v, want {x}", names(setit.ModFormals.Slice()))
 	}
-	if len(setit.ModGlobals) != 0 {
-		t.Errorf("MODG(setit) = %v, want empty", setit.ModGlobals)
+	if setit.ModGlobals.Len() != 0 {
+		t.Errorf("MODG(setit) = %v, want empty", names(setit.ModGlobals.Slice()))
 	}
 	via := res.Of[info.LookupRoutine("viaglobal")]
 	if got := names(via.SortedMod()); len(got) != 1 || got[0] != "g" {
 		t.Errorf("MOD(viaglobal) = %v, want [g]: binding a global to a modified var formal", got)
 	}
 	vp := res.Of[info.LookupRoutine("viaparam")]
-	if len(vp.ModFormals) != 1 {
-		t.Errorf("MODF(viaparam) = %v, want {y}: modification flows through formal chain", vp.ModFormals)
+	if vp.ModFormals.Len() != 1 {
+		t.Errorf("MODF(viaparam) = %v, want {y}: modification flows through formal chain", names(vp.ModFormals.Slice()))
 	}
-	if len(vp.ModGlobals) != 0 {
-		t.Errorf("MODG(viaparam) = %v, want empty", vp.ModGlobals)
+	if vp.ModGlobals.Len() != 0 {
+		t.Errorf("MODG(viaparam) = %v, want empty", names(vp.ModGlobals.Slice()))
 	}
 }
 
@@ -282,7 +285,64 @@ begin
   p(g);
 end.`)
 	p := res.Of[info.LookupRoutine("p")]
-	if len(p.ModFormals) != 0 || len(p.ModGlobals) != 0 {
-		t.Errorf("modifying a value formal leaked: MODF=%v MODG=%v", p.ModFormals, p.ModGlobals)
+	if p.ModFormals.Len() != 0 || p.ModGlobals.Len() != 0 {
+		t.Errorf("modifying a value formal leaked: MODF=%v MODG=%v", names(p.ModFormals.Slice()), names(p.ModGlobals.Slice()))
+	}
+}
+
+// TestCallEffectsOrderIsStable pins the order of call effects: over
+// repeated analyses of one program, CallDefs, CallUses and every
+// Effects set list their variables in the same order, so a fixed input
+// gives the analyses built on them one result.
+func TestCallEffectsOrderIsStable(t *testing.T) {
+	const src = `
+program t;
+var a, b, c, d, e: integer;
+
+procedure touch;
+begin
+  a := b;
+  c := d;
+  e := a + c;
+  b := e;
+  d := 1;
+end;
+
+procedure outer(var x: integer);
+begin
+  touch;
+  x := a + e;
+end;
+
+begin
+  outer(b);
+  touch;
+end.`
+	render := func() string {
+		info, res := analyze(t, src)
+		var sb strings.Builder
+		for _, r := range info.Routines {
+			e := res.Of[r]
+			fmt.Fprintf(&sb, "%s: MODG %v REFG %v MODF %v REFF %v\n", r.Name,
+				names(e.ModGlobals.Slice()), names(e.RefGlobals.Slice()),
+				names(e.ModFormals.Slice()), names(e.RefFormals.Slice()))
+		}
+		ast.Inspect(info.Program, func(n ast.Node) bool {
+			if cs, ok := n.(*ast.CallStmt); ok {
+				fmt.Fprintf(&sb, "%s at %s: defs %v uses %v\n", cs.Name, cs.Pos(),
+					names(res.CallDefs(cs)), names(res.CallUses(cs)))
+			}
+			return true
+		})
+		return sb.String()
+	}
+	first := render()
+	if !strings.Contains(first, "touch at") || !strings.Contains(first, "defs [a c e b d]") {
+		t.Fatalf("touch's call effects are not all listed:\n%s", first)
+	}
+	for i := 0; i < 50; i++ {
+		if got := render(); got != first {
+			t.Fatalf("analysis %d lists effects in another order:\n%s\nfirst:\n%s", i+2, got, first)
+		}
 	}
 }

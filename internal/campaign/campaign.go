@@ -408,7 +408,9 @@ func skeleton(j job) MutantOutcome {
 func eval(cfg Config, j job) MutantOutcome {
 	o := skeleton(j)
 
-	sys, err := gadt.Load(j.subject.Name+".pas", j.mutant.Source)
+	// The mutant's phases and debugging sessions report into the
+	// campaign's registry (none when cfg.Metrics is nil).
+	sys, err := gadt.LoadObserved(j.subject.Name+".pas", j.mutant.Source, cfg.Metrics, nil)
 	if err != nil {
 		o.Status, o.Detail = StatusStillborn, err.Error()
 		return o
@@ -418,9 +420,6 @@ func eval(cfg Config, j job) MutantOutcome {
 		o.Status, o.Detail = StatusStillborn, err.Error()
 		return o
 	}
-	// The mutant's phases go unobserved, but its dependence graph, built
-	// only if a session slices, reports slicing.dynamic.builds.
-	run.Deps.Metrics = cfg.Metrics
 
 	switch {
 	case errors.Is(run.RunErr, interp.ErrFuelExhausted), errors.Is(run.RunErr, interp.ErrDepthExhausted):

@@ -282,6 +282,38 @@ func TestCampaignBudgetAndOps(t *testing.T) {
 	}
 }
 
+// TestCampaignSessionsReportToRegistry checks that the mutants'
+// debugging sessions count into the campaign's registry, once each:
+// the session and harvested-answer counters equal the report's totals.
+func TestCampaignSessionsReportToRegistry(t *testing.T) {
+	reg := obs.NewRegistry()
+	rep := small(t, campaign.Config{
+		Subjects: []campaign.Subject{{Name: "looper", Source: loopSubject}},
+		Seed:     1,
+		Fuel:     20_000,
+		Timeout:  time.Minute,
+		Metrics:  reg,
+	})
+	var sessions, assertions, tests int
+	for _, st := range rep.ByStrategy {
+		sessions += st.Sessions
+		assertions += st.ByAssertions
+		tests += st.ByTests
+	}
+	if sessions == 0 || assertions == 0 || tests == 0 {
+		t.Fatalf("campaign ran %d sessions with %d assertion and %d test answers; want all nonzero", sessions, assertions, tests)
+	}
+	for name, want := range map[string]int{
+		"debugger.sessions":           sessions,
+		"debugger.answers.assertions": assertions,
+		"debugger.answers.tests":      tests,
+	} {
+		if got := reg.Counter(name).Value(); got != int64(want) {
+			t.Errorf("%s = %d, want %d (the report's total)", name, got, want)
+		}
+	}
+}
+
 // TestTriageEquivalentsSurviveExecution brute-force checks the triage
 // verdicts over the full default subject set: every mutant marked
 // equivalent must produce exactly the reference output when actually

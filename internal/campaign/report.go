@@ -209,11 +209,6 @@ func record(m *obs.Registry, rep *Report) {
 		sessions.With(name).Add(int64(st.Sessions))
 		localized.With(name).Add(int64(st.Localized))
 		questions.With(name).Add(int64(st.Questions))
-		// Campaign sessions run without per-session registries, so the
-		// harvest hits are accounted here under the standard debugger
-		// metric names.
-		m.Counter("debugger.answers.assertions").Add(int64(st.ByAssertions))
-		m.Counter("debugger.answers.tests").Add(int64(st.ByTests))
 	}
 }
 

@@ -9,8 +9,10 @@ import (
 	"gadt/internal/exectree"
 	"gadt/internal/obs"
 	"gadt/internal/paper"
+	"gadt/internal/pascal/ast"
 	"gadt/internal/pascal/parser"
 	"gadt/internal/pascal/sem"
+	"gadt/internal/pascal/token"
 	"gadt/internal/slicing/dynamic"
 	"gadt/internal/transform"
 )
@@ -401,6 +403,17 @@ func TestLoopUnitQueryRendering(t *testing.T) {
 	}
 	if !strings.Contains(loopQuery, "iteration") {
 		t.Errorf("loop query lacks iteration info: %q", loopQuery)
+	}
+	// The query places the loop at the original for statement.
+	var forPos token.Pos
+	ast.Inspect(info.LookupRoutine("arrsum").Block.Body, func(n ast.Node) bool {
+		if f, ok := n.(*ast.ForStmt); ok {
+			forPos = f.Pos()
+		}
+		return true
+	})
+	if want := "for-loop in arrsum at " + forPos.String() + ","; !forPos.IsValid() || !strings.Contains(loopQuery, want) {
+		t.Errorf("loop query %q does not contain %q", loopQuery, want)
 	}
 }
 

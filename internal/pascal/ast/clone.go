@@ -1,9 +1,8 @@
 package ast
 
 // CloneMap records, for every node of a cloned tree, the original node it
-// was copied from. It is the basis of the transformer's construct map
-// (paper Section 5.1): the debugger presents original constructs to the
-// user while operating on the transformed tree.
+// was copied from, so a caller that edits or prints the copy can name
+// the original constructs.
 type CloneMap map[Node]Node
 
 // Clone deep-copies a program and returns the copy together with a
@@ -14,30 +13,36 @@ func Clone(p *Program) (*Program, CloneMap) {
 	return q, c.m
 }
 
+// CloneProgram deep-copies a program without recording a node map.
+func CloneProgram(p *Program) *Program {
+	return (&cloner{}).program(p)
+}
+
 // CloneStmt deep-copies a single statement subtree.
 func CloneStmt(s Stmt) Stmt {
-	c := &cloner{m: make(CloneMap)}
-	return c.stmt(s)
+	return (&cloner{}).stmt(s)
 }
 
 // CloneExpr deep-copies a single expression subtree.
 func CloneExpr(e Expr) Expr {
-	c := &cloner{m: make(CloneMap)}
-	return c.expr(e)
+	return (&cloner{}).expr(e)
 }
 
 // CloneTypeExpr deep-copies a single type denotation.
 func CloneTypeExpr(t TypeExpr) TypeExpr {
-	c := &cloner{m: make(CloneMap)}
-	return c.typeExpr(t)
+	return (&cloner{}).typeExpr(t)
 }
 
+// cloner copies nodes, recording each copy's original in m when m is
+// not nil.
 type cloner struct {
 	m CloneMap
 }
 
 func (c *cloner) record(nw, old Node) {
-	c.m[nw] = old
+	if c.m != nil {
+		c.m[nw] = old
+	}
 }
 
 func (c *cloner) program(p *Program) *Program {

@@ -158,7 +158,6 @@ func (v Value) AsRecord() (*RecordVal, bool) {
 }
 
 // unchecked accessors for post-kind-check hot paths.
-func (v Value) intv() int64     { return v.num }
 func (v Value) realv() float64  { return math.Float64frombits(uint64(v.num)) }
 func (v Value) boolv() bool     { return v.num != 0 }
 func (v Value) strv() string    { return v.agg.(string) }

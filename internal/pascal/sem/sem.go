@@ -48,6 +48,10 @@ type Info struct {
 
 	Errors ErrorList
 
+	// NumVars counts the variables this analysis declared: their IDs
+	// are 0 to NumVars-1.
+	NumVars int
+
 	// Resolution and type tables, indexed by the UID Analyze gives
 	// every expression and CallStmt. owner[uid] is the UID field of the
 	// node this analysis resolved or typed under uid (nil if none), so
@@ -212,13 +216,11 @@ func Analyze(prog *ast.Program) (*Info, error) {
 		},
 	}
 	c.info.numberNodes(prog)
-	c.universe = newScope(nil)
-	c.declareUniverse()
 
 	main := &Routine{Name: prog.Name, Kind: ast.ProcKind, Block: prog.Block, Level: 0, Labels: make(map[string]*LabelInfo)}
 	c.info.Main = main
 	c.info.Routines = append(c.info.Routines, main)
-	c.routineScope(main, c.universe)
+	c.routineScope(main, universe)
 
 	for _, r := range c.info.Routines {
 		LayoutRoutine(r)
@@ -241,16 +243,20 @@ func LayoutRoutine(r *Routine) {
 }
 
 type checker struct {
-	info     *Info
-	universe *scope
+	info *Info
 }
 
 func (c *checker) errorf(pos token.Pos, format string, args ...any) {
 	c.info.Errors = append(c.info.Errors, &Error{Pos: pos, Msg: fmt.Sprintf(format, args...)})
 }
 
-func (c *checker) declareUniverse() {
-	u := c.universe
+// universe is the scope of the predeclared types, constants and
+// routines. It is built once and only read: every analysis declares its
+// program's names in child scopes, so concurrent analyses share it.
+var universe = newUniverse()
+
+func newUniverse() *scope {
+	u := newScope(nil)
 	u.declare("integer", &TypeSym{Name: "integer", Type: types.Integer})
 	u.declare("real", &TypeSym{Name: "real", Type: types.RealT})
 	u.declare("boolean", &TypeSym{Name: "boolean", Type: types.Boolean})
@@ -261,6 +267,14 @@ func (c *checker) declareUniverse() {
 	for name, b := range builtins {
 		u.declare(name, b)
 	}
+	return u
+}
+
+// newVar gives v the analysis's next variable ID and returns it.
+func (c *checker) newVar(v *VarSym) *VarSym {
+	v.ID = c.info.NumVars
+	c.info.NumVars++
+	return v
 }
 
 // routineScope builds the scope of routine r (declared in parent scope
@@ -274,7 +288,7 @@ func (c *checker) routineScope(r *Routine, outer *scope) {
 		for _, group := range r.Decl.Params {
 			pt := c.resolveTypeExpr(group.Type, sc)
 			for _, name := range group.Names {
-				v := &VarSym{Name: name, Type: pt, Kind: ParamVar, Mode: group.Mode, Owner: r, Decl: group, Pos: group.Pos(), Index: idx}
+				v := c.newVar(&VarSym{Name: name, Type: pt, Kind: ParamVar, Mode: group.Mode, Owner: r, Decl: group, Pos: group.Pos(), Index: idx})
 				idx++
 				if prev := sc.declare(name, v); prev != nil {
 					c.errorf(group.Pos(), "duplicate parameter %s in %s", name, r.Name)
@@ -284,7 +298,7 @@ func (c *checker) routineScope(r *Routine, outer *scope) {
 		}
 		if r.Kind == ast.FuncKind {
 			rt := c.resolveTypeExpr(r.Decl.Result, sc)
-			r.Result = &VarSym{Name: r.Name, Type: rt, Kind: ResultVar, Owner: r, Decl: r.Decl, Pos: r.Decl.Pos()}
+			r.Result = c.newVar(&VarSym{Name: r.Name, Type: rt, Kind: ResultVar, Owner: r, Decl: r.Decl, Pos: r.Decl.Pos()})
 			// Note: the function name itself resolves to the routine;
 			// assignment to it is special-cased in checkAssign.
 		}
@@ -320,7 +334,7 @@ func (c *checker) routineScope(r *Routine, outer *scope) {
 	for _, d := range b.Vars {
 		t := c.resolveTypeExpr(d.Type, sc)
 		for _, name := range d.Names {
-			v := &VarSym{Name: name, Type: t, Kind: LocalVar, Owner: r, Decl: d, Pos: d.Pos(), Index: idx}
+			v := c.newVar(&VarSym{Name: name, Type: t, Kind: LocalVar, Owner: r, Decl: d, Pos: d.Pos(), Index: idx})
 			idx++
 			if prev := sc.declare(name, v); prev != nil {
 				c.errorf(d.Pos(), "duplicate declaration of %s", name)

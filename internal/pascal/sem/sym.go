@@ -58,6 +58,11 @@ type VarSym struct {
 	// (params first, then the result variable, then locals — AllVars
 	// order).
 	Slot int
+	// ID is the variable's dense index in the analysis that declared it:
+	// 0 to Info.NumVars-1, in the order Analyze declares variables.
+	// Analyses index per-variable state by it; the IDs of two analyses
+	// overlap.
+	ID int
 }
 
 func (v *VarSym) SymName() string   { return v.Name }

@@ -2,9 +2,9 @@ package transform
 
 import (
 	"fmt"
-	"sort"
 
 	"gadt/internal/analysis/callgraph"
+	"gadt/internal/analysis/defuse"
 	"gadt/internal/analysis/sideeffect"
 	"gadt/internal/pascal/ast"
 	"gadt/internal/pascal/sem"
@@ -27,24 +27,22 @@ type globalEntry struct {
 // caller passed (here the other direction of the same alias pair), and
 // a value snapshot of it goes stale the moment the aliased cell is
 // written through the original name.
-func varBoundVars(info *sem.Info, cg *callgraph.Graph) map[*sem.VarSym]bool {
-	bound := make(map[*sem.VarSym]bool)
+func varBoundVars(info *sem.Info, cg *callgraph.Graph) *defuse.Set {
+	bound := defuse.NewSet()
 	for _, sites := range cg.Sites {
 		for _, s := range sites {
 			for i, p := range s.Callee.Params {
 				if p.Mode == ast.Value || i >= len(s.Args) {
 					continue
 				}
-				if base := info.VarOf(s.Args[i]); base != nil {
-					bound[base] = true
-				}
+				bound.Add(info.VarOf(s.Args[i]))
 			}
 		}
 	}
 	for _, r := range info.Routines {
 		for _, p := range r.Params {
 			if p.IsByRef() {
-				bound[p] = true
+				bound.Add(p)
 			}
 		}
 	}
@@ -68,7 +66,7 @@ func (st *state) globalsToParams(p *ast.Program, info *sem.Info) error {
 			continue
 		}
 		eff := se.Of[r]
-		if len(eff.ModGlobals) == 0 && len(eff.RefGlobals) == 0 {
+		if eff.ModGlobals.Len() == 0 && eff.RefGlobals.Len() == 0 {
 			continue
 		}
 		taken := make(map[string]bool)
@@ -86,12 +84,12 @@ func (st *state) globalsToParams(p *ast.Program, info *sem.Info) error {
 		}
 		var ins, vars, outs []*sem.VarSym
 		for _, v := range eff.SortedRef() {
-			if !eff.ModGlobals[v] {
+			if !eff.ModGlobals.Has(v) {
 				ins = append(ins, v)
 			}
 		}
 		for _, v := range eff.SortedMod() {
-			if eff.RefGlobals[v] {
+			if eff.RefGlobals.Has(v) {
 				vars = append(vars, v)
 			} else {
 				outs = append(outs, v)
@@ -100,7 +98,7 @@ func (st *state) globalsToParams(p *ast.Program, info *sem.Info) error {
 		for _, v := range ins {
 			// Value copy only when no alias can mutate v during the
 			// call; otherwise pass by reference but present as `in`.
-			if bound[v] {
+			if bound.Has(v) {
 				add(v, ast.VarMode, ast.Value)
 			} else {
 				add(v, ast.Value, ast.Value)
@@ -225,7 +223,6 @@ func (st *state) extendCalls(r *sem.Routine, info *sem.Info, plan map[*sem.Routi
 			if callee := info.CallOf(e); callee != nil && len(plan[callee]) > 0 {
 				ce := &ast.CallExpr{CallPos: e.Pos(), Name: e.Name}
 				ce.Args = extend(e, nil)
-				st.mapOrigin(ce, e)
 				return ce
 			}
 			return e
@@ -297,14 +294,4 @@ func (st *state) extendCalls(r *sem.Routine, info *sem.Info, plan map[*sem.Routi
 	}
 	rewriteStmt(r.Block.Body)
 	return nil
-}
-
-// sortedPlanRoutines is a debugging helper listing planned routines.
-func sortedPlanRoutines(plan map[*sem.Routine][]globalEntry) []string {
-	var out []string
-	for r := range plan {
-		out = append(out, fmt.Sprintf("%s(+%d)", r.Name, len(plan[r])))
-	}
-	sort.Strings(out)
-	return out
 }

@@ -156,15 +156,13 @@ func (st *state) breakGotosInRoutine(r *sem.Routine, info *sem.Info, se *sideeff
 			}
 			// Global goto: raise the escape code and jump to the landing
 			// label.
-			repl := &ast.CompoundStmt{BeginPos: s.Pos(), Stmts: []ast.Stmt{
+			return &ast.CompoundStmt{BeginPos: s.Pos(), Stmts: []ast.Stmt{
 				&ast.AssignStmt{
 					Lhs: &ast.Ident{NamePos: s.Pos(), Name: exitParam[r]},
 					Rhs: &ast.IntLit{LitPos: s.Pos(), Value: int64(codes[li])},
 				},
 				&ast.GotoStmt{GotoPos: s.Pos(), Label: exitLabel[r]},
 			}}
-			st.mapOrigin(repl, s)
-			return repl
 		case *ast.CallStmt:
 			callee := info.CallOf(s)
 			if callee == nil || len(se.Of[callee].ExitTargets) == 0 {
@@ -176,7 +174,6 @@ func (st *state) breakGotosInRoutine(r *sem.Routine, info *sem.Info, se *sideeff
 			b.Vars = append(b.Vars, &ast.VarDecl{DeclPos: s.Pos(), Names: []string{tmp}, Type: intType(s)})
 			call := &ast.CallStmt{CallPos: s.Pos(), Name: s.Name,
 				Args: append(append([]ast.Expr{}, s.Args...), &ast.Ident{NamePos: s.Pos(), Name: tmp})}
-			st.mapOrigin(call, s)
 			stmts := []ast.Stmt{call}
 			targets := se.Of[callee].SortedExits()
 			sort.SliceStable(targets, func(i, j int) bool { return codes[targets[i]] < codes[targets[j]] })
@@ -190,7 +187,6 @@ func (st *state) breakGotosInRoutine(r *sem.Routine, info *sem.Info, se *sideeff
 							Y: &ast.IntLit{LitPos: s.Pos(), Value: int64(codes[li])}},
 						Then: &ast.GotoStmt{GotoPos: s.Pos(), Label: li.Name},
 					}
-					st.mapOrigin(check, s)
 					stmts = append(stmts, check)
 				} else {
 					reRaise = true
@@ -209,25 +205,12 @@ func (st *state) breakGotosInRoutine(r *sem.Routine, info *sem.Info, se *sideeff
 						&ast.GotoStmt{GotoPos: s.Pos(), Label: exitLabel[r]},
 					}},
 				}
-				st.mapOrigin(check, s)
 				stmts = append(stmts, check)
 			}
-			repl := &ast.CompoundStmt{BeginPos: s.Pos(), Stmts: stmts}
-			st.mapOrigin(repl, s)
-			return repl
+			return &ast.CompoundStmt{BeginPos: s.Pos(), Stmts: stmts}
 		default:
 			return s
 		}
 	}
 	b.Body.Stmts = rewriteList(b.Body.Stmts)
-}
-
-// mapOrigin records that transformed node nw derives from the (possibly
-// itself transformed) node old, following old's own origin when present.
-func (st *state) mapOrigin(nw, old ast.Node) {
-	if o, ok := st.res.Origins[old]; ok {
-		st.res.Origins[nw] = o
-		return
-	}
-	st.res.Origins[nw] = old
 }

@@ -184,24 +184,13 @@ func (st *state) makeLoopUnit(loop ast.Stmt, b *ast.Block, routineName string, b
 		},
 	}
 	b.Routines = append(b.Routines, proc)
-
-	origLoop := loop
-	if o, ok := st.res.Origins[loop]; ok {
-		if os, ok := o.(ast.Stmt); ok {
-			origLoop = os
-		}
-	}
-	st.res.Origins[proc] = origLoop
-	st.res.Units[name] = UnitOrigin{Kind: LoopUnit, RoutineName: rootUnitName(st.res, routineName), Loop: origLoop}
+	st.res.Units[name] = UnitOrigin{Kind: LoopUnit, RoutineName: rootUnitName(st.res, routineName), Loop: loop}
 
 	call := &ast.CallStmt{CallPos: loop.Pos(), Name: name}
-	st.res.Origins[call] = origLoop
 	if len(pre) == 0 {
 		return call
 	}
-	repl := &ast.CompoundStmt{BeginPos: loop.Pos(), Stmts: append(pre, call)}
-	st.res.Origins[repl] = origLoop
-	return repl
+	return &ast.CompoundStmt{BeginPos: loop.Pos(), Stmts: append(pre, call)}
 }
 
 // rootUnitName resolves nested loop units to the original routine that

@@ -25,9 +25,11 @@
 // save_incoming/outgoing_values calls), tracing uses the interpreter's
 // event sink, which is observationally equivalent; see DESIGN.md.
 //
-// A construct map (Origins) links every transformed node to the original
-// construct so the debugger can present original code to the user
-// (Section 6.1).
+// The construct map (Section 6.1) is Result.Units, Added and
+// EscapeCodes: it names the original routine and loop behind every
+// transformed unit, the globals and exit condition behind every added
+// parameter, and the label behind every escape code, so the debugger
+// presents original constructs to the user.
 package transform
 
 import (
@@ -52,7 +54,10 @@ type UnitOrigin struct {
 	// RoutineName is the original routine's name (for LoopUnit, the
 	// routine whose body contained the loop).
 	RoutineName string
-	// Loop is the original loop statement for LoopUnit.
+	// Loop is the loop statement a LoopUnit was extracted from, as it
+	// stood in the transformer's copy of the program: it has the
+	// original loop's type and position, which is all the debugger
+	// reads to name the unit.
 	Loop ast.Stmt
 }
 
@@ -85,11 +90,6 @@ type Result struct {
 	OrigProgram *ast.Program
 	OrigInfo    *sem.Info
 
-	// Origins maps transformed AST nodes to the original nodes they were
-	// derived from (identity for untouched constructs, the source loop
-	// for loop-unit bodies, the original goto/call for inserted glue).
-	Origins ast.CloneMap
-
 	// Units maps transformed routine names to their origin.
 	Units map[string]UnitOrigin
 
@@ -113,25 +113,6 @@ func (res *Result) OriginRoutine(unit string) string {
 		return u.RoutineName
 	}
 	return unit
-}
-
-// OriginalStmt resolves a transformed statement to its original
-// counterpart, following the construct map transitively. Returns nil
-// when the statement is pure synthesis (inserted glue).
-func (res *Result) OriginalStmt(s ast.Stmt) ast.Stmt {
-	var n ast.Node = s
-	for {
-		o, ok := res.Origins[n]
-		if !ok || o == n {
-			break
-		}
-		n = o
-	}
-	if n == ast.Node(s) {
-		return s
-	}
-	os, _ := n.(ast.Stmt)
-	return os
 }
 
 // Stages selects which transformation passes run. The zero value runs
@@ -178,11 +159,10 @@ func Apply(info *sem.Info) (*Result, error) {
 // ApplyStages runs the selected transformation passes on an analyzed
 // program. The input program is not modified.
 func ApplyStages(info *sem.Info, stages Stages) (*Result, error) {
-	clone, cm := ast.Clone(info.Program)
+	clone := ast.CloneProgram(info.Program)
 	res := &Result{
 		OrigProgram: info.Program,
 		OrigInfo:    info,
-		Origins:     cm,
 		Units:       make(map[string]UnitOrigin),
 		Added:       make(map[string][]AddedParam),
 		EscapeCodes: make(map[int]string),

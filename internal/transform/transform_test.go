@@ -1,6 +1,7 @@
 package transform_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -12,6 +13,7 @@ import (
 	"gadt/internal/pascal/parser"
 	"gadt/internal/pascal/printer"
 	"gadt/internal/pascal/sem"
+	"gadt/internal/pascal/token"
 	"gadt/internal/transform"
 )
 
@@ -318,29 +320,92 @@ func TestGrowthFactorUnderTwo(t *testing.T) {
 	}
 }
 
-func TestOriginalStmtMapping(t *testing.T) {
-	res := apply(t, paper.LoopGoto)
-	// Every statement in the transformed program maps to an original
-	// construct or is recognizable glue.
-	mapped, total := 0, 0
-	ast.Inspect(res.Program, func(n ast.Node) bool {
-		s, ok := n.(ast.Stmt)
+// TestLoopUnitOriginsNested checks what the debugger reads of a loop
+// unit's origin when loops nest, in the main program and in a
+// procedure: every loop becomes one unit, attributed to the routine
+// that lexically contains it, whose Loop has the original loop's type
+// and position (the query names both).
+func TestLoopUnitOriginsNested(t *testing.T) {
+	prog := parser.MustParse("t.pas", `
+program t;
+var i, j, s: integer;
+
+procedure p(n: integer);
+var k: integer;
+begin
+  k := 0;
+  repeat
+    while k < n do
+      k := k + 1;
+    n := n - 1;
+  until n <= 0;
+  writeln(k);
+end;
+
+begin
+  s := 0;
+  for i := 1 to 3 do begin
+    j := 0;
+    while j < i do begin
+      s := s + j;
+      j := j + 1;
+    end;
+  end;
+  p(3);
+  writeln(s);
+end.`)
+	info, err := sem.Analyze(prog)
+	if err != nil {
+		t.Fatalf("analyze: %v", err)
+	}
+	type origin struct {
+		routine string
+		loop    ast.Stmt
+	}
+	want := make(map[token.Pos]origin)
+	for _, r := range info.Routines {
+		ast.Inspect(r.Block.Body, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.WhileStmt, *ast.RepeatStmt, *ast.ForStmt:
+				want[n.Pos()] = origin{r.Name, n.(ast.Stmt)}
+			}
+			return true
+		})
+	}
+	if len(want) != 4 {
+		t.Fatalf("found %d original loops, want 4", len(want))
+	}
+	res, err := transform.Apply(info)
+	if err != nil {
+		t.Fatalf("transform: %v", err)
+	}
+	seen := make(map[token.Pos]bool)
+	for name, u := range res.Units {
+		if u.Kind != transform.LoopUnit {
+			continue
+		}
+		if u.Loop == nil {
+			t.Errorf("loop unit %s has no loop", name)
+			continue
+		}
+		o, ok := want[u.Loop.Pos()]
 		if !ok {
-			return true
+			t.Errorf("loop unit %s: no original loop at %s", name, u.Loop.Pos())
+			continue
 		}
-		if _, isCompound := s.(*ast.CompoundStmt); isCompound {
-			return true
+		if seen[u.Loop.Pos()] {
+			t.Errorf("loop unit %s: a second unit for the loop at %s", name, u.Loop.Pos())
 		}
-		total++
-		if o := res.OriginalStmt(s); o != nil {
-			// The origin must belong to the original tree or be the
-			// statement itself.
-			mapped++
+		seen[u.Loop.Pos()] = true
+		if got, want := fmt.Sprintf("%T", u.Loop), fmt.Sprintf("%T", o.loop); got != want {
+			t.Errorf("loop unit %s: Loop is %s, want %s", name, got, want)
 		}
-		return true
-	})
-	if total == 0 || mapped == 0 {
-		t.Fatalf("no statements mapped (total=%d mapped=%d)", total, mapped)
+		if u.RoutineName != o.routine {
+			t.Errorf("loop unit %s: RoutineName %s, want %s", name, u.RoutineName, o.routine)
+		}
+	}
+	if len(seen) != len(want) {
+		t.Errorf("%d of %d loops became units", len(seen), len(want))
 	}
 }
 
