@@ -17,7 +17,6 @@ import (
 	"runtime"
 	"sort"
 	"strconv"
-	"sync"
 	"time"
 
 	"gadt/internal/assertion"
@@ -28,6 +27,7 @@ import (
 	"gadt/internal/obs"
 	"gadt/internal/paper"
 	"gadt/internal/pascal/interp"
+	"gadt/internal/pool"
 	"gadt/internal/tgen"
 )
 
@@ -101,8 +101,8 @@ type Config struct {
 	// Tracer, when non-nil, receives one span per mutant evaluation on a
 	// per-worker lane (one Perfetto track per pool worker).
 	Tracer *obs.Tracer
-	// Progress, when non-nil, receives periodic heartbeat lines
-	// (throughput, ETA, killed/survived so far) during the run.
+	// Progress, when non-nil, receives the pool's periodic progress
+	// lines (throughput, ETA, killed/survived so far) during the run.
 	Progress io.Writer
 	// Logf, when non-nil, receives one progress line per subject.
 	Logf func(format string, args ...any)
@@ -192,68 +192,29 @@ func Run(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The equivalent mutants never enter the pool; count them beside
+	// the verdicts it counts.
+	cfg.Metrics.CounterVec("campaign.outcomes", "status").With(StatusEquivalent).Add(int64(len(preclassified)))
 
-	rec := obs.NewReportRecorder(cfg.Metrics, "campaign")
-	rec.Count(StatusEquivalent, int64(len(preclassified)))
-	var hb *obs.Heartbeat
-	if cfg.Progress != nil {
-		hb = obs.StartHeartbeat(obs.HeartbeatConfig{
-			W:     cfg.Progress,
-			Label: "campaign",
-			Total: int64(len(jobs)),
-			Done:  rec.DoneCount,
-			Extra: func() string {
-				return fmt.Sprintf("killed=%d survived=%d",
-					rec.StatusCount(StatusKilled), rec.StatusCount(StatusSurvived))
-			},
+	outcomes := make([]MutantOutcome, len(jobs))
+	pool.Run(pool.Config{
+		Name:     "campaign",
+		Workers:  cfg.Workers,
+		Tasks:    len(jobs),
+		Show:     []string{StatusKilled, StatusSurvived},
+		Metrics:  cfg.Metrics,
+		Tracer:   cfg.Tracer,
+		Progress: cfg.Progress,
+	}, len(jobs), func(w *pool.Worker, i int) {
+		j, o := jobs[i], &outcomes[i]
+		attrs := []string{"subject", j.subject.Name, "mutant", strconv.Itoa(j.mutant.ID), "op", string(j.mutant.Op)}
+		d := w.Task("mutant", attrs, func() string {
+			*o = evalWithBackstop(cfg, j)
+			return o.Status
 		})
-	}
-
-	in := make(chan job)
-	out := make(chan MutantOutcome, len(jobs))
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			lane := cfg.Tracer.Lane("campaign-worker-" + strconv.Itoa(id))
-			// One "worker" span covers the lane's whole lifetime; the
-			// per-mutant spans nest under it, so Perfetto shows both the
-			// worker occupancy bar and the individual evaluations.
-			wsp := lane.Start("worker")
-			defer wsp.End()
-			for j := range in {
-				sp := lane.Start("mutant")
-				sp.SetAttr("subject", j.subject.Name)
-				sp.SetAttr("mutant", strconv.Itoa(j.mutant.ID))
-				sp.SetAttr("op", string(j.mutant.Op))
-				rec.JobStart()
-				jobStart := time.Now()
-				o := evalWithBackstop(cfg, j)
-				elapsed := time.Since(jobStart)
-				if o.ElapsedMS == 0 { // a backstop timeout reports cfg.Timeout
-					o.ElapsedMS = elapsed.Milliseconds()
-				}
-				rec.JobDone(o.Status, elapsed)
-				sp.SetAttr("status", o.Status)
-				sp.End()
-				out <- o
-			}
-		}(w)
-	}
-	for _, j := range jobs {
-		in <- j
-	}
-	close(in)
-	wg.Wait()
-	close(out)
-	rec.Finish(cfg.Workers)
-	hb.Stop()
-
-	outcomes := preclassified
-	for o := range out {
-		outcomes = append(outcomes, o)
-	}
+		o.ElapsedMS = d.Milliseconds()
+	})
+	outcomes = append(outcomes, preclassified...)
 	sort.Slice(outcomes, func(i, j int) bool {
 		if outcomes[i].Subject != outcomes[j].Subject {
 			return outcomes[i].Subject < outcomes[j].Subject
@@ -363,35 +324,22 @@ func referenceRun(s Subject, cfg Config) (*gadt.Run, error) {
 	return run, nil
 }
 
-// evalWithBackstop runs one mutant with panic isolation and a
-// wall-clock watchdog. The evaluation goroutine is fuel-bounded, so an
-// abandoned (timed-out) evaluation always terminates shortly after.
+// evalWithBackstop runs one mutant under pool.Backstop. A timeout or a
+// panic yields a fresh outcome: the abandoned evaluation may still
+// write o.
 func evalWithBackstop(cfg Config, j job) MutantOutcome {
-	ch := make(chan MutantOutcome, 1)
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				o := skeleton(j)
-				o.Status = StatusPanic
-				o.Detail = fmt.Sprint(r)
-				ch <- o
-			}
-		}()
-		ch <- eval(cfg, j)
-	}()
-	// Stopped, the timer is freed now; time.After's would live until it fired.
-	timer := time.NewTimer(cfg.Timeout)
-	defer timer.Stop()
-	select {
-	case o := <-ch:
-		return o
-	case <-timer.C:
-		o := skeleton(j)
-		o.Status = StatusTimeout
-		o.Detail = fmt.Sprintf("wall-clock backstop (%s) exceeded", cfg.Timeout)
-		o.ElapsedMS = cfg.Timeout.Milliseconds()
+	var o MutantOutcome
+	p, late := pool.Backstop(cfg.Timeout, func() { o = eval(cfg, j) })
+	if !late && p == nil {
 		return o
 	}
+	fresh := skeleton(j)
+	if late {
+		fresh.Status, fresh.Detail = StatusTimeout, fmt.Sprintf("wall-clock backstop (%s) exceeded", cfg.Timeout)
+	} else {
+		fresh.Status, fresh.Detail = StatusPanic, fmt.Sprint(p)
+	}
+	return fresh
 }
 
 func skeleton(j job) MutantOutcome {
@@ -433,7 +381,7 @@ func eval(cfg Config, j job) MutantOutcome {
 		o.Detail = "crash: " + run.RunErr.Error()
 	case run.Output != j.want:
 		o.Status = StatusKilled
-		o.Detail = outputDiff(j.want, run.Output)
+		o.Detail = pool.OutputDiff("want", "got", j.want, run.Output)
 	default:
 		o.Status = StatusSurvived
 		return o
@@ -477,28 +425,4 @@ func debugOne(cfg Config, j job, run *gadt.Run, strat debugger.Strategy) Strateg
 		score.Correct = score.Localized == j.mutant.Unit
 	}
 	return score
-}
-
-// outputDiff summarizes the first divergence between want and got.
-func outputDiff(want, got string) string {
-	max := len(want)
-	if len(got) < max {
-		max = len(got)
-	}
-	i := 0
-	for i < max && want[i] == got[i] {
-		i++
-	}
-	lo := i - 12
-	if lo < 0 {
-		lo = 0
-	}
-	trunc := func(s string) string {
-		hi := i + 12
-		if hi > len(s) {
-			hi = len(s)
-		}
-		return fmt.Sprintf("%q", s[lo:hi])
-	}
-	return fmt.Sprintf("output diverges at byte %d: want ...%s, got ...%s", i, trunc(want), trunc(got))
 }

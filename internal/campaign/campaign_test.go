@@ -109,6 +109,37 @@ func TestCampaignLooperFates(t *testing.T) {
 	}
 }
 
+// TestCampaignBackstopTimeouts: with a backstop shorter than any
+// evaluation, every executed mutant is a wall-clock timeout, and
+// campaign.outcomes{status=timeout} counts each once.
+func TestCampaignBackstopTimeouts(t *testing.T) {
+	reg := obs.NewRegistry()
+	rep := small(t, campaign.Config{
+		Subjects: []campaign.Subject{{Name: "looper", Source: loopSubject}},
+		Seed:     1,
+		Workers:  2,
+		Fuel:     20_000,
+		Timeout:  time.Nanosecond,
+		Metrics:  reg,
+	})
+	executed := 0
+	for _, o := range rep.Outcomes {
+		if o.Status == campaign.StatusEquivalent {
+			continue
+		}
+		executed++
+		if o.Status != campaign.StatusTimeout || !strings.HasPrefix(o.Detail, "wall-clock backstop") {
+			t.Errorf("mutant %d: %s (%s), want a wall-clock backstop timeout", o.MutantID, o.Status, o.Detail)
+		}
+	}
+	if executed == 0 {
+		t.Fatal("no mutant executed")
+	}
+	if got := reg.Counter("campaign.outcomes{status=timeout}").Value(); got != int64(executed) {
+		t.Errorf("campaign.outcomes{status=timeout} = %d, want %d", got, executed)
+	}
+}
+
 // deadGuardSubject keeps a debug branch behind a constant-false guard:
 // every mutant planted inside that branch is provably equivalent, while
 // mutants in live code must still be executed and killed as usual.

@@ -193,9 +193,8 @@ func median(counts []int) float64 {
 
 // record exports the campaign-specific end-of-run totals to the
 // observability registry. Per-status tallies, in-flight/done gauges,
-// per-job latency and pool size are recorded live by the shared
-// obs.ReportRecorder in Run — only what the recorder cannot know lands
-// here.
+// per-mutant latency and pool size are recorded live by the worker pool
+// (internal/pool) in Run — only what the pool cannot know lands here.
 func record(m *obs.Registry, rep *Report) {
 	if m == nil {
 		return

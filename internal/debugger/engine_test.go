@@ -176,6 +176,45 @@ end.`)
 	}
 }
 
+// TestOmittedOutputBlamesCallee guards the failed-slice fallback: c
+// forgets to write its var parameter, so p's flagged output r has no
+// recorded write to slice on. Any callee that shares r's location may
+// be the one that failed to write it, so the session must keep c in
+// view: every strategy localizes c, not p.
+func TestOmittedOutputBlamesCallee(t *testing.T) {
+	const fixed = `
+program t;
+var x: integer;
+
+procedure c(var r: integer);
+begin
+  r := 7;
+end;
+
+procedure p(var r: integer);
+begin
+  c(r);
+end;
+
+begin
+  p(x);
+  writeln(x);
+end.`
+	res, deps := traceIt(t, strings.Replace(fixed, "r := 7;", "", 1))
+	ref := analyze(t, fixed)
+	for _, strat := range debugger.Strategies() {
+		out, err := debugger.New(res.Tree, &debugger.IntendedOracle{Ref: ref}, debugger.Options{
+			Strategy: strat, Slicing: true, Deps: deps,
+		}).Run()
+		if err != nil {
+			t.Fatalf("%s: %v", strat, err)
+		}
+		if !out.Localized() || out.Bug.Unit.Name != "c" {
+			t.Errorf("%s: bug = %v, want c\n%s", strat, out.Bug, transcript(out))
+		}
+	}
+}
+
 // fakeTests simulates the test-case lookup: arrsum is covered by a
 // passing test report.
 type fakeTests struct{}

@@ -21,7 +21,6 @@ import (
 	"io"
 	"runtime"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -31,6 +30,7 @@ import (
 	"gadt/internal/pascal/interp"
 	"gadt/internal/pascal/parser"
 	"gadt/internal/pascal/sem"
+	"gadt/internal/pool"
 	"gadt/internal/progen"
 	"gadt/internal/transform"
 )
@@ -93,8 +93,8 @@ type Config struct {
 	// per-worker lane (one Perfetto track per pool worker) and one span
 	// per shrink.
 	Tracer *obs.Tracer
-	// Progress, when non-nil, receives periodic heartbeat lines
-	// (throughput, ETA, divergences so far) during the run.
+	// Progress, when non-nil, receives the pool's periodic progress
+	// lines (throughput, ETA, divergences so far) during the run.
 	Progress io.Writer
 	// Logf, when non-nil, receives progress lines.
 	Logf func(format string, args ...any)
@@ -176,71 +176,34 @@ func Run(cfg Config) (*Report, error) {
 			len(subs), len(combos), total, cfg.Workers)
 	}
 
-	rec := obs.NewReportRecorder(cfg.Metrics, "diff")
-	var hb *obs.Heartbeat
-	if cfg.Progress != nil {
-		hb = obs.StartHeartbeat(obs.HeartbeatConfig{
-			W:     cfg.Progress,
-			Label: "diff",
-			Total: int64(total),
-			Done:  rec.DoneCount,
-			Extra: func() string {
-				return fmt.Sprintf("equivalent=%d divergent=%d",
-					rec.StatusCount(StatusEquivalent), rec.StatusCount(StatusDivergent))
-			},
-		})
-	}
-
-	in := make(chan Subject)
-	out := make(chan Outcome, total)
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			lane := cfg.Tracer.Lane("diff-worker-" + strconv.Itoa(id))
-			// One "worker" span covers the lane's whole lifetime; the
-			// base and compare spans nest under it, so Perfetto shows both
-			// the worker occupancy bar and the individual steps.
-			wsp := lane.Start("worker")
-			defer wsp.End()
-			for s := range in {
-				b := sync.OnceValue(func() *base { return newBase(cfg, s) })
-				bsp := lane.Start("base")
-				bsp.SetAttr("subject", s.Name)
-				// A panic or an overrun here is left to the comparisons'
-				// backstops: b re-panics with the same value on every
-				// call, and a call made while the build runs waits for it.
-				backstop(cfg.Timeout, func() { b() })
-				bsp.End()
-				for _, st := range combos {
-					sp := lane.Start("compare")
-					sp.SetAttr("subject", s.Name)
-					sp.SetAttr("stages", st.String())
-					rec.JobStart()
-					jobStart := time.Now()
-					o := compareWithBackstop(cfg, s, st, b)
-					rec.JobDone(o.Status, time.Since(jobStart))
-					sp.SetAttr("status", o.Status)
-					sp.End()
-					out <- o
-				}
-			}
-		}(w)
-	}
-	for _, s := range subs {
-		in <- s
-	}
-	close(in)
-	wg.Wait()
-	close(out)
-	rec.Finish(cfg.Workers)
-	hb.Stop()
-
-	var outcomes []Outcome
-	for o := range out {
-		outcomes = append(outcomes, o)
-	}
+	outcomes := make([]Outcome, total)
+	pool.Run(pool.Config{
+		Name:     "diff",
+		Workers:  cfg.Workers,
+		Tasks:    total,
+		Show:     []string{StatusEquivalent, StatusDivergent},
+		Metrics:  cfg.Metrics,
+		Tracer:   cfg.Tracer,
+		Progress: cfg.Progress,
+	}, len(subs), func(w *pool.Worker, i int) {
+		s := subs[i]
+		b := sync.OnceValue(func() *base { return newBase(cfg, s) })
+		bsp := w.Lane.Start("base")
+		bsp.SetAttr("subject", s.Name)
+		// A panic or an overrun here is left to the comparisons'
+		// backstops: b re-panics with the same value on every call, and
+		// a call made while the build runs waits for it.
+		pool.Backstop(cfg.Timeout, func() { b() })
+		bsp.End()
+		for k, st := range combos {
+			o := &outcomes[i*len(combos)+k]
+			d := w.Task("compare", []string{"subject", s.Name, "stages", st.String()}, func() string {
+				*o = compareWithBackstop(cfg, s, st, b)
+				return o.Status
+			})
+			o.ElapsedMS = d.Milliseconds()
+		}
+	})
 	sort.Slice(outcomes, func(i, j int) bool {
 		if outcomes[i].Subject != outcomes[j].Subject {
 			return outcomes[i].Subject < outcomes[j].Subject
@@ -271,31 +234,12 @@ func Run(cfg Config) (*Report, error) {
 	return rep, nil
 }
 
-// backstop runs f on its own goroutine with panic isolation and waits
-// at most timeout for it. It returns the recovered panic value (nil if
-// none) and whether the wait ran out; f's work is fuel-bounded, so an
-// abandoned call always ends shortly after.
-func backstop(timeout time.Duration, f func()) (panicked any, late bool) {
-	done := make(chan any, 1)
-	go func() {
-		defer func() { done <- recover() }()
-		f()
-	}()
-	// Stopped, the timer is freed now; time.After's would live until it fired.
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case p := <-done:
-		return p, false
-	case <-timer.C:
-		return nil, true
-	}
-}
-
-// compareWithBackstop runs one comparison under a backstop.
+// compareWithBackstop runs one comparison under pool.Backstop. A
+// timeout or a panic yields a fresh outcome: the abandoned comparison
+// may still write o.
 func compareWithBackstop(cfg Config, s Subject, stages transform.Stages, b func() *base) Outcome {
 	var o Outcome
-	p, late := backstop(cfg.Timeout, func() { o = compare(cfg, s, stages, b()) })
+	p, late := pool.Backstop(cfg.Timeout, func() { o = compare(cfg, s, stages, b()) })
 	switch {
 	case late:
 		return Outcome{
@@ -387,13 +331,15 @@ func globalNames(info *sem.Info) map[string]bool {
 // combination, and compares the two behaviors.
 func Compare(cfg Config, s Subject, stages transform.Stages) Outcome {
 	cfg = cfg.withDefaults()
-	return compare(cfg, s, stages, newBase(cfg, s))
+	start := time.Now()
+	o := compare(cfg, s, stages, newBase(cfg, s))
+	o.ElapsedMS = time.Since(start).Milliseconds()
+	return o
 }
 
 // compare turns the comparison of one stage combination against the
 // subject's base into an outcome.
 func compare(cfg Config, s Subject, stages transform.Stages, b *base) Outcome {
-	start := time.Now()
 	o := Outcome{Subject: s.Name, Stages: stages.String()}
 	d := b.diff(cfg, s.Input, stages)
 	switch {
@@ -417,7 +363,6 @@ func compare(cfg Config, s Subject, stages transform.Stages, b *base) Outcome {
 			Source: s.Source, Input: s.Input,
 		}
 	}
-	o.ElapsedMS = time.Since(start).Milliseconds()
 	return o
 }
 
@@ -494,7 +439,7 @@ func (b *base) diff(cfg Config, input string, stages transform.Stages) *delta {
 			describeStatus(orig), orig.errMsg, describeStatus(trans), trans.errMsg)}
 	}
 	if orig.output != trans.output {
-		return &delta{kind: "output", detail: outputDiff(orig.output, trans.output)}
+		return &delta{kind: "output", detail: pool.OutputDiff("original", "transformed", orig.output, trans.output)}
 	}
 	if orig.status == "error" {
 		if orig.errMsg != trans.errMsg {
@@ -536,30 +481,6 @@ func stateDiff(base, trans map[string]string) string {
 		}
 	}
 	return ""
-}
-
-// outputDiff summarizes the first stdout divergence.
-func outputDiff(want, got string) string {
-	max := len(want)
-	if len(got) < max {
-		max = len(got)
-	}
-	i := 0
-	for i < max && want[i] == got[i] {
-		i++
-	}
-	lo := i - 16
-	if lo < 0 {
-		lo = 0
-	}
-	trunc := func(s string) string {
-		hi := i + 16
-		if hi > len(s) {
-			hi = len(s)
-		}
-		return fmt.Sprintf("%q", s[lo:hi])
-	}
-	return fmt.Sprintf("stdout diverges at byte %d: original ...%s, transformed ...%s", i, trunc(want), trunc(got))
 }
 
 // parseStages inverts Stages.String.

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"gadt/internal/obs"
+	"gadt/internal/pool"
 	"gadt/internal/progen"
 	"gadt/internal/transform"
 )
@@ -226,7 +227,7 @@ func TestBaseFailureReachesEveryComparison(t *testing.T) {
 		b      func() *base
 		status string
 	}{{panicky, StatusPanic}, {slow, StatusTimeout}} {
-		backstop(cfg.Timeout, func() { c.b() })
+		pool.Backstop(cfg.Timeout, func() { c.b() })
 		for _, st := range Combos() {
 			o := compareWithBackstop(cfg, s, st, c.b)
 			if o.Status != c.status || o.Stages != st.String() {
@@ -235,6 +236,26 @@ func TestBaseFailureReachesEveryComparison(t *testing.T) {
 			if c.status == StatusPanic && (o.Detail != "boom" || o.Div == nil || o.Div.Source != s.Source) {
 				t.Errorf("[%s] panic outcome %+v does not carry the panic and the subject", o.Stages, o)
 			}
+		}
+	}
+}
+
+// TestBackstopTimeoutsAreTimed: a comparison stopped by the wall-clock
+// backstop reports the time it ran, at least the backstop's, not 0.
+// These subjects' comparisons run for milliseconds, so a 1 ms backstop
+// stops some of them.
+func TestBackstopTimeoutsAreTimed(t *testing.T) {
+	cfg := Config{Seed: 1, Programs: 8, Workers: 2, Timeout: time.Millisecond}
+	rep, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Timeouts == 0 {
+		t.Fatalf("no comparison hit a %s backstop", cfg.Timeout)
+	}
+	for _, o := range rep.Outcomes {
+		if o.Status == StatusTimeout && o.ElapsedMS < cfg.Timeout.Milliseconds() {
+			t.Errorf("%s [%s] timed out after elapsed_ms %d, below the %s backstop", o.Subject, o.Stages, o.ElapsedMS, cfg.Timeout)
 		}
 	}
 }

@@ -104,8 +104,8 @@ func aggregate(cfg Config, subjects int, outcomes []Outcome, elapsed time.Durati
 
 // record exports the harness-specific end-of-run totals to the
 // observability registry. Per-status tallies, in-flight/done gauges,
-// per-job latency and pool size are recorded live by the shared
-// obs.ReportRecorder in Run — only what the recorder cannot know lands
+// per-comparison latency and pool size are recorded live by the worker
+// pool (internal/pool) in Run — only what the pool cannot know lands
 // here.
 func record(m *obs.Registry, rep *Report) {
 	if m == nil {

@@ -3,16 +3,17 @@
 // gauges, log-bucketed duration histograms with percentiles, and
 // labeled Vec variants of all three), a hierarchical span tracer with
 // pluggable event sinks (trace.go) including a Chrome trace-event
-// exporter loadable in Perfetto, an embeddable ops HTTP endpoint
-// (ops.go), and a heartbeat progress reporter (heartbeat.go).
+// exporter loadable in Perfetto, and an embeddable ops HTTP endpoint
+// (ops.go). The campaigns' worker pool (internal/pool) builds its
+// instruments, lanes and progress lines from these.
 //
 // Every entry point is nil-safe: methods on a nil *Registry, *Tracer,
-// *Lane, *Span, *CounterVec (etc.), *Heartbeat or *OpsServer degrade to
-// no-ops, so instrumented code never guards call sites — passing no
-// registry costs one scratch allocation per lookup and nothing per
-// increment. Hot paths (the interpreter's statement loop, campaign
-// workers) resolve their instruments once and increment afterwards;
-// Vec.With returns a cached child handle for the same reason.
+// *Lane, *Span, *CounterVec (etc.) or *OpsServer degrade to no-ops, so
+// instrumented code never guards call sites — passing no registry costs
+// one scratch allocation per lookup and nothing per increment. Hot
+// paths (the interpreter's statement loop, pool workers) resolve their
+// instruments once and increment afterwards; Vec.With returns a cached
+// child handle for the same reason.
 //
 // Metric names are dotted paths; variable dimensions are labels, e.g.
 // campaign.outcomes{status=killed}. The full name inventory lives in
@@ -69,8 +70,8 @@ func (g *Gauge) Set(v int64) {
 	}
 }
 
-// Add adjusts the gauge by d (either sign); the in-flight job counts of
-// the campaign pools use it as an up-down counter.
+// Add adjusts the gauge by d (either sign); the worker pool's in-flight
+// task count uses it as an up-down counter.
 func (g *Gauge) Add(d int64) {
 	if g != nil {
 		g.v.Add(d)

@@ -111,14 +111,6 @@ func TestNilInstrumentsAreSafe(t *testing.T) {
 	}
 	(*CounterVec)(nil).With("a").Inc()
 	(*HistogramVec)(nil).With("a").Observe(time.Second)
-	(*ReportRecorder)(nil).JobStart()
-	(*ReportRecorder)(nil).JobDone("x", time.Second)
-	(*ReportRecorder)(nil).Count("x", 1)
-	(*ReportRecorder)(nil).Finish(4)
-	if (*ReportRecorder)(nil).StatusCount("x") != 0 || (*ReportRecorder)(nil).DoneCount() != 0 {
-		t.Error("nil recorder counts != 0")
-	}
-	(*Heartbeat)(nil).Stop()
 	if (*OpsServer)(nil).Addr() != "" {
 		t.Error("nil ops server addr != \"\"")
 	}
