@@ -188,21 +188,7 @@ func Run(cfg Config) (*Report, error) {
 	}, len(subs), func(w *pool.Worker, i int) {
 		s := subs[i]
 		b := sync.OnceValue(func() *base { return newBase(cfg, s) })
-		bsp := w.Lane.Start("base")
-		bsp.SetAttr("subject", s.Name)
-		// A panic or an overrun here is left to the comparisons'
-		// backstops: b re-panics with the same value on every call, and
-		// a call made while the build runs waits for it.
-		pool.Backstop(cfg.Timeout, func() { b() })
-		bsp.End()
-		for k, st := range combos {
-			o := &outcomes[i*len(combos)+k]
-			d := w.Task("compare", []string{"subject", s.Name, "stages", st.String()}, func() string {
-				*o = compareWithBackstop(cfg, s, st, b)
-				return o.Status
-			})
-			o.ElapsedMS = d.Milliseconds()
-		}
+		runSubject(cfg, w, s, b, outcomes[i*len(combos):(i+1)*len(combos)])
 	})
 	sort.Slice(outcomes, func(i, j int) bool {
 		if outcomes[i].Subject != outcomes[j].Subject {
@@ -234,6 +220,46 @@ func Run(cfg Config) (*Report, error) {
 	return rep, nil
 }
 
+// runSubject is one job: it builds the subject's base b under the
+// backstop, then compares every stage combination against it, one task
+// and one slot of out per combination. A base that overruns the
+// backstop ends every comparison at once with the timeout verdict,
+// timed by the base's wall time. A panic is left to the comparisons'
+// backstops: b re-panics with the same value on every call.
+func runSubject(cfg Config, w *pool.Worker, s Subject, b func() *base, out []Outcome) {
+	bsp := w.Lane.Start("base")
+	bsp.SetAttr("subject", s.Name)
+	start := time.Now()
+	_, late := pool.Backstop(cfg.Timeout, func() { b() })
+	baseTime := time.Since(start)
+	bsp.End()
+	for k, st := range Combos() {
+		o := &out[k]
+		d := w.Task("compare", []string{"subject", s.Name, "stages", st.String()}, func() string {
+			if late {
+				*o = timeoutOutcome(cfg, s, st)
+			} else {
+				*o = compareWithBackstop(cfg, s, st, b)
+			}
+			return o.Status
+		})
+		o.ElapsedMS = d.Milliseconds()
+		if late {
+			o.ElapsedMS = baseTime.Milliseconds()
+		}
+	}
+}
+
+// timeoutOutcome is the verdict of a comparison stopped by the
+// wall-clock backstop.
+func timeoutOutcome(cfg Config, s Subject, stages transform.Stages) Outcome {
+	return Outcome{
+		Subject: s.Name, Stages: stages.String(),
+		Status: StatusTimeout,
+		Detail: fmt.Sprintf("wall-clock backstop (%s) exceeded", cfg.Timeout),
+	}
+}
+
 // compareWithBackstop runs one comparison under pool.Backstop. A
 // timeout or a panic yields a fresh outcome: the abandoned comparison
 // may still write o.
@@ -242,11 +268,7 @@ func compareWithBackstop(cfg Config, s Subject, stages transform.Stages, b func(
 	p, late := pool.Backstop(cfg.Timeout, func() { o = compare(cfg, s, stages, b()) })
 	switch {
 	case late:
-		return Outcome{
-			Subject: s.Name, Stages: stages.String(),
-			Status: StatusTimeout,
-			Detail: fmt.Sprintf("wall-clock backstop (%s) exceeded", cfg.Timeout),
-		}
+		return timeoutOutcome(cfg, s, stages)
 	case p != nil:
 		return Outcome{
 			Subject: s.Name, Stages: stages.String(),

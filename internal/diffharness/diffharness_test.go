@@ -240,6 +240,36 @@ func TestBaseFailureReachesEveryComparison(t *testing.T) {
 	}
 }
 
+// TestHungBaseEndsComparisonsAtOnce: a subject whose base build
+// overruns the backstop holds its worker for one backstop, not one for
+// the base plus one per comparison, and every comparison reports the
+// timeout with the base's wall time.
+func TestHungBaseEndsComparisonsAtOnce(t *testing.T) {
+	cfg := Config{Timeout: 100 * time.Millisecond}
+	cfg = cfg.withDefaults()
+	s := Subject{Name: "p", Source: "program p; begin end."}
+	release := make(chan struct{})
+	defer close(release)
+	hung := sync.OnceValue(func() *base { <-release; return newBase(cfg, s) })
+	out := make([]Outcome, len(Combos()))
+	start := time.Now()
+	pool.Run(pool.Config{Name: "diff", Workers: 1, Tasks: len(out)}, 1, func(w *pool.Worker, _ int) {
+		runSubject(cfg, w, s, hung, out)
+	})
+	if el := time.Since(start); el >= 3*cfg.Timeout {
+		t.Errorf("a hung base held its worker for %s, want about one %s backstop", el, cfg.Timeout)
+	}
+	for k, st := range Combos() {
+		o := out[k]
+		if o.Status != StatusTimeout || o.Stages != st.String() || o.Subject != s.Name {
+			t.Errorf("[%s] %s %s (%s), want %s [%s] timeout", o.Stages, o.Subject, o.Status, o.Detail, s.Name, st)
+		}
+		if o.ElapsedMS < cfg.Timeout.Milliseconds() {
+			t.Errorf("[%s] elapsed_ms %d, below the %s backstop the base ran", o.Stages, o.ElapsedMS, cfg.Timeout)
+		}
+	}
+}
+
 // TestBackstopTimeoutsAreTimed: a comparison stopped by the wall-clock
 // backstop reports the time it ran, at least the backstop's, not 0.
 // These subjects' comparisons run for milliseconds, so a 1 ms backstop
