@@ -381,15 +381,16 @@ func (b *builder) stmt(s ast.Stmt, preds []flow) []flow {
 	return []flow{{n, BranchAlways}}
 }
 
-// Reachable returns the set of nodes reachable from Entry.
-func (g *Graph) Reachable() map[*Node]bool {
-	seen := make(map[*Node]bool)
+// Reachable reports, per Node.ID, whether the node is reachable from
+// Entry.
+func (g *Graph) Reachable() []bool {
+	seen := make([]bool, len(g.Nodes))
 	var walk func(n *Node)
 	walk = func(n *Node) {
-		if seen[n] {
+		if seen[n.ID] {
 			return
 		}
-		seen[n] = true
+		seen[n.ID] = true
 		for _, s := range n.Succs {
 			walk(s)
 		}

@@ -219,7 +219,7 @@ end.`, "")
 		}
 		if as, ok := n.Stmt.(*ast.AssignStmt); ok {
 			if lit, ok := as.Rhs.(*ast.IntLit); ok && lit.Value == 1 {
-				if reach[n] {
+				if reach[n.ID] {
 					t.Error("statement after unconditional goto is reachable")
 				}
 			}
@@ -305,7 +305,7 @@ func TestBuildAllRoutines(t *testing.T) {
 	}
 	for r, g := range graphs {
 		reach := g.Reachable()
-		if !reach[g.Exit] {
+		if !reach[g.Exit.ID] {
 			t.Errorf("%s: exit unreachable", r.Name)
 		}
 	}

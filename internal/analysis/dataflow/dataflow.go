@@ -4,6 +4,9 @@
 package dataflow
 
 import (
+	"cmp"
+	"slices"
+
 	"gadt/internal/analysis/cfg"
 	"gadt/internal/analysis/defuse"
 	"gadt/internal/pascal/ast"
@@ -33,14 +36,21 @@ type Result struct {
 	Graph *cfg.Graph
 	Defs  []*Def
 
-	// DefsAt lists definitions generated by each node.
-	DefsAt map[*cfg.Node][]*Def
-	// UsesAt lists variables used by each node.
-	UsesAt map[*cfg.Node][]*sem.VarSym
-	// In holds the reaching definitions at node entry.
-	In map[*cfg.Node]*BitSet
+	// DefsAt lists the definitions each node generates, UsesAt the
+	// variables each node uses; both are indexed by cfg.Node.ID.
+	DefsAt [][]*Def
+	UsesAt [][]*sem.VarSym
 
-	byID []*Def
+	// Vars lists the routine's variables, sorted by sem.VarSym.ID: its
+	// own plus every non-local it defines or uses. Each has at least the
+	// synthetic definition, so per-variable facts of the routine are
+	// indexed by position in Vars (see VarIndex).
+	Vars []*sem.VarSym
+	// defsOf lists the definitions of Vars[k] in ID order.
+	defsOf [][]*Def
+	// in holds, per node ID, the definitions reaching the node's entry
+	// (one bit per Def.ID).
+	in []defuse.BitSet
 }
 
 // ReachingDefs runs the analysis for g. The resolver supplies call
@@ -48,116 +58,158 @@ type Result struct {
 // locals and function result receive synthetic initial definitions at the
 // Entry node, so every use has at least one reaching definition.
 func ReachingDefs(info *sem.Info, g *cfg.Graph, res defuse.Resolver) *Result {
+	nn := len(g.Nodes)
 	r := &Result{
 		Graph:  g,
-		DefsAt: make(map[*cfg.Node][]*Def),
-		UsesAt: make(map[*cfg.Node][]*sem.VarSym),
-		In:     make(map[*cfg.Node]*BitSet),
+		DefsAt: make([][]*Def, nn),
+		UsesAt: make([][]*sem.VarSym, nn),
 	}
-	newDef := func(n *cfg.Node, v *sem.VarSym, must bool) *Def {
-		d := &Def{ID: len(r.Defs), Var: v, Node: n, Must: must}
-		r.Defs = append(r.Defs, d)
-		r.DefsAt[n] = append(r.DefsAt[n], d)
-		return d
+	var defs []Def
+	newDef := func(n *cfg.Node, v *sem.VarSym, must, synthetic bool) {
+		defs = append(defs, Def{ID: len(defs), Var: v, Node: n, Must: must, Synthetic: synthetic})
 	}
 
-	// Per-node defs/uses.
-	nonlocals := defuse.NewSet()
+	// Per-node defs/uses. The uses of all nodes share one backing
+	// array; useEnd[id] is where node id's uses end in it.
+	var nonlocals, nodeDefs, nodeUses defuse.Set
 	noteNonlocal := func(v *sem.VarSym) {
 		if v != nil && v.Owner != g.Routine {
 			nonlocals.Add(v)
 		}
 	}
+	var uses []*sem.VarSym
+	useEnd := make([]int, nn+1)
 	for _, n := range g.Nodes {
-		if n == g.Entry || n == g.Exit {
-			continue
+		if n != g.Entry && n != g.Exit {
+			nodeDefs.Reset()
+			nodeUses.Reset()
+			defuse.Node(info, n, res, &nodeDefs, &nodeUses)
+			for _, v := range nodeDefs.Slice() {
+				newDef(n, v, mustDefine(info, n, v), false)
+				noteNonlocal(v)
+			}
+			for _, v := range nodeUses.Slice() {
+				uses = append(uses, v)
+				noteNonlocal(v)
+			}
 		}
-		defs, uses := defuse.Node(info, n, res)
-		for _, v := range defs.Slice() {
-			newDef(n, v, mustDefine(info, n, v))
-			noteNonlocal(v)
+		useEnd[n.ID+1] = len(uses)
+	}
+	// The Exit node uses every output: var/out parameters and the
+	// function result (they are live-out of the routine).
+	exitStart := len(uses)
+	for _, p := range g.Routine.Params {
+		if p.Mode != ast.Value {
+			uses = append(uses, p)
 		}
-		r.UsesAt[n] = uses.Slice()
-		for _, v := range uses.Slice() {
-			noteNonlocal(v)
+	}
+	if g.Routine.Result != nil {
+		uses = append(uses, g.Routine.Result)
+	}
+	for _, n := range g.Nodes {
+		if lo, hi := useEnd[n.ID], useEnd[n.ID+1]; hi > lo {
+			r.UsesAt[n.ID] = uses[lo:hi:hi]
 		}
+	}
+	if len(uses) > exitStart {
+		r.UsesAt[g.Exit.ID] = uses[exitStart:len(uses):len(uses)]
 	}
 
 	// Synthetic defs at entry: the routine's own variables plus every
 	// non-local variable it touches (whose incoming value flows from the
 	// caller's environment — the SDG maps these to hidden formal-ins).
 	for _, v := range g.Routine.AllVars() {
-		newDef(g.Entry, v, true).Synthetic = true
+		newDef(g.Entry, v, true, true)
 	}
 	for _, v := range nonlocals.Slice() {
-		newDef(g.Entry, v, true).Synthetic = true
+		newDef(g.Entry, v, true, true)
 	}
-	// The Exit node uses every output: var/out parameters and the
-	// function result (they are live-out of the routine).
-	for _, p := range g.Routine.Params {
-		if p.Mode != ast.Value {
-			r.UsesAt[g.Exit] = append(r.UsesAt[g.Exit], p)
+
+	// Each node's definitions are contiguous in ID order.
+	r.Defs = make([]*Def, len(defs))
+	for i := range defs {
+		r.Defs[i] = &defs[i]
+	}
+	for i := 0; i < len(r.Defs); {
+		j := i + 1
+		for j < len(r.Defs) && r.Defs[j].Node == r.Defs[i].Node {
+			j++
 		}
-	}
-	if g.Routine.Result != nil {
-		r.UsesAt[g.Exit] = append(r.UsesAt[g.Exit], g.Routine.Result)
+		r.DefsAt[r.Defs[i].Node.ID] = r.Defs[i:j:j]
+		i = j
 	}
 
-	r.byID = r.Defs
+	// Group the definitions by variable: Vars in ID order, each
+	// variable's definitions in ID order.
+	byVar := append([]*Def(nil), r.Defs...)
+	slices.SortFunc(byVar, func(a, b *Def) int {
+		if c := cmp.Compare(a.Var.ID, b.Var.ID); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.ID, b.ID)
+	})
+	varOf := make([]int, len(defs)) // Def.ID → index in Vars
+	for i := 0; i < len(byVar); {
+		j := i + 1
+		for j < len(byVar) && byVar[j].Var == byVar[i].Var {
+			j++
+		}
+		for _, d := range byVar[i:j] {
+			varOf[d.ID] = len(r.Vars)
+		}
+		r.Vars = append(r.Vars, byVar[i].Var)
+		r.defsOf = append(r.defsOf, byVar[i:j:j])
+		i = j
+	}
 
-	// defsOfVar: all def IDs per variable, for kill sets.
-	defsOfVar := make(map[*sem.VarSym][]*Def)
+	// gen/kill per node; out starts at gen.
+	nDefs := len(defs)
+	sets := defuse.NewBitSets(4*nn+1, nDefs)
+	gen, kill, out := sets[:nn], sets[nn:2*nn], sets[2*nn:3*nn]
+	r.in = sets[3*nn : 4*nn]
+	next := &sets[4*nn]
 	for _, d := range r.Defs {
-		defsOfVar[d.Var] = append(defsOfVar[d.Var], d)
-	}
-
-	nDefs := len(r.Defs)
-	gen := make(map[*cfg.Node]*BitSet)
-	kill := make(map[*cfg.Node]*BitSet)
-	out := make(map[*cfg.Node]*BitSet)
-	for _, n := range g.Nodes {
-		genN := NewBitSet(nDefs)
-		killN := NewBitSet(nDefs)
-		for _, d := range r.DefsAt[n] {
-			genN.Set(d.ID)
-			if d.Must {
-				for _, other := range defsOfVar[d.Var] {
-					if other != d {
-						killN.Set(other.ID)
-					}
+		gen[d.Node.ID].Set(d.ID)
+		if d.Must {
+			for _, other := range r.defsOf[varOf[d.ID]] {
+				if other != d {
+					kill[d.Node.ID].Set(other.ID)
 				}
 			}
 		}
-		gen[n], kill[n] = genN, killN
-		r.In[n] = NewBitSet(nDefs)
-		out[n] = genN.Clone()
+	}
+	for i := range out {
+		out[i].CopyFrom(&gen[i])
 	}
 
-	// Iterative worklist.
-	work := make([]*cfg.Node, len(g.Nodes))
-	copy(work, g.Nodes)
-	inWork := make(map[*cfg.Node]bool, len(g.Nodes))
-	for _, n := range work {
-		inWork[n] = true
+	// Iterative worklist over a ring of node IDs; inWork keeps each
+	// node in it at most once.
+	work := make([]int, nn)
+	inWork := make([]bool, nn)
+	for i, n := range g.Nodes {
+		work[i] = n.ID
+		inWork[n.ID] = true
 	}
-	for len(work) > 0 {
-		n := work[0]
-		work = work[1:]
-		inWork[n] = false
-		in := NewBitSet(nDefs)
+	for head, size := 0, nn; size > 0; {
+		id := work[head]
+		head, size = (head+1)%nn, size-1
+		inWork[id] = false
+		n := g.Nodes[id]
+		in := &r.in[id]
+		in.Reset()
 		for _, p := range n.Preds {
-			in.UnionWith(out[p])
+			in.UnionWith(&out[p.ID])
 		}
-		r.In[n] = in
-		newOut := in.Clone()
-		newOut.DiffWith(kill[n])
-		newOut.UnionWith(gen[n])
-		if !newOut.Equal(out[n]) {
-			out[n] = newOut
+		next.CopyFrom(in)
+		next.DiffWith(&kill[id])
+		next.UnionWith(&gen[id])
+		if !next.Equal(&out[id]) {
+			out[id].CopyFrom(next)
 			for _, s := range n.Succs {
-				if !inWork[s] {
-					inWork[s] = true
-					work = append(work, s)
+				if !inWork[s.ID] {
+					inWork[s.ID] = true
+					work[(head+size)%nn] = s.ID
+					size++
 				}
 			}
 		}
@@ -199,18 +251,41 @@ func mustDefine(info *sem.Info, n *cfg.Node, v *sem.VarSym) bool {
 	return false
 }
 
-// ReachingAt returns the definitions of v reaching the entry of node n.
-func (r *Result) ReachingAt(n *cfg.Node, v *sem.VarSym) []*Def {
-	in := r.In[n]
-	if in == nil {
-		return nil
+// VarIndex returns v's position in Vars, or -1 when the routine
+// neither defines nor uses v.
+func (r *Result) VarIndex(v *sem.VarSym) int {
+	if v == nil {
+		return -1
 	}
-	var out []*Def
-	for _, d := range r.Defs {
-		if d.Var == v && in.Has(d.ID) {
-			out = append(out, d)
+	k, ok := slices.BinarySearchFunc(r.Vars, v.ID, func(u *sem.VarSym, id int) int { return cmp.Compare(u.ID, id) })
+	if !ok || r.Vars[k] != v {
+		return -1
+	}
+	return k
+}
+
+// reaching calls f on each definition of v reaching the entry of node n,
+// in ID order, until f returns false.
+func (r *Result) reaching(n *cfg.Node, v *sem.VarSym, f func(d *Def) bool) {
+	k := r.VarIndex(v)
+	if k < 0 || n.ID >= len(r.in) || r.Graph.Nodes[n.ID] != n {
+		return
+	}
+	in := &r.in[n.ID]
+	for _, d := range r.defsOf[k] {
+		if in.Has(d.ID) && !f(d) {
+			return
 		}
 	}
+}
+
+// ReachingAt returns the definitions of v reaching the entry of node n.
+func (r *Result) ReachingAt(n *cfg.Node, v *sem.VarSym) []*Def {
+	var out []*Def
+	r.reaching(n, v, func(d *Def) bool {
+		out = append(out, d)
+		return true
+	})
 	return out
 }
 
@@ -218,67 +293,8 @@ func (r *Result) ReachingAt(n *cfg.Node, v *sem.VarSym) []*Def {
 // on (one entry per (use variable, reaching def) pair).
 func (r *Result) FlowDeps(n *cfg.Node) []*Def {
 	var out []*Def
-	for _, v := range r.UsesAt[n] {
+	for _, v := range r.UsesAt[n.ID] {
 		out = append(out, r.ReachingAt(n, v)...)
 	}
 	return out
-}
-
-// ---------------------------------------------------------------------------
-
-// BitSet is a fixed-capacity bit set.
-type BitSet struct {
-	words []uint64
-}
-
-// NewBitSet returns a set able to hold n bits.
-func NewBitSet(n int) *BitSet {
-	return &BitSet{words: make([]uint64, (n+63)/64)}
-}
-
-// Set marks bit i.
-func (b *BitSet) Set(i int) { b.words[i/64] |= 1 << (uint(i) % 64) }
-
-// Has reports bit i.
-func (b *BitSet) Has(i int) bool {
-	if i/64 >= len(b.words) {
-		return false
-	}
-	return b.words[i/64]&(1<<(uint(i)%64)) != 0
-}
-
-// Clone copies the set.
-func (b *BitSet) Clone() *BitSet {
-	return &BitSet{words: append([]uint64(nil), b.words...)}
-}
-
-// UnionWith ors o into b.
-func (b *BitSet) UnionWith(o *BitSet) {
-	for i := range o.words {
-		if i < len(b.words) {
-			b.words[i] |= o.words[i]
-		}
-	}
-}
-
-// DiffWith removes o's bits from b.
-func (b *BitSet) DiffWith(o *BitSet) {
-	for i := range o.words {
-		if i < len(b.words) {
-			b.words[i] &^= o.words[i]
-		}
-	}
-}
-
-// Equal reports set equality.
-func (b *BitSet) Equal(o *BitSet) bool {
-	if len(b.words) != len(o.words) {
-		return false
-	}
-	for i := range b.words {
-		if b.words[i] != o.words[i] {
-			return false
-		}
-	}
-	return true
 }

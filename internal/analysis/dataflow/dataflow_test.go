@@ -2,7 +2,6 @@ package dataflow_test
 
 import (
 	"testing"
-	"testing/quick"
 
 	"gadt/internal/analysis/callgraph"
 	"gadt/internal/analysis/cfg"
@@ -206,47 +205,6 @@ end.`, "")
 	deps := df.FlowDeps(yAssign)
 	if len(deps) != 1 {
 		t.Fatalf("flow deps of y := x + 2: %d, want 1", len(deps))
-	}
-}
-
-// TestQuickBitSet checks BitSet operations against a map-based model.
-func TestQuickBitSet(t *testing.T) {
-	const n = 130 // cross the word boundary
-	prop := func(aBits, bBits []uint8) bool {
-		a, b := dataflow.NewBitSet(n), dataflow.NewBitSet(n)
-		am, bm := map[int]bool{}, map[int]bool{}
-		for _, x := range aBits {
-			i := int(x) % n
-			a.Set(i)
-			am[i] = true
-		}
-		for _, x := range bBits {
-			i := int(x) % n
-			b.Set(i)
-			bm[i] = true
-		}
-		u := a.Clone()
-		u.UnionWith(b)
-		d := a.Clone()
-		d.DiffWith(b)
-		for i := 0; i < n; i++ {
-			if u.Has(i) != (am[i] || bm[i]) {
-				return false
-			}
-			if d.Has(i) != (am[i] && !bm[i]) {
-				return false
-			}
-			if a.Has(i) != am[i] { // Clone must not share storage
-				return false
-			}
-		}
-		if !a.Equal(a.Clone()) {
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }
 

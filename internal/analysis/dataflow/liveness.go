@@ -6,6 +6,7 @@ package dataflow
 
 import (
 	"gadt/internal/analysis/cfg"
+	"gadt/internal/analysis/defuse"
 	"gadt/internal/pascal/ast"
 	"gadt/internal/pascal/sem"
 )
@@ -13,13 +14,17 @@ import (
 // Live holds live-variable sets for one routine's CFG.
 type Live struct {
 	Graph *cfg.Graph
-	// In is the set of variables live at node entry; Out at node exit.
-	In  map[*cfg.Node]map[*sem.VarSym]bool
-	Out map[*cfg.Node]map[*sem.VarSym]bool
+	flow  *Result
+	// in/out hold, per node ID, the variables live at node entry/exit,
+	// one bit per index in flow.Vars.
+	in, out []defuse.BitSet
 }
 
 // LiveOut reports whether v is live immediately after n.
-func (l *Live) LiveOut(n *cfg.Node, v *sem.VarSym) bool { return l.Out[n][v] }
+func (l *Live) LiveOut(n *cfg.Node, v *sem.VarSym) bool {
+	k := l.flow.VarIndex(v)
+	return k >= 0 && l.out[n.ID].Has(k)
+}
 
 // Liveness computes live variables over the graph of r, reusing the
 // per-node def/use sets already collected by ReachingDefs. Live at Exit
@@ -28,75 +33,51 @@ func (l *Live) LiveOut(n *cfg.Node, v *sem.VarSym) bool { return l.Out[n][v] }
 // defines: those values are visible to callers after the call returns.
 func (r *Result) Liveness() *Live {
 	g := r.Graph
-	l := &Live{
-		Graph: g,
-		In:    make(map[*cfg.Node]map[*sem.VarSym]bool, len(g.Nodes)),
-		Out:   make(map[*cfg.Node]map[*sem.VarSym]bool, len(g.Nodes)),
-	}
+	nn, nv := len(g.Nodes), len(r.Vars)
+	sets := defuse.NewBitSets(4*nn+1, nv)
+	l := &Live{Graph: g, flow: r, in: sets[:nn], out: sets[nn : 2*nn]}
+	uses, kills := sets[2*nn:3*nn], sets[3*nn:4*nn]
+	live := &sets[4*nn]
 	for _, n := range g.Nodes {
-		l.In[n] = make(map[*sem.VarSym]bool)
-		l.Out[n] = make(map[*sem.VarSym]bool)
+		for _, v := range r.UsesAt[n.ID] {
+			uses[n.ID].Set(r.VarIndex(v))
+		}
+		// Only must definitions kill liveness; may definitions (partial
+		// updates, call effects) leave the incoming value observable.
+		for _, d := range r.DefsAt[n.ID] {
+			if d.Must && !d.Synthetic {
+				kills[n.ID].Set(r.VarIndex(d.Var))
+			}
+		}
 	}
 
 	// Boundary condition at Exit: declared outputs plus defined
 	// non-locals (their final values escape to the caller's environment).
-	exitLive := l.In[g.Exit]
-	for _, v := range r.UsesAt[g.Exit] {
-		exitLive[v] = true
-	}
+	exitLive := &l.in[g.Exit.ID]
+	exitLive.UnionWith(&uses[g.Exit.ID])
 	for _, d := range r.Defs {
-		if d.Synthetic {
-			continue
+		if !d.Synthetic && d.Var.Owner != g.Routine {
+			exitLive.Set(r.VarIndex(d.Var))
 		}
-		if d.Var.Owner != g.Routine {
-			exitLive[d.Var] = true
-		}
-	}
-
-	// kills: variables whose whole value a node overwrites. Only must
-	// definitions kill liveness; may definitions (partial updates, call
-	// effects) leave the incoming value observable.
-	kills := func(n *cfg.Node) []*sem.VarSym {
-		var out []*sem.VarSym
-		for _, d := range r.DefsAt[n] {
-			if d.Must && !d.Synthetic {
-				out = append(out, d.Var)
-			}
-		}
-		return out
 	}
 
 	// Iterate to a fixpoint, walking nodes in reverse allocation order so
 	// the common reducible case converges in a couple of sweeps.
 	for changed := true; changed; {
 		changed = false
-		for i := len(g.Nodes) - 1; i >= 0; i-- {
+		for i := nn - 1; i >= 0; i-- {
 			n := g.Nodes[i]
-			out := l.Out[n]
+			out := &l.out[n.ID]
 			for _, s := range n.Succs {
-				for v := range l.In[s] {
-					if !out[v] {
-						out[v] = true
-						changed = true
-					}
-				}
-			}
-			in := l.In[n]
-			live := make(map[*sem.VarSym]bool, len(out))
-			for v := range out {
-				live[v] = true
-			}
-			for _, v := range kills(n) {
-				delete(live, v)
-			}
-			for _, v := range r.UsesAt[n] {
-				live[v] = true
-			}
-			for v := range live {
-				if !in[v] {
-					in[v] = true
+				if out.UnionWith(&l.in[s.ID]) {
 					changed = true
 				}
+			}
+			live.CopyFrom(out)
+			live.DiffWith(&kills[n.ID])
+			live.UnionWith(&uses[n.ID])
+			if l.in[n.ID].UnionWith(live) {
+				changed = true
 			}
 		}
 	}
@@ -107,28 +88,24 @@ func (r *Result) Liveness() *Live {
 // reaches the entry of n — i.e. some path from Entry arrives at n without
 // passing a real whole-variable assignment of v.
 func (r *Result) SyntheticReaches(n *cfg.Node, v *sem.VarSym) bool {
-	for _, d := range r.ReachingAt(n, v) {
-		if d.Synthetic {
-			return true
-		}
-	}
-	return false
+	found := false
+	r.reaching(n, v, func(d *Def) bool {
+		found = d.Synthetic
+		return !found
+	})
+	return found
 }
 
 // SyntheticOnly reports whether every definition of v reaching the entry
 // of node n is the synthetic Entry definition — i.e. no real assignment
 // of v can reach n on any path.
 func (r *Result) SyntheticOnly(n *cfg.Node, v *sem.VarSym) bool {
-	defs := r.ReachingAt(n, v)
-	if len(defs) == 0 {
-		return false
-	}
-	for _, d := range defs {
-		if !d.Synthetic {
-			return false
-		}
-	}
-	return true
+	reached, only := false, true
+	r.reaching(n, v, func(d *Def) bool {
+		reached, only = true, d.Synthetic
+		return only
+	})
+	return reached && only
 }
 
 // DefinitelyAssigns reports whether the routine assigns variable v on
@@ -137,12 +114,7 @@ func (r *Result) SyntheticOnly(n *cfg.Node, v *sem.VarSym) bool {
 // interprocedural must-assign fact the lint layer's definite-assignment
 // analysis consumes at call sites.
 func (r *Result) DefinitelyAssigns(v *sem.VarSym) bool {
-	for _, d := range r.ReachingAt(r.Graph.Exit, v) {
-		if d.Synthetic {
-			return false
-		}
-	}
-	return true
+	return !r.SyntheticReaches(r.Graph.Exit, v)
 }
 
 // IsRoutineOutput reports whether v is an output of the graph's routine

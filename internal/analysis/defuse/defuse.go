@@ -29,12 +29,19 @@ type Resolver interface {
 }
 
 // Set is an insertion-ordered set of variable symbols. A set holds the
-// variables of one analysis: membership is one bit per sem.VarSym.ID,
-// and the IDs of two analyses overlap. The zero value is an empty set.
+// variables of one analysis, and the IDs of two analyses overlap. The
+// zero value is an empty set.
+//
+// Most sets are built per statement and hold a few variables, so
+// membership scans the elements; only a set of smallSet or more keeps
+// one bit per sem.VarSym.ID.
 type Set struct {
 	order []*sem.VarSym
-	bits  []uint64
+	bits  BitSet // valid once len(order) >= smallSet
 }
+
+// smallSet is the size from which a Set tests membership by bit.
+const smallSet = 16
 
 // NewSet returns an empty set.
 func NewSet() *Set { return &Set{} }
@@ -44,11 +51,16 @@ func (s *Set) Add(v *sem.VarSym) bool {
 	if v == nil || s.Has(v) {
 		return false
 	}
-	if w := v.ID >> 6; w >= len(s.bits) {
-		s.bits = append(s.bits, make([]uint64, w+1-len(s.bits))...)
-	}
-	s.bits[v.ID>>6] |= 1 << (v.ID & 63)
 	s.order = append(s.order, v)
+	switch n := len(s.order); {
+	case n == smallSet:
+		s.bits.Reset()
+		for _, u := range s.order {
+			s.bits.Set(u.ID)
+		}
+	case n > smallSet:
+		s.bits.Set(v.ID)
+	}
 	return true
 }
 
@@ -64,9 +76,20 @@ func (s *Set) Has(v *sem.VarSym) bool {
 	if v == nil {
 		return false
 	}
-	w := v.ID >> 6
-	return w < len(s.bits) && s.bits[w]&(1<<(v.ID&63)) != 0
+	if len(s.order) >= smallSet {
+		return s.bits.Has(v.ID)
+	}
+	for _, u := range s.order {
+		if u == v {
+			return true
+		}
+	}
+	return false
 }
+
+// Reset empties the set, keeping its storage. Slices returned by Slice
+// before the reset are overwritten as the set refills.
+func (s *Set) Reset() { s.order = s.order[:0] }
 
 // Slice returns the elements in insertion order.
 func (s *Set) Slice() []*sem.VarSym { return s.order }
@@ -204,9 +227,8 @@ func designatorIndexUses(info *sem.Info, e ast.Expr, res Resolver, defs, uses *S
 	}
 }
 
-// Assign computes the defs/uses of an assignment statement.
-func Assign(info *sem.Info, s *ast.AssignStmt, res Resolver) (defs, uses *Set) {
-	defs, uses = NewSet(), NewSet()
+// Assign adds the defs/uses of an assignment statement to defs and uses.
+func Assign(info *sem.Info, s *ast.AssignStmt, res Resolver, defs, uses *Set) {
 	ExprUses(info, s.Rhs, res, defs, uses)
 	base := info.VarOf(s.Lhs)
 	// Index expressions of the target are uses; a partial update also
@@ -216,13 +238,11 @@ func Assign(info *sem.Info, s *ast.AssignStmt, res Resolver) (defs, uses *Set) {
 		uses.Add(base)
 	}
 	defs.Add(base)
-	return defs, uses
 }
 
-// CallStmt computes the defs/uses of a procedure call statement,
-// including read/write builtins.
-func CallStmt(info *sem.Info, s *ast.CallStmt, res Resolver) (defs, uses *Set) {
-	defs, uses = NewSet(), NewSet()
+// CallStmt adds the defs/uses of a procedure call statement, including
+// read/write builtins, to defs and uses.
+func CallStmt(info *sem.Info, s *ast.CallStmt, res Resolver, defs, uses *Set) {
 	if b := info.BuiltinOf(s); b != nil {
 		switch b.Name {
 		case "read", "readln":
@@ -240,47 +260,36 @@ func CallStmt(info *sem.Info, s *ast.CallStmt, res Resolver) (defs, uses *Set) {
 				ExprUses(info, a, res, defs, uses)
 			}
 		}
-		return defs, uses
+		return
 	}
 	callEffects(info, s, s.Args, info.CallOf(s), res, defs, uses)
-	return defs, uses
 }
 
-// Node computes the defs/uses of a CFG node. Entry/Exit nodes return
-// empty sets; the dataflow layer adds parameter and liveness boundary
-// effects itself.
-func Node(info *sem.Info, n *cfg.Node, res Resolver) (defs, uses *Set) {
+// Node adds the defs/uses of a CFG node to defs and uses. Entry/Exit
+// nodes add nothing; the dataflow layer adds parameter and liveness
+// boundary effects itself.
+func Node(info *sem.Info, n *cfg.Node, res Resolver, defs, uses *Set) {
 	switch n.Kind {
 	case cfg.Stmt:
 		switch s := n.Stmt.(type) {
 		case *ast.AssignStmt:
-			return Assign(info, s, res)
+			Assign(info, s, res, defs, uses)
 		case *ast.CallStmt:
-			return CallStmt(info, s, res)
+			CallStmt(info, s, res, defs, uses)
 		}
 	case cfg.Cond:
-		defs, uses = NewSet(), NewSet()
 		ExprUses(info, n.Cond, res, defs, uses)
-		return defs, uses
 	case cfg.ForInit:
 		fs := n.Stmt.(*ast.ForStmt)
-		defs, uses = NewSet(), NewSet()
 		ExprUses(info, fs.From, res, defs, uses)
 		defs.Add(info.VarOf(fs.Var))
-		return defs, uses
 	case cfg.ForCond:
 		fs := n.Stmt.(*ast.ForStmt)
-		defs, uses = NewSet(), NewSet()
 		uses.Add(info.VarOf(fs.Var))
 		ExprUses(info, fs.Limit, res, defs, uses)
-		return defs, uses
 	case cfg.ForIncr:
-		fs := n.Stmt.(*ast.ForStmt)
-		defs, uses = NewSet(), NewSet()
-		v := info.VarOf(fs.Var)
+		v := info.VarOf(n.Stmt.(*ast.ForStmt).Var)
 		uses.Add(v)
 		defs.Add(v)
-		return defs, uses
 	}
-	return NewSet(), NewSet()
 }

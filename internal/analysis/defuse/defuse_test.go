@@ -1,6 +1,7 @@
 package defuse_test
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 
@@ -58,7 +59,8 @@ func eq(t *testing.T, got, want []string, what string) {
 
 func TestAssignWholeVar(t *testing.T) {
 	info, _ := setup(t, `program t; var x, y, z: integer; begin x := y + z; end.`)
-	defs, uses := defuse.Assign(info, firstAssign(info), nil)
+	defs, uses := defuse.NewSet(), defuse.NewSet()
+	defuse.Assign(info, firstAssign(info), nil, defs, uses)
 	eq(t, names(defs), []string{"x"}, "defs")
 	eq(t, names(uses), []string{"y", "z"}, "uses")
 }
@@ -71,7 +73,8 @@ var a: arr; i, v: integer;
 begin
   a[i] := v;
 end.`)
-	defs, uses := defuse.Assign(info, firstAssign(info), nil)
+	defs, uses := defuse.NewSet(), defuse.NewSet()
+	defuse.Assign(info, firstAssign(info), nil, defs, uses)
 	eq(t, names(defs), []string{"a"}, "defs")
 	// Partial update: uses the index, the value, and the old array.
 	eq(t, names(uses), []string{"a", "i", "v"}, "uses")
@@ -86,7 +89,8 @@ func TestReadBuiltin(t *testing.T) {
 		}
 		return true
 	})
-	defs, uses := defuse.CallStmt(info, call, nil)
+	defs, uses := defuse.NewSet(), defuse.NewSet()
+	defuse.CallStmt(info, call, nil, defs, uses)
 	eq(t, names(defs), []string{"x", "y"}, "defs")
 	eq(t, names(uses), nil, "uses")
 }
@@ -100,7 +104,8 @@ func TestWriteBuiltin(t *testing.T) {
 		}
 		return true
 	})
-	defs, uses := defuse.CallStmt(info, call, nil)
+	defs, uses := defuse.NewSet(), defuse.NewSet()
+	defuse.CallStmt(info, call, nil, defs, uses)
 	eq(t, names(defs), nil, "defs")
 	eq(t, names(uses), []string{"x"}, "uses")
 }
@@ -127,7 +132,8 @@ end.`)
 		}
 		return true
 	})
-	defs, uses := defuse.CallStmt(info, call, se)
+	defs, uses := defuse.NewSet(), defuse.NewSet()
+	defuse.CallStmt(info, call, se, defs, uses)
 	eq(t, names(defs), []string{"out1"}, "defs")
 	// x from the value argument, g from the callee's REF set; out1's
 	// formal r is written before read, so r ∉ RefFormals.
@@ -152,7 +158,8 @@ end.`)
 		}
 		return true
 	})
-	defs, uses := defuse.CallStmt(info, call, nil)
+	defs, uses := defuse.NewSet(), defuse.NewSet()
+	defuse.CallStmt(info, call, nil, defs, uses)
 	eq(t, names(defs), nil, "defs (no resolver)")
 	eq(t, names(uses), []string{"x"}, "uses (value arg only)")
 }
@@ -177,7 +184,8 @@ end.`)
 		}
 		return true
 	})
-	defs, uses := defuse.CallStmt(info, call, se)
+	defs, uses := defuse.NewSet(), defuse.NewSet()
+	defuse.CallStmt(info, call, se, defs, uses)
 	eq(t, names(defs), []string{"a"}, "defs (element var-arg defines base)")
 	eq(t, names(uses), []string{"i"}, "uses (index expression)")
 }
@@ -223,5 +231,37 @@ func TestSetOps(t *testing.T) {
 	s2.AddAll(s.Slice())
 	if s2.Len() != 1 {
 		t.Error("AddAll")
+	}
+}
+
+// TestSetPastSmall grows a set past the size at which it switches from
+// scanning to bits, empties it and refills it: membership and order must
+// hold throughout.
+func TestSetPastSmall(t *testing.T) {
+	vars := make([]*sem.VarSym, 40)
+	for i := range vars {
+		vars[i] = &sem.VarSym{Name: fmt.Sprint("v", i), ID: (i * 7) % len(vars)}
+	}
+	var s defuse.Set
+	for round, n := range []int{40, 3, 17, 16} {
+		s.Reset()
+		for i := 0; i < n; i++ {
+			if !s.Add(vars[i]) || s.Add(vars[i]) {
+				t.Fatalf("round %d: Add(%s) did not report the first insertion only", round, vars[i].Name)
+			}
+		}
+		if s.Len() != n {
+			t.Fatalf("round %d: Len = %d, want %d", round, s.Len(), n)
+		}
+		for i, v := range vars {
+			if s.Has(v) != (i < n) {
+				t.Fatalf("round %d: Has(%s) = %v with %d elements", round, v.Name, s.Has(v), n)
+			}
+		}
+		for i, v := range s.Slice() {
+			if v != vars[i] {
+				t.Fatalf("round %d: element %d is %s, want insertion order", round, i, v.Name)
+			}
+		}
 	}
 }

@@ -60,8 +60,8 @@ func checkUseBeforeDef(cx *Context) []Diagnostic {
 			if n == g.Entry || n == g.Exit {
 				continue
 			}
-			for _, v := range fl.UsesAt[n] {
-				if !localOf(r, v) || !cx.Observed[n][v] || !fl.SyntheticOnly(n, v) {
+			for _, v := range fl.UsesAt[n.ID] {
+				if !localOf(r, v) || !cx.observes(r, n, v) || !fl.SyntheticOnly(n, v) {
 					continue
 				}
 				out = append(out, Diagnostic{
@@ -91,8 +91,8 @@ func checkMaybeUninit(cx *Context) []Diagnostic {
 			if n == g.Entry || n == g.Exit {
 				continue
 			}
-			for _, v := range fl.UsesAt[n] {
-				if !localOf(r, v) || !cx.Observed[n][v] || !uninit[n][v] || fl.SyntheticOnly(n, v) {
+			for _, v := range fl.UsesAt[n.ID] {
+				if !localOf(r, v) || !cx.observes(r, n, v) || !uninit[n.ID].Has(fl.VarIndex(v)) || fl.SyntheticOnly(n, v) {
 					continue
 				}
 				out = append(out, Diagnostic{
@@ -120,7 +120,7 @@ func checkDeadStores(cx *Context) []Diagnostic {
 		g, live := cx.Graphs[r], cx.Lives[r]
 		reach := g.Reachable()
 		for _, n := range g.Nodes {
-			if n.Kind != cfg.Stmt || !reach[n] {
+			if n.Kind != cfg.Stmt || !reach[n.ID] {
 				continue
 			}
 			s, ok := n.Stmt.(*ast.AssignStmt)
@@ -131,7 +131,7 @@ func checkDeadStores(cx *Context) []Diagnostic {
 				continue // partial updates keep the rest of the value observable
 			}
 			v := cx.Info.VarOf(s.Lhs)
-			if v == nil || !cx.usedAnywhere[v] || live.LiveOut(n, v) {
+			if v == nil || !cx.usedAnywhere.Has(v.ID) || live.LiveOut(n, v) {
 				continue
 			}
 			out = append(out, Diagnostic{
@@ -151,11 +151,11 @@ func checkUnusedVars(cx *Context) []Diagnostic {
 	var out []Diagnostic
 	for _, r := range cx.Info.Routines {
 		for _, v := range r.Locals {
-			if cx.usedAnywhere[v] {
+			if cx.usedAnywhere.Has(v.ID) {
 				continue
 			}
 			msg := fmt.Sprintf("variable %s is declared but never used", v.Name)
-			if cx.definedAnywhere[v] {
+			if cx.definedAnywhere.Has(v.ID) {
 				msg = fmt.Sprintf("variable %s is assigned but its value is never used", v.Name)
 			}
 			out = append(out, Diagnostic{
@@ -171,7 +171,7 @@ func checkUnusedParams(cx *Context) []Diagnostic {
 	var out []Diagnostic
 	for _, r := range cx.Info.Routines {
 		for _, p := range r.Params {
-			if cx.usedAnywhere[p] || cx.definedAnywhere[p] {
+			if cx.usedAnywhere.Has(p.ID) || cx.definedAnywhere.Has(p.ID) {
 				continue
 			}
 			out = append(out, Diagnostic{
@@ -205,13 +205,13 @@ func checkUnreachable(cx *Context) []Diagnostic {
 				}
 				if nd := g.NodeOf[c]; nd != nil {
 					hasNodes = true
-					if reach[nd] {
+					if reach[nd.ID] {
 						alive = true
 					}
 				}
 				for _, nd := range g.CondOf[c] {
 					hasNodes = true
-					if reach[nd] {
+					if reach[nd.ID] {
 						alive = true
 					}
 				}

@@ -5,6 +5,7 @@ import (
 	"gadt/internal/analysis/callgraph"
 	"gadt/internal/analysis/cfg"
 	"gadt/internal/analysis/dataflow"
+	"gadt/internal/analysis/defuse"
 	"gadt/internal/analysis/sideeffect"
 	"gadt/internal/obs"
 	"gadt/internal/pascal/parser"
@@ -28,31 +29,31 @@ type Context struct {
 	// checks P012–P015.
 	Values *absint.Result
 
-	// Observed holds, per CFG node, the variables whose incoming value the
-	// node may actually read — Flows' UsesAt with flow-insensitive call
-	// uses refined to upward-exposed ones (see observe.go). The
+	// Observed holds, per routine and CFG node ID, the variables whose
+	// incoming value the node may actually read — Flows' UsesAt with
+	// flow-insensitive call uses refined to upward-exposed ones (see
+	// observe.go), one bit per index in the routine's Flows[r].Vars. The
 	// use-before-definition checks consult this instead of UsesAt so that
 	// pure output arguments are not reported as reads.
-	Observed map[*cfg.Node]map[*sem.VarSym]bool
+	Observed map[*sem.Routine][]defuse.BitSet
 
 	// usedAnywhere / definedAnywhere record, across every routine's
-	// graph, the variables with at least one use / one real (non-
-	// synthetic) definition. Nested routines touching an outer local
-	// count: a variable only read by an inner routine is not unused.
-	usedAnywhere    map[*sem.VarSym]bool
-	definedAnywhere map[*sem.VarSym]bool
+	// graph, the variables (one bit per sem.VarSym.ID) with at least one
+	// use / one real (non-synthetic) definition. Nested routines touching
+	// an outer local count: a variable only read by an inner routine is
+	// not unused.
+	usedAnywhere    defuse.BitSet
+	definedAnywhere defuse.BitSet
 }
 
 // NewContext runs the shared analyses over an analyzed program.
 func NewContext(info *sem.Info, src string) *Context {
 	cx := &Context{
-		Info:            info,
-		Src:             src,
-		Graphs:          make(map[*sem.Routine]*cfg.Graph, len(info.Routines)),
-		Flows:           make(map[*sem.Routine]*dataflow.Result, len(info.Routines)),
-		Lives:           make(map[*sem.Routine]*dataflow.Live, len(info.Routines)),
-		usedAnywhere:    make(map[*sem.VarSym]bool),
-		definedAnywhere: make(map[*sem.VarSym]bool),
+		Info:   info,
+		Src:    src,
+		Graphs: make(map[*sem.Routine]*cfg.Graph, len(info.Routines)),
+		Flows:  make(map[*sem.Routine]*dataflow.Result, len(info.Routines)),
+		Lives:  make(map[*sem.Routine]*dataflow.Live, len(info.Routines)),
 	}
 	cx.CG = callgraph.Build(info)
 	cx.Side = sideeffect.Analyze(info, cx.CG)
@@ -67,7 +68,7 @@ func NewContext(info *sem.Info, src string) *Context {
 		cx.Lives[r] = fl.Liveness()
 		for _, d := range fl.Defs {
 			if !d.Synthetic {
-				cx.definedAnywhere[d.Var] = true
+				cx.definedAnywhere.Set(d.Var.ID)
 			}
 		}
 	}
@@ -78,12 +79,24 @@ func NewContext(info *sem.Info, src string) *Context {
 	// variable that is merely overwritten through var-parameter bindings
 	// is write-only, not used.
 	computeObserved(cx)
-	for _, obs := range cx.Observed {
-		for v := range obs {
-			cx.usedAnywhere[v] = true
+	for _, r := range info.Routines {
+		for _, n := range cx.Graphs[r].Nodes {
+			for _, v := range cx.Flows[r].UsesAt[n.ID] {
+				if cx.observes(r, n, v) {
+					cx.usedAnywhere.Set(v.ID)
+				}
+			}
 		}
 	}
 	return cx
+}
+
+// observes reports whether node n of routine r may read the incoming
+// value of v (see Observed).
+func (cx *Context) observes(r *sem.Routine, n *cfg.Node, v *sem.VarSym) bool {
+	obs := cx.Observed[r]
+	k := cx.Flows[r].VarIndex(v)
+	return k >= 0 && obs[n.ID].Has(k)
 }
 
 // Check is one registered analysis pass.

@@ -2,7 +2,6 @@ package lint
 
 import (
 	"gadt/internal/analysis/callgraph"
-	"gadt/internal/analysis/cfg"
 	"gadt/internal/analysis/defuse"
 	"gadt/internal/pascal/ast"
 	"gadt/internal/pascal/sem"
@@ -27,10 +26,12 @@ import (
 type observeResolver struct {
 	cx    *Context
 	sites map[ast.Node]*callgraph.Site
-	// exposed[r][v]: routine r may read v's incoming value. Keyed by every
-	// variable for uniformity; only by-reference formals and non-locals
-	// are ever consulted.
-	exposed map[*sem.Routine]map[*sem.VarSym]bool
+	// exposed[r] holds the variables (one bit per sem.VarSym.ID) whose
+	// incoming value routine r may read. Only by-reference formals and
+	// non-locals are ever consulted.
+	exposed map[*sem.Routine]*defuse.BitSet
+	// uses is CallUses' result, valid until its next call.
+	uses defuse.Set
 }
 
 func (o *observeResolver) CallDefs(site ast.Node) []*sem.VarSym {
@@ -43,17 +44,18 @@ func (o *observeResolver) CallUses(site ast.Node) []*sem.VarSym {
 		return nil
 	}
 	ce, ex := o.cx.Side.Of[s.Callee], o.exposed[s.Callee]
-	out := defuse.NewSet()
+	out := &o.uses
+	out.Reset()
 	for i, p := range s.Callee.Params {
 		if p.Mode == ast.Value || i >= len(s.Args) {
 			continue
 		}
-		if ce.RefFormals.Has(p) && ex[p] {
+		if ce.RefFormals.Has(p) && ex.Has(p.ID) {
 			out.Add(o.cx.Info.VarOf(s.Args[i]))
 		}
 	}
 	for _, v := range ce.RefGlobals.Slice() {
-		if ex[v] {
+		if ex.Has(v.ID) {
 			out.Add(v)
 		}
 	}
@@ -67,36 +69,42 @@ func computeObserved(cx *Context) {
 	res := &observeResolver{
 		cx:      cx,
 		sites:   make(map[ast.Node]*callgraph.Site),
-		exposed: make(map[*sem.Routine]map[*sem.VarSym]bool, len(cx.Info.Routines)),
+		exposed: make(map[*sem.Routine]*defuse.BitSet, len(cx.Info.Routines)),
 	}
 	for _, sites := range cx.CG.Sites {
 		for _, s := range sites {
 			res.sites[s.Node] = s
 		}
 	}
+	cx.Observed = make(map[*sem.Routine][]defuse.BitSet, len(cx.Info.Routines))
 	for _, r := range cx.Info.Routines {
-		res.exposed[r] = make(map[*sem.VarSym]bool)
+		res.exposed[r] = defuse.NewBitSet(cx.Info.NumVars)
+		cx.Observed[r] = defuse.NewBitSets(len(cx.Graphs[r].Nodes), len(cx.Flows[r].Vars))
 	}
 
+	var defs, uses defuse.Set
 	for changed := true; changed; {
 		changed = false
-		cx.Observed = make(map[*cfg.Node]map[*sem.VarSym]bool)
 		for _, r := range cx.Info.Routines {
-			g, fl := cx.Graphs[r], cx.Flows[r]
+			g, fl, ex := cx.Graphs[r], cx.Flows[r], res.exposed[r]
 			for _, n := range g.Nodes {
 				if n == g.Entry || n == g.Exit {
 					continue
 				}
-				_, uses := defuse.Node(cx.Info, n, res)
-				obs := make(map[*sem.VarSym]bool, uses.Len())
+				defs.Reset()
+				uses.Reset()
+				defuse.Node(cx.Info, n, res, &defs, &uses)
+				obs := &cx.Observed[r][n.ID]
+				obs.Reset()
 				for _, v := range uses.Slice() {
-					obs[v] = true
-					if fl.SyntheticReaches(n, v) && !res.exposed[r][v] {
-						res.exposed[r][v] = true
+					// Observing uses are a subset of the node's uses, so
+					// every one has an index in fl.Vars.
+					obs.Set(fl.VarIndex(v))
+					if fl.SyntheticReaches(n, v) && !ex.Has(v.ID) {
+						ex.Set(v.ID)
 						changed = true
 					}
 				}
-				cx.Observed[n] = obs
 			}
 		}
 	}

@@ -1,7 +1,7 @@
 package lint
 
 import (
-	"gadt/internal/analysis/cfg"
+	"gadt/internal/analysis/defuse"
 	"gadt/internal/pascal/sem"
 )
 
@@ -18,37 +18,17 @@ import (
 // no definition at the site at all). The asymmetry is deliberate:
 // reaching definitions must over-approximate for slicing soundness,
 // while the anomaly report must under-approximate to avoid crying wolf.
-func maybeUninit(cx *Context, r *sem.Routine) map[*cfg.Node]map[*sem.VarSym]bool {
+func maybeUninit(cx *Context, r *sem.Routine) []defuse.BitSet {
 	g, fl := cx.Graphs[r], cx.Flows[r]
+	nn := len(g.Nodes)
 
+	// Per node ID, one bit per index in fl.Vars.
+	sets := defuse.NewBitSets(2*nn+1, len(fl.Vars))
+	in, out, next := sets[:nn], sets[nn:2*nn], &sets[2*nn]
 	// Track plain locals only; parameters are caller-initialized and the
 	// function result is P009's business.
-	tracked := make(map[*sem.VarSym]bool, len(r.Locals))
 	for _, v := range r.Locals {
-		tracked[v] = true
-	}
-
-	in := make(map[*cfg.Node]map[*sem.VarSym]bool, len(g.Nodes))
-	out := make(map[*cfg.Node]map[*sem.VarSym]bool, len(g.Nodes))
-	for _, n := range g.Nodes {
-		in[n] = make(map[*sem.VarSym]bool)
-		out[n] = make(map[*sem.VarSym]bool)
-	}
-	for v := range tracked {
-		out[g.Entry][v] = true
-	}
-
-	transfer := func(n *cfg.Node) map[*sem.VarSym]bool {
-		res := make(map[*sem.VarSym]bool, len(in[n]))
-		for v := range in[n] {
-			res[v] = true
-		}
-		for _, d := range fl.DefsAt[n] {
-			if !d.Synthetic {
-				delete(res, d.Var)
-			}
-		}
-		return res
+		out[g.Entry.ID].Set(fl.VarIndex(v))
 	}
 
 	for changed := true; changed; {
@@ -57,21 +37,20 @@ func maybeUninit(cx *Context, r *sem.Routine) map[*cfg.Node]map[*sem.VarSym]bool
 			if n == g.Entry {
 				continue
 			}
-			inN := in[n]
+			inN := &in[n.ID]
 			for _, p := range n.Preds {
-				for v := range out[p] {
-					if !inN[v] {
-						inN[v] = true
-						changed = true
-					}
-				}
-			}
-			newOut := transfer(n)
-			for v := range newOut {
-				if !out[n][v] {
-					out[n][v] = true
+				if inN.UnionWith(&out[p.ID]) {
 					changed = true
 				}
+			}
+			next.CopyFrom(inN)
+			for _, d := range fl.DefsAt[n.ID] {
+				if !d.Synthetic {
+					next.Unset(fl.VarIndex(d.Var))
+				}
+			}
+			if out[n.ID].UnionWith(next) {
+				changed = true
 			}
 		}
 	}

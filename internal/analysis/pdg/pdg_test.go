@@ -291,7 +291,7 @@ end.`, "")
 	ipdom := postDoms(g)
 	reach := g.Reachable()
 	for _, n := range g.Nodes {
-		if !reach[n] || n == g.Exit {
+		if !reach[n.ID] || n == g.Exit {
 			continue
 		}
 		cur := n
@@ -453,7 +453,7 @@ end.`, "")
 	ipdom := postDoms(g)
 	reach := g.Reachable()
 	for _, n := range g.Nodes {
-		if !reach[n] || n == g.Exit {
+		if !reach[n.ID] || n == g.Exit {
 			continue
 		}
 		cur := n

@@ -242,7 +242,7 @@ func (s *SDG) pruneInfeasible() {
 			if n == g.Entry || n == g.Exit {
 				continue
 			}
-			if !reach[n] || !res.Reachable(n) {
+			if !reach[n.ID] || !res.Reachable(n) {
 				g.Disconnect(n)
 			}
 		}
@@ -550,7 +550,7 @@ func (s *SDG) buildFlowEdges(r *sem.Routine) {
 // keep their full use set.
 func (s *SDG) nodeLevelUses(c *cfg.Node, df *dataflow.Result) []*sem.VarSym {
 	if len(s.sitesAt[c]) == 0 {
-		return df.UsesAt[c]
+		return df.UsesAt[c.ID]
 	}
 	uses := defuse.NewSet()
 	switch c.Kind {

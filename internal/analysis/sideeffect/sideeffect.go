@@ -143,9 +143,27 @@ func classify(e *Effects, r *sem.Routine, v *sem.VarSym, write bool) {
 	}
 }
 
-// direct computes the routine's own (call-free) effects.
+// direct computes the routine's own (call-free) effects. Every
+// statement and expression fills the same pair of sets in turn.
 func (res *Result) direct(r *sem.Routine) {
 	e := res.Of[r]
+	var defs, uses defuse.Set
+	// classifyAll files the variables the last statement or expression
+	// put into defs and uses, then empties both.
+	classifyAll := func() {
+		for _, v := range defs.Slice() {
+			classify(e, r, v, true)
+		}
+		for _, v := range uses.Slice() {
+			classify(e, r, v, false)
+		}
+		defs.Reset()
+		uses.Reset()
+	}
+	expr := func(x ast.Expr) {
+		defuse.ExprUses(res.Info, x, nil, &defs, &uses)
+		classifyAll()
+	}
 	var walkStmt func(s ast.Stmt)
 	walkStmt = func(s ast.Stmt) {
 		switch s := s.(type) {
@@ -156,41 +174,31 @@ func (res *Result) direct(r *sem.Routine) {
 				walkStmt(c)
 			}
 		case *ast.AssignStmt:
-			defs, uses := defuse.Assign(res.Info, s, nil)
-			for _, v := range defs.Slice() {
-				classify(e, r, v, true)
-			}
-			for _, v := range uses.Slice() {
-				classify(e, r, v, false)
-			}
+			defuse.Assign(res.Info, s, nil, &defs, &uses)
+			classifyAll()
 		case *ast.CallStmt:
-			defs, uses := defuse.CallStmt(res.Info, s, nil)
-			for _, v := range defs.Slice() {
-				classify(e, r, v, true)
-			}
-			for _, v := range uses.Slice() {
-				classify(e, r, v, false)
-			}
+			defuse.CallStmt(res.Info, s, nil, &defs, &uses)
+			classifyAll()
 		case *ast.IfStmt:
-			res.exprDirect(e, r, s.Cond)
+			expr(s.Cond)
 			walkStmt(s.Then)
 			walkStmt(s.Else)
 		case *ast.WhileStmt:
-			res.exprDirect(e, r, s.Cond)
+			expr(s.Cond)
 			walkStmt(s.Body)
 		case *ast.RepeatStmt:
 			for _, c := range s.Stmts {
 				walkStmt(c)
 			}
-			res.exprDirect(e, r, s.Cond)
+			expr(s.Cond)
 		case *ast.ForStmt:
 			classify(e, r, res.Info.VarOf(s.Var), true)
 			classify(e, r, res.Info.VarOf(s.Var), false)
-			res.exprDirect(e, r, s.From)
-			res.exprDirect(e, r, s.Limit)
+			expr(s.From)
+			expr(s.Limit)
 			walkStmt(s.Body)
 		case *ast.CaseStmt:
-			res.exprDirect(e, r, s.Expr)
+			expr(s.Expr)
 			for _, arm := range s.Arms {
 				walkStmt(arm.Body)
 			}
@@ -204,17 +212,6 @@ func (res *Result) direct(r *sem.Routine) {
 		}
 	}
 	walkStmt(r.Block.Body)
-}
-
-func (res *Result) exprDirect(e *Effects, r *sem.Routine, x ast.Expr) {
-	defs, uses := defuse.NewSet(), defuse.NewSet()
-	defuse.ExprUses(res.Info, x, nil, defs, uses)
-	for _, v := range defs.Slice() {
-		classify(e, r, v, true)
-	}
-	for _, v := range uses.Slice() {
-		classify(e, r, v, false)
-	}
 }
 
 // propagate folds callee effects into caller r; reports change.

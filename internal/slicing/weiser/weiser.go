@@ -95,7 +95,8 @@ func (w *Slicer) slice(r *sem.Routine, g *cfg.Graph, critNode *cfg.Node, critVar
 	defs := make(map[*cfg.Node][]*sem.VarSym)
 	uses := make(map[*cfg.Node][]*sem.VarSym)
 	for _, n := range g.Nodes {
-		d, u := defuse.Node(w.Info, n, w.Res)
+		d, u := defuse.NewSet(), defuse.NewSet()
+		defuse.Node(w.Info, n, w.Res, d, u)
 		defs[n], uses[n] = d.Slice(), u.Slice()
 	}
 	infl := pdg.ControlDeps(g)
