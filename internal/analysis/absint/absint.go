@@ -1,8 +1,11 @@
 package absint
 
 import (
+	"slices"
+
 	"gadt/internal/analysis/callgraph"
 	"gadt/internal/analysis/cfg"
+	"gadt/internal/analysis/defuse"
 	"gadt/internal/analysis/sideeffect"
 	"gadt/internal/pascal/ast"
 	"gadt/internal/pascal/sem"
@@ -10,118 +13,23 @@ import (
 	"gadt/internal/pascal/types"
 )
 
-// Env is the abstract store at one program point: a map from tracked
-// variables to lattice values, plus a reachability flag. An unreachable
-// Env maps every variable to ⊥; in a reachable Env a missing variable is
-// ⊤ (untracked). Envs are immutable from the caller's perspective —
-// mutating operations clone.
-type Env struct {
-	vals      map[*sem.VarSym]Val
-	reachable bool
-}
-
-// Reachable reports whether the program point can execute at all.
-func (e Env) Reachable() bool { return e.reachable }
-
-// Lookup returns the abstract value of v at this point.
-func (e Env) Lookup(v *sem.VarSym) Val {
-	if !e.reachable {
-		return Bot()
-	}
-	if val, ok := e.vals[v]; ok {
-		return val
-	}
-	return Top()
-}
-
-func botEnv() Env { return Env{} }
-
-func (e Env) clone() Env {
-	out := Env{vals: make(map[*sem.VarSym]Val, len(e.vals)), reachable: e.reachable}
-	for k, v := range e.vals {
-		out.vals[k] = v
-	}
-	return out
-}
-
-// set stores val for v, normalizing explicit ⊤ to absence. Mutates e in
-// place: callers own a fresh clone.
-func (e Env) set(v *sem.VarSym, val Val) {
-	if val.IsTop() {
-		delete(e.vals, v)
-		return
-	}
-	e.vals[v] = val
-}
-
-// join returns the pointwise least upper bound.
-func (e Env) join(o Env) Env {
-	if !e.reachable {
-		return o
-	}
-	if !o.reachable {
-		return e
-	}
-	out := Env{vals: make(map[*sem.VarSym]Val), reachable: true}
-	for k, v := range e.vals {
-		if w, ok := o.vals[k]; ok {
-			j := v.Join(w)
-			if !j.IsTop() {
-				out.vals[k] = j
-			}
-		}
-	}
-	return out
-}
-
-// widen extrapolates o relative to the previous iterate e.
-func (e Env) widen(o Env) Env {
-	if !e.reachable || !o.reachable {
-		return e.join(o)
-	}
-	out := Env{vals: make(map[*sem.VarSym]Val), reachable: true}
-	for k, v := range e.vals {
-		if w, ok := o.vals[k]; ok {
-			j := v.Widen(w)
-			if !j.IsTop() {
-				out.vals[k] = j
-			}
-		}
-	}
-	return out
-}
-
-func (e Env) equal(o Env) bool {
-	if e.reachable != o.reachable {
-		return false
-	}
-	if len(e.vals) != len(o.vals) {
-		return false
-	}
-	for k, v := range e.vals {
-		if w, ok := o.vals[k]; !ok || !v.Equal(w) {
-			return false
-		}
-	}
-	return true
-}
-
 // Result holds the analysis output for a whole program.
 type Result struct {
 	Info   *sem.Info
 	Graphs map[*sem.Routine]*cfg.Graph
 
-	// in maps each CFG node to the abstract store holding immediately
-	// before the node executes.
-	in map[*cfg.Node]Env
+	// in holds, per graph and node ID, the abstract store holding
+	// immediately before the node executes.
+	in map[*cfg.Graph][]Env
 
 	entry   map[*sem.Routine]Env
 	exitEnv map[*sem.Routine]Env
 
-	// untracked lists, per routine, variables excluded from its abstract
-	// store because a var-parameter may alias them (see computeUntracked).
-	// An untracked variable reads as ⊤ at every point of that routine.
-	untracked map[*sem.Routine]map[*sem.VarSym]bool
+	// untracked holds, per routine, the variables (one bit per
+	// sem.VarSym.ID) excluded from its abstract store because a
+	// var-parameter may alias them (see computeUntracked). An untracked
+	// variable reads as ⊤ at every point of that routine.
+	untracked map[*sem.Routine]defuse.BitSet
 
 	// forVarMod caches, per for-statement, whether its body may write the
 	// loop variable (degrading the loop model, see refineFor).
@@ -142,16 +50,21 @@ type Edge struct {
 
 // At returns the abstract store before node n executes (the bottom store
 // when n is unreachable).
-func (r *Result) At(n *cfg.Node) Env { return r.in[n] }
+func (r *Result) At(n *cfg.Node) Env {
+	if in := r.in[n.Graph]; n.ID < len(in) {
+		return in[n.ID]
+	}
+	return botEnv()
+}
 
 // Reachable reports whether node n can execute.
-func (r *Result) Reachable(n *cfg.Node) bool { return r.in[n].reachable }
+func (r *Result) Reachable(n *cfg.Node) bool { return r.At(n).reachable }
 
 // EvalAt evaluates expression e in the store before node n, conservatively
 // accounting for side effects of any calls inside n's statement (a call
 // earlier in the same statement may change variables e reads).
 func (r *Result) EvalAt(n *cfg.Node, e ast.Expr) Val {
-	env := r.in[n]
+	env := r.At(n)
 	if !env.reachable {
 		return Bot()
 	}
@@ -165,7 +78,7 @@ func (r *Result) EvalAt(n *cfg.Node, e ast.Expr) Val {
 // serves clients asking about a variable that does not occur in the
 // node's own text (e.g. a var-swap replacement candidate).
 func (r *Result) VarAt(n *cfg.Node, v *sem.VarSym) Val {
-	env := r.in[n]
+	env := r.At(n)
 	if !env.reachable {
 		return Bot()
 	}
@@ -233,7 +146,7 @@ func (r *Result) InfeasibleEdges(g *cfg.Graph) []Edge {
 	a := &analyzer{res: r}
 	var out []Edge
 	for _, n := range g.Nodes {
-		env := r.in[n]
+		env := r.At(n)
 		if !env.reachable {
 			continue
 		}
@@ -267,7 +180,7 @@ func AnalyzeGraphs(info *sem.Info, graphs map[*sem.Routine]*cfg.Graph, cg *callg
 	res := &Result{
 		Info:      info,
 		Graphs:    graphs,
-		in:        make(map[*cfg.Node]Env),
+		in:        make(map[*cfg.Graph][]Env, len(graphs)),
 		entry:     make(map[*sem.Routine]Env),
 		exitEnv:   make(map[*sem.Routine]Env),
 		untracked: computeUntracked(info, cg, side),
@@ -281,13 +194,13 @@ func AnalyzeGraphs(info *sem.Info, graphs map[*sem.Routine]*cfg.Graph, cg *callg
 	// slot, so all globals start at 0 / false (implementation semantics,
 	// not ISO Pascal).
 	main := info.Main
-	env := Env{vals: make(map[*sem.VarSym]Val), reachable: true}
+	var zeros []binding
 	for _, v := range main.AllVars() {
 		if val, ok := zeroValue(v.Type); ok {
-			env.set(v, val)
+			zeros = append(zeros, binding{v.ID, val})
 		}
 	}
-	res.entry[main] = env
+	res.entry[main] = newEnv(zeros)
 
 	// Interprocedural fixpoint: re-analyze a routine when its entry store
 	// grows, and its callers when its exit summary grows. Entry and exit
@@ -347,18 +260,21 @@ func trackedType(v *sem.VarSym) bool {
 // formal-to-formal forwarding (fixpoint over the call graph). A by-ref
 // actual that is not a plain variable (an array element, say) makes the
 // formal's binding unanalyzable and the formal itself untracked.
-func computeUntracked(info *sem.Info, cg *callgraph.Graph, side *sideeffect.Result) map[*sem.Routine]map[*sem.VarSym]bool {
-	carriers := make(map[*sem.VarSym]map[*sem.VarSym]bool)
-	unknown := make(map[*sem.VarSym]bool)
+func computeUntracked(info *sem.Info, cg *callgraph.Graph, side *sideeffect.Result) map[*sem.Routine]defuse.BitSet {
+	// carriers[f.ID] and unknown are only ever set for by-ref formals.
+	var carriers []defuse.Set
+	var unknown defuse.BitSet
 	add := func(p, v *sem.VarSym) bool {
-		if carriers[p][v] {
-			return false
+		if carriers == nil {
+			carriers = make([]defuse.Set, info.NumVars)
 		}
-		if carriers[p] == nil {
-			carriers[p] = make(map[*sem.VarSym]bool)
+		return carriers[p.ID].Add(v)
+	}
+	carriersOf := func(p *sem.VarSym) []*sem.VarSym {
+		if carriers == nil {
+			return nil
 		}
-		carriers[p][v] = true
-		return true
+		return carriers[p.ID].Slice()
 	}
 	for changed := true; changed; {
 		changed = false
@@ -373,8 +289,8 @@ func computeUntracked(info *sem.Info, cg *callgraph.Graph, side *sideeffect.Resu
 						v = info.VarOf(site.Args[i])
 					}
 					if v == nil {
-						if !unknown[p] {
-							unknown[p] = true
+						if !unknown.Has(p.ID) {
+							unknown.Set(p.ID)
 							changed = true
 						}
 						continue
@@ -383,13 +299,13 @@ func computeUntracked(info *sem.Info, cg *callgraph.Graph, side *sideeffect.Resu
 						changed = true
 					}
 					if v.IsByRef() {
-						for t := range carriers[v] {
+						for _, t := range carriersOf(v) {
 							if add(p, t) {
 								changed = true
 							}
 						}
-						if unknown[v] && !unknown[p] {
-							unknown[p] = true
+						if unknown.Has(v.ID) && !unknown.Has(p.ID) {
+							unknown.Set(p.ID)
 							changed = true
 						}
 					}
@@ -398,12 +314,11 @@ func computeUntracked(info *sem.Info, cg *callgraph.Graph, side *sideeffect.Resu
 		}
 	}
 
-	un := make(map[*sem.Routine]map[*sem.VarSym]bool)
+	un := make(map[*sem.Routine]defuse.BitSet)
 	mark := func(r *sem.Routine, v *sem.VarSym) {
-		if un[r] == nil {
-			un[r] = make(map[*sem.VarSym]bool)
-		}
-		un[r][v] = true
+		u := un[r]
+		u.Set(v.ID)
+		un[r] = u
 	}
 	for _, r := range info.Routines {
 		var refs []*sem.VarSym
@@ -414,10 +329,10 @@ func computeUntracked(info *sem.Info, cg *callgraph.Graph, side *sideeffect.Resu
 		}
 		eff := side.Of[r]
 		for _, p := range refs {
-			if unknown[p] {
+			if unknown.Has(p.ID) {
 				mark(r, p)
 			}
-			for t := range carriers[p] {
+			for _, t := range carriersOf(p) {
 				if trackedType(t) && (t.Owner == info.Main || t.Owner == r) {
 					mark(r, t)
 				}
@@ -431,8 +346,8 @@ func computeUntracked(info *sem.Info, cg *callgraph.Graph, side *sideeffect.Resu
 		// Two formals bound to the same root alias each other.
 		for i, p := range refs {
 			for _, q := range refs[i+1:] {
-				for t := range carriers[p] {
-					if carriers[q][t] {
+				for _, t := range carriersOf(p) {
+					if carriers[q.ID].Has(t) {
 						mark(r, p)
 						mark(r, q)
 						break
@@ -464,43 +379,31 @@ const (
 // current entry store and callee summaries, updates Result.in for r's
 // nodes, and returns the routines whose stores changed as a consequence
 // (callees with grown entries, callers when r's exit summary grew).
+//
+// Iteration runs round-robin sweeps over the nodes in reverse postorder,
+// widening at loop heads, then a bounded narrowing pass.
 func (a *analyzer) analyzeRoutine(r *sem.Routine) []*sem.Routine {
 	res := a.res
 	g := res.Graphs[r]
 	if g == nil {
 		return nil
 	}
-	order := rpo(g)
-	in := make(map[*cfg.Node]Env, len(g.Nodes))
-	heads := loopHeads(g, order)
-
-	recompute := func(n *cfg.Node) Env {
-		if n == g.Entry {
-			return res.entry[r]
-		}
-		cur := botEnv()
-		for _, p := range n.Preds {
-			pe, ok := in[p]
-			if !ok || !pe.reachable {
-				continue
-			}
-			out := a.transfer(g, p, pe, false)
-			cur = cur.join(a.refineEdge(g, p, out, g.Label(p, n)))
-		}
-		return cur
-	}
+	order, heads := rpo(g)
+	f := newFixpoint(a, g)
+	in := f.in
 
 	converged := false
 	for sweep := 0; sweep < maxSweeps; sweep++ {
 		changed := false
 		for _, n := range order {
-			next := recompute(n)
-			old, seen := in[n]
-			if heads[n] && seen && sweep > 0 {
+			next := f.recompute(n)
+			old := in[n.ID]
+			if heads[n.ID] && sweep > 0 {
 				next = old.widen(next)
 			}
-			if !seen || !old.equal(next) {
-				in[n] = next
+			// Sweep 0 gives every node its first store.
+			if sweep == 0 || !old.equal(next) {
+				f.set(n, next)
 				changed = true
 			}
 		}
@@ -513,8 +416,8 @@ func (a *analyzer) analyzeRoutine(r *sem.Routine) []*sem.Routine {
 		// Defensive: widening at every cycle head makes the cap
 		// unreachable, but if it ever trips, degrade to the sound
 		// everything-unknown store rather than publish a non-fixpoint.
-		for _, n := range g.Nodes {
-			in[n] = Env{vals: map[*sem.VarSym]Val{}, reachable: true}
+		for i := range in {
+			in[i] = Env{reachable: true}
 		}
 	}
 	// Narrowing: a short decreasing iteration recovers precision the
@@ -524,23 +427,19 @@ func (a *analyzer) analyzeRoutine(r *sem.Routine) []*sem.Routine {
 	if converged {
 		for sweep := 0; sweep < narrowSweeps; sweep++ {
 			for _, n := range order {
-				in[n] = recompute(n)
+				if next := f.recompute(n); !next.equal(in[n.ID]) {
+					f.set(n, next)
+				}
 			}
 		}
 	}
-
-	for _, n := range g.Nodes {
-		if _, ok := in[n]; !ok {
-			in[n] = botEnv()
-		}
-		res.in[n] = in[n]
-	}
+	res.in[g] = in
 
 	// Registration pass: with the routine's stores final for this round,
 	// fold call-site argument/global values into callee entry stores.
 	a.pending = a.pending[:0]
 	for _, n := range g.Nodes {
-		if env := in[n]; env.reachable {
+		if env := in[n.ID]; env.reachable {
 			a.transfer(g, n, env, true)
 		}
 	}
@@ -548,9 +447,10 @@ func (a *analyzer) analyzeRoutine(r *sem.Routine) []*sem.Routine {
 
 	// Publish the exit summary; join-monotone across re-analyses so the
 	// interprocedural iteration terminates.
-	newExit := res.exitEnv[r].join(in[g.Exit])
+	exit := in[g.Exit.ID]
+	newExit := res.exitEnv[r].join(exit)
 	if a.exitJoins[r] > joinsBeforeWiden {
-		newExit = res.exitEnv[r].widen(in[g.Exit])
+		newExit = res.exitEnv[r].widen(exit)
 	}
 	if !newExit.equal(res.exitEnv[r]) {
 		res.exitEnv[r] = newExit
@@ -560,51 +460,117 @@ func (a *analyzer) analyzeRoutine(r *sem.Routine) []*sem.Routine {
 	return changed
 }
 
-// rpo returns the nodes in reverse postorder from Entry; unreached nodes
-// (dead code) follow in ID order so they still receive (bottom) stores.
-func rpo(g *cfg.Graph) []*cfg.Node {
-	seen := make(map[*cfg.Node]bool, len(g.Nodes))
-	var post []*cfg.Node
-	var walk func(n *cfg.Node)
-	walk = func(n *cfg.Node) {
-		if seen[n] {
-			return
-		}
-		seen[n] = true
-		for _, s := range n.Succs {
-			walk(s)
-		}
-		post = append(post, n)
-	}
-	walk(g.Entry)
-	out := make([]*cfg.Node, 0, len(g.Nodes))
-	for i := len(post) - 1; i >= 0; i-- {
-		out = append(out, post[i])
-	}
+// fixpoint is the state of one routine's intraprocedural iteration,
+// indexed by cfg.Node.ID. During the sweeps a node's transfer depends
+// only on its input store (callee summaries and entry stores change
+// only between analyzeRoutine calls), so the stores along a node's
+// out-edges are computed once per input store and cached.
+type fixpoint struct {
+	a *analyzer
+	g *cfg.Graph
+	// in is the store before each node.
+	in []Env
+	// edges[edgeAt[id]+k] is the store along the edge to Succs[k] of
+	// node id: its post-transfer store refined by the edge's branch
+	// outcome. fresh[id] reports that those stores match in[id].
+	edges  []Env
+	edgeAt []int
+	fresh  []bool
+}
+
+func newFixpoint(a *analyzer, g *cfg.Graph) *fixpoint {
+	nn := len(g.Nodes)
+	f := &fixpoint{a: a, g: g, in: make([]Env, nn), edgeAt: make([]int, nn+1), fresh: make([]bool, nn)}
 	for _, n := range g.Nodes {
-		if !seen[n] {
-			out = append(out, n)
+		f.edgeAt[n.ID+1] = f.edgeAt[n.ID] + len(n.Succs)
+	}
+	f.edges = make([]Env, f.edgeAt[nn])
+	return f
+}
+
+// set writes the store before n; the stores along n's out-edges go
+// stale.
+func (f *fixpoint) set(n *cfg.Node, env Env) {
+	f.in[n.ID] = env
+	f.fresh[n.ID] = false
+}
+
+// outEdges returns the stores along n's out-edges, parallel to Succs,
+// running n's transfer only when its input store changed since.
+func (f *fixpoint) outEdges(n *cfg.Node) []Env {
+	out := f.edges[f.edgeAt[n.ID]:f.edgeAt[n.ID+1]]
+	if !f.fresh[n.ID] {
+		post := f.a.transfer(f.g, n, f.in[n.ID], false)
+		for k, s := range n.Succs {
+			out[k] = f.a.refineEdge(f.g, n, post, f.g.Label(n, s))
 		}
+		f.fresh[n.ID] = true
 	}
 	return out
 }
 
-// loopHeads marks widening points: targets of retreating edges under the
-// reverse postorder.
-func loopHeads(g *cfg.Graph, order []*cfg.Node) map[*cfg.Node]bool {
-	idx := make(map[*cfg.Node]int, len(order))
-	for i, n := range order {
-		idx[n] = i
+// recompute joins the stores flowing into n; Entry takes the routine's
+// entry store.
+func (f *fixpoint) recompute(n *cfg.Node) Env {
+	if n == f.g.Entry {
+		return f.a.res.entry[f.g.Routine]
 	}
-	heads := make(map[*cfg.Node]bool)
-	for _, n := range order {
-		for _, s := range n.Succs {
-			if idx[s] <= idx[n] {
-				heads[s] = true
+	cur := botEnv()
+	for _, p := range n.Preds {
+		if !f.in[p.ID].reachable {
+			continue
+		}
+		for k, s := range p.Succs {
+			if s == n {
+				cur = cur.join(f.outEdges(p)[k])
+				break
 			}
 		}
 	}
-	return heads
+	return cur
+}
+
+// rpo returns the nodes in reverse postorder from Entry, unreached nodes
+// (dead code) following in ID order so they still receive (bottom)
+// stores. heads marks, by Node.ID, the widening points: targets of
+// retreating edges under that order.
+func rpo(g *cfg.Graph) (order []*cfg.Node, heads []bool) {
+	nn := len(g.Nodes)
+	seen := make([]bool, nn)
+	order = make([]*cfg.Node, 0, nn)
+	var walk func(n *cfg.Node)
+	walk = func(n *cfg.Node) {
+		if seen[n.ID] {
+			return
+		}
+		seen[n.ID] = true
+		for _, s := range n.Succs {
+			walk(s)
+		}
+		order = append(order, n)
+	}
+	walk(g.Entry)
+	slices.Reverse(order)
+	for _, n := range g.Nodes {
+		if !seen[n.ID] {
+			order = append(order, n)
+		}
+	}
+
+	idx := make([]int, nn)
+	for i, n := range order {
+		idx[n.ID] = i
+	}
+	heads = seen // the walk is done with seen
+	clear(heads)
+	for _, n := range order {
+		for _, s := range n.Succs {
+			if idx[s.ID] <= idx[n.ID] {
+				heads[s.ID] = true
+			}
+		}
+	}
+	return order, heads
 }
 
 // ---------------------------------------------------------------------------
@@ -631,8 +597,7 @@ func (a *analyzer) transfer(g *cfg.Graph, n *cfg.Node, env Env, register bool) E
 			return env
 		}
 		if v := a.res.Info.VarOf(fs.Var); v != nil && a.trackedIn(r, v) {
-			env = env.clone()
-			env.set(v, a.eval(env, fs.From))
+			env = env.with(v, a.eval(env, fs.From))
 		}
 		return env
 	case cfg.ForCond:
@@ -640,12 +605,11 @@ func (a *analyzer) transfer(g *cfg.Graph, n *cfg.Node, env Env, register bool) E
 	case cfg.ForIncr:
 		fs := n.Stmt.(*ast.ForStmt)
 		if v := a.res.Info.VarOf(fs.Var); v != nil && a.trackedIn(r, v) && !a.loopVarWritten(fs, v) {
-			env = env.clone()
 			one := IntConst(1)
 			if fs.Down {
-				env.set(v, env.Lookup(v).Sub(one))
+				env = env.with(v, env.Lookup(v).Sub(one))
 			} else {
-				env.set(v, env.Lookup(v).Add(one))
+				env = env.with(v, env.Lookup(v).Add(one))
 			}
 		}
 		return env
@@ -659,8 +623,7 @@ func (a *analyzer) transfer(g *cfg.Graph, n *cfg.Node, env Env, register bool) E
 		val := a.eval(env, s.Rhs)
 		if lhs, ok := s.Lhs.(*ast.Ident); ok {
 			if v := a.res.Info.VarOf(lhs); v != nil && a.trackedIn(r, v) {
-				env = env.clone()
-				env.set(v, val)
+				env = env.with(v, val)
 			}
 		}
 		// Index/field stores touch untracked aggregates: no effect on
@@ -689,7 +652,8 @@ func (a *analyzer) trackedIn(r *sem.Routine, v *sem.VarSym) bool {
 	if v.Owner != r && v.Owner != a.res.Info.Main {
 		return false
 	}
-	return !a.res.untracked[r][v]
+	un := a.res.untracked[r]
+	return !un.Has(v.ID)
 }
 
 // callStmt models a direct procedure/function-statement call: argument
@@ -707,11 +671,10 @@ func (a *analyzer) callStmt(env Env, r *sem.Routine, s *ast.CallStmt, register b
 		}
 		b := info.BuiltinOf(s)
 		if b != nil && (b.Code == sem.BuiltinRead || b.Code == sem.BuiltinReadln) {
-			env = env.clone()
 			for _, arg := range s.Args {
 				if v := info.VarOf(arg); v != nil && a.trackedIn(r, v) {
 					if _, isIdent := arg.(*ast.Ident); isIdent {
-						env.set(v, topOfType(v.Type))
+						env = env.with(v, topOfType(v.Type))
 					}
 				}
 			}
@@ -733,12 +696,11 @@ func (a *analyzer) callStmt(env Env, r *sem.Routine, s *ast.CallStmt, register b
 		// growth re-queues this routine.
 		return botEnv()
 	}
-	env = env.clone()
 	// Modified non-locals take their summary exit values (Top when the
 	// callee does not track them, e.g. an enclosing routine's local).
 	for _, g := range a.res.side.Of[callee].ModGlobals.Slice() {
 		if a.trackedIn(r, g) {
-			env.set(g, exit.Lookup(g))
+			env = env.with(g, exit.Lookup(g))
 		}
 	}
 	// By-reference actuals take the formal's exit value.
@@ -748,7 +710,7 @@ func (a *analyzer) callStmt(env Env, r *sem.Routine, s *ast.CallStmt, register b
 		}
 		if v := info.VarOf(s.Args[i]); v != nil && a.trackedIn(r, v) {
 			if _, isIdent := s.Args[i].(*ast.Ident); isIdent {
-				env.set(v, exit.Lookup(p))
+				env = env.with(v, exit.Lookup(p))
 			}
 		}
 	}
@@ -758,18 +720,18 @@ func (a *analyzer) callStmt(env Env, r *sem.Routine, s *ast.CallStmt, register b
 // registerCall folds one call site's entry store into the callee.
 func (a *analyzer) registerCall(env Env, callee *sem.Routine, args []ast.Expr) {
 	info := a.res.Info
-	centry := Env{vals: make(map[*sem.VarSym]Val), reachable: true}
+	bs := make([]binding, 0, len(callee.Params)+1+len(callee.Locals)+len(info.Main.Locals))
 	for i, p := range callee.Params {
 		if !a.trackedIn(callee, p) {
 			continue
 		}
 		if i < len(args) {
-			centry.set(p, a.eval(env, args[i]))
+			bs = append(bs, binding{p.ID, a.eval(env, args[i])})
 		}
 	}
 	if callee.Result != nil && a.trackedIn(callee, callee.Result) {
 		if z, ok := zeroValue(callee.Result.Type); ok {
-			centry.set(callee.Result, z)
+			bs = append(bs, binding{callee.Result.ID, z})
 		}
 	}
 	for _, l := range callee.Locals {
@@ -777,14 +739,15 @@ func (a *analyzer) registerCall(env Env, callee *sem.Routine, args []ast.Expr) {
 			continue
 		}
 		if z, ok := zeroValue(l.Type); ok {
-			centry.set(l, z)
+			bs = append(bs, binding{l.ID, z})
 		}
 	}
 	for _, gv := range info.Main.Locals {
 		if a.trackedIn(callee, gv) {
-			centry.set(gv, env.Lookup(gv))
+			bs = append(bs, binding{gv.ID, env.Lookup(gv)})
 		}
 	}
+	centry := newEnv(bs)
 	old := a.res.entry[callee]
 	next := old.join(centry)
 	if a.entryJoins[callee] > joinsBeforeWiden {
@@ -832,12 +795,11 @@ func (a *analyzer) havocCalls(env Env, roots []ast.Node, register ...bool) Env {
 		if !exit.reachable {
 			return botEnv()
 		}
-		env = env.clone()
 		// A variable absent from the store is already ⊤ and needs no
 		// join; only present entries weaken.
 		for _, g := range a.res.side.Of[callee].ModGlobals.Slice() {
-			if val, ok := env.vals[g]; ok {
-				env.set(g, val.Join(exit.Lookup(g)))
+			if val, ok := env.get(g); ok {
+				env = env.with(g, val.Join(exit.Lookup(g)))
 			}
 		}
 		for i, p := range callee.Params {
@@ -845,8 +807,8 @@ func (a *analyzer) havocCalls(env Env, roots []ast.Node, register ...bool) Env {
 				continue
 			}
 			if v := info.VarOf(ref.args[i]); v != nil {
-				if val, ok := env.vals[v]; ok {
-					env.set(v, val.Join(exit.Lookup(p)))
+				if val, ok := env.get(v); ok {
+					env = env.with(v, val.Join(exit.Lookup(p)))
 				}
 			}
 		}
@@ -1099,25 +1061,23 @@ func (a *analyzer) refineEdge(g *cfg.Graph, p *cfg.Node, env Env, br cfg.Branch)
 	return env
 }
 
-// condModSet returns the variables that calls embedded in cond may
-// modify (nil when the condition is call-free).
-func (a *analyzer) condModSet(cond ast.Expr) map[*sem.VarSym]bool {
+// condModSet returns the variables (one bit per sem.VarSym.ID) that
+// calls embedded in cond may modify (empty when the condition is
+// call-free).
+func (a *analyzer) condModSet(cond ast.Expr) defuse.BitSet {
+	var mods defuse.BitSet
 	var refs []callRef
 	a.collectCalls(cond, &refs)
-	if len(refs) == 0 {
-		return nil
-	}
-	mods := make(map[*sem.VarSym]bool)
 	for _, ref := range refs {
 		if eff := a.res.side.Of[ref.callee]; eff != nil {
 			for _, g := range eff.ModGlobals.Slice() {
-				mods[g] = true
+				mods.Set(g.ID)
 			}
 		}
 		for i, p := range ref.callee.Params {
 			if p.IsByRef() && i < len(ref.args) {
 				if v := a.res.Info.VarOf(ref.args[i]); v != nil {
-					mods[v] = true
+					mods.Set(v.ID)
 				}
 			}
 		}
@@ -1189,12 +1149,7 @@ func (a *analyzer) refineFor(env Env, r *sem.Routine, fs *ast.ForStmt, want bool
 	if met.IsBot() {
 		return botEnv()
 	}
-	if met.Equal(cur) {
-		return env
-	}
-	env = env.clone()
-	env.set(v, met)
-	return env
+	return env.with(v, met)
 }
 
 // loopVarWritten reports whether the body of fs may write its loop
@@ -1257,7 +1212,7 @@ func (a *analyzer) loopVarWritten(fs *ast.ForStmt, v *sem.VarSym) bool {
 // refine narrows env under the assumption that boolean expression e
 // evaluates to want. Returns the bottom store when the assumption is
 // contradictory.
-func (a *analyzer) refine(env Env, r *sem.Routine, e ast.Expr, want bool, skip map[*sem.VarSym]bool) Env {
+func (a *analyzer) refine(env Env, r *sem.Routine, e ast.Expr, want bool, skip defuse.BitSet) Env {
 	if !env.reachable || e == nil {
 		return env
 	}
@@ -1266,16 +1221,12 @@ func (a *analyzer) refine(env Env, r *sem.Routine, e ast.Expr, want bool, skip m
 	}
 	switch x := e.(type) {
 	case *ast.Ident:
-		if v := a.res.Info.VarOf(x); v != nil && a.trackedIn(r, v) && !skip[v] {
-			cur := env.Lookup(v)
-			met := cur.Meet(BoolConst(want))
+		if v := a.res.Info.VarOf(x); v != nil && a.trackedIn(r, v) && !skip.Has(v.ID) {
+			met := env.Lookup(v).Meet(BoolConst(want))
 			if met.IsBot() {
 				return botEnv()
 			}
-			if !met.Equal(cur) {
-				env = env.clone()
-				env.set(v, met)
-			}
+			env = env.with(v, met)
 		}
 		return env
 	case *ast.UnaryExpr:
@@ -1303,7 +1254,7 @@ func (a *analyzer) refine(env Env, r *sem.Routine, e ast.Expr, want bool, skip m
 }
 
 // refineRel narrows the variables of a relational comparison.
-func (a *analyzer) refineRel(env Env, r *sem.Routine, e *ast.BinaryExpr, want bool, skip map[*sem.VarSym]bool) Env {
+func (a *analyzer) refineRel(env Env, r *sem.Routine, e *ast.BinaryExpr, want bool, skip defuse.BitSet) Env {
 	info := a.res.Info
 	op := e.Op
 	if !want {
@@ -1324,13 +1275,13 @@ func (a *analyzer) refineRel(env Env, r *sem.Routine, e *ast.BinaryExpr, want bo
 }
 
 // clampVar narrows `x op bound` when x is a tracked variable.
-func (a *analyzer) clampVar(env Env, r *sem.Routine, x ast.Expr, op token.Kind, bound Val, skip map[*sem.VarSym]bool) Env {
+func (a *analyzer) clampVar(env Env, r *sem.Routine, x ast.Expr, op token.Kind, bound Val, skip defuse.BitSet) Env {
 	id, ok := x.(*ast.Ident)
 	if !ok {
 		return env
 	}
 	v := a.res.Info.VarOf(id)
-	if v == nil || !a.trackedIn(r, v) || skip[v] {
+	if v == nil || !a.trackedIn(r, v) || skip.Has(v.ID) {
 		return env
 	}
 	lo, hi, bok := bound.Bounds()
@@ -1375,12 +1326,7 @@ func (a *analyzer) clampVar(env Env, r *sem.Routine, x ast.Expr, op token.Kind, 
 	if met.IsBot() {
 		return botEnv()
 	}
-	if met.Equal(cur) {
-		return env
-	}
-	env = env.clone()
-	env.set(v, met)
-	return env
+	return env.with(v, met)
 }
 
 func negateRel(op token.Kind) token.Kind {

@@ -87,8 +87,12 @@ func mergeBranch(a, b Branch) Branch {
 
 // Node is one CFG node.
 type Node struct {
-	ID   int
-	Kind Kind
+	// ID numbers the nodes of one graph densely, 0 to len(Graph.Nodes)-1
+	// in creation order (Entry is 0, Exit 1), so analyses keep per-node
+	// state in slices indexed by it.
+	ID    int
+	Kind  Kind
+	Graph *Graph // the graph the node belongs to
 
 	// Stmt is set for Stmt nodes and for the For* synthetic nodes (the
 	// enclosing *ast.ForStmt); Cond carries the branch expression for
@@ -227,7 +231,7 @@ type builder struct {
 }
 
 func (b *builder) newNode(k Kind) *Node {
-	n := &Node{ID: len(b.g.Nodes), Kind: k}
+	n := &Node{ID: len(b.g.Nodes), Kind: k, Graph: b.g}
 	b.g.Nodes = append(b.g.Nodes, n)
 	return n
 }
