@@ -69,7 +69,7 @@ func (r *Result) EvalAt(n *cfg.Node, e ast.Expr) Val {
 		return Bot()
 	}
 	a := &analyzer{res: r}
-	env = a.havocCalls(env, nodeRoots(n))
+	env = a.havocCalls(env, nodeRoots(n), false)
 	return a.eval(env, e)
 }
 
@@ -83,7 +83,7 @@ func (r *Result) VarAt(n *cfg.Node, v *sem.VarSym) Val {
 		return Bot()
 	}
 	a := &analyzer{res: r}
-	env = a.havocCalls(env, nodeRoots(n))
+	env = a.havocCalls(env, nodeRoots(n), false)
 	return env.Lookup(v)
 }
 
@@ -153,7 +153,7 @@ func (r *Result) InfeasibleEdges(g *cfg.Graph) []Edge {
 		if n.Kind != cfg.Cond && n.Kind != cfg.ForCond {
 			continue
 		}
-		post := a.transfer(g, n, env, false)
+		post := a.transfer(g, n, env)
 		for _, s := range n.Succs {
 			br := g.Label(n, s)
 			if br != cfg.BranchTrue && br != cfg.BranchFalse {
@@ -197,7 +197,7 @@ func AnalyzeGraphs(info *sem.Info, graphs map[*sem.Routine]*cfg.Graph, cg *callg
 	var zeros []binding
 	for _, v := range main.AllVars() {
 		if val, ok := zeroValue(v.Type); ok {
-			zeros = append(zeros, binding{v.ID, val})
+			zeros = append(zeros, bind(v.ID, val))
 		}
 	}
 	res.entry[main] = newEnv(zeros)
@@ -440,7 +440,7 @@ func (a *analyzer) analyzeRoutine(r *sem.Routine) []*sem.Routine {
 	a.pending = a.pending[:0]
 	for _, n := range g.Nodes {
 		if env := in[n.ID]; env.reachable {
-			a.transfer(g, n, env, true)
+			a.register(g, n, env)
 		}
 	}
 	changed := append([]*sem.Routine(nil), a.pending...)
@@ -500,7 +500,7 @@ func (f *fixpoint) set(n *cfg.Node, env Env) {
 func (f *fixpoint) outEdges(n *cfg.Node) []Env {
 	out := f.edges[f.edgeAt[n.ID]:f.edgeAt[n.ID+1]]
 	if !f.fresh[n.ID] {
-		post := f.a.transfer(f.g, n, f.in[n.ID], false)
+		post := f.a.transfer(f.g, n, f.in[n.ID])
 		for k, s := range n.Succs {
 			out[k] = f.a.refineEdge(f.g, n, post, f.g.Label(n, s))
 		}
@@ -577,9 +577,8 @@ func rpo(g *cfg.Graph) (order []*cfg.Node, heads []bool) {
 // Transfer functions
 
 // transfer computes the store after node n executes, from the store env
-// before it. When register is true, call sites additionally fold their
-// entry stores into callees (the registration pass).
-func (a *analyzer) transfer(g *cfg.Graph, n *cfg.Node, env Env, register bool) Env {
+// before it.
+func (a *analyzer) transfer(g *cfg.Graph, n *cfg.Node, env Env) Env {
 	if !env.reachable {
 		return env
 	}
@@ -589,10 +588,10 @@ func (a *analyzer) transfer(g *cfg.Graph, n *cfg.Node, env Env, register bool) E
 		return env
 	case cfg.Cond:
 		// Condition evaluation can call functions with side effects.
-		return a.havocCalls(env, nodeRoots(n), registerOpt(register)...)
+		return a.havocCalls(env, nodeRoots(n), false)
 	case cfg.ForInit:
 		fs := n.Stmt.(*ast.ForStmt)
-		env = a.havocCalls(env, []ast.Node{fs.From, fs.Limit}, registerOpt(register)...)
+		env = a.havocCalls(env, nodeRoots(n), false)
 		if !env.reachable {
 			return env
 		}
@@ -616,7 +615,7 @@ func (a *analyzer) transfer(g *cfg.Graph, n *cfg.Node, env Env, register bool) E
 	}
 	switch s := n.Stmt.(type) {
 	case *ast.AssignStmt:
-		env = a.havocCalls(env, []ast.Node{s.Rhs, s.Lhs}, registerOpt(register)...)
+		env = a.havocCalls(env, assignRoots(s), false)
 		if !env.reachable {
 			return env
 		}
@@ -630,16 +629,34 @@ func (a *analyzer) transfer(g *cfg.Graph, n *cfg.Node, env Env, register bool) E
 		// the scalar store.
 		return env
 	case *ast.CallStmt:
-		return a.callStmt(env, r, s, register)
+		return a.callStmt(env, r, s)
 	}
 	return env
 }
 
-func registerOpt(register bool) []bool {
-	if register {
-		return []bool{true}
+// assignRoots lists the subtrees of an assignment in the order their
+// calls run.
+func assignRoots(s *ast.AssignStmt) []ast.Node { return []ast.Node{s.Rhs, s.Lhs} }
+
+// register folds the entry store of every call node n makes into the
+// callee (the registration pass), each call under the store it sees:
+// env, as changed by the calls that run before it. It follows transfer
+// up to the node's last call.
+func (a *analyzer) register(g *cfg.Graph, n *cfg.Node, env Env) {
+	switch n.Kind {
+	case cfg.Cond, cfg.ForInit:
+		a.havocCalls(env, nodeRoots(n), true)
+	case cfg.Stmt:
+		switch s := n.Stmt.(type) {
+		case *ast.AssignStmt:
+			a.havocCalls(env, assignRoots(s), true)
+		case *ast.CallStmt:
+			env = a.havocCalls(env, exprNodes(s.Args), true)
+			if callee := a.res.Info.CallOf(s); callee != nil && env.reachable {
+				a.registerCall(env, callee, s.Args)
+			}
+		}
 	}
-	return nil
 }
 
 // trackedIn reports whether v is part of routine r's abstract store:
@@ -657,38 +674,37 @@ func (a *analyzer) trackedIn(r *sem.Routine, v *sem.VarSym) bool {
 }
 
 // callStmt models a direct procedure/function-statement call: argument
-// evaluation, entry registration, then the callee's exit summary applied
-// to modified globals and by-reference actuals.
-func (a *analyzer) callStmt(env Env, r *sem.Routine, s *ast.CallStmt, register bool) Env {
+// evaluation, then the callee's exit summary applied to modified globals
+// and by-reference actuals.
+func (a *analyzer) callStmt(env Env, r *sem.Routine, s *ast.CallStmt) Env {
 	info := a.res.Info
 	callee := info.CallOf(s)
 	if callee == nil {
 		// Builtin procedure: read/readln havoc their targets; the write
 		// family evaluates arguments (nested calls included).
-		env = a.havocCalls(env, exprNodes(s.Args), registerOpt(register)...)
+		env = a.havocCalls(env, exprNodes(s.Args), false)
 		if !env.reachable {
 			return env
 		}
 		b := info.BuiltinOf(s)
 		if b != nil && (b.Code == sem.BuiltinRead || b.Code == sem.BuiltinReadln) {
+			w := edit{env: env}
 			for _, arg := range s.Args {
 				if v := info.VarOf(arg); v != nil && a.trackedIn(r, v) {
 					if _, isIdent := arg.(*ast.Ident); isIdent {
-						env = env.with(v, topOfType(v.Type))
+						w.set(v, topOfType(v.Type))
 					}
 				}
 			}
+			return w.env
 		}
 		return env
 	}
 
 	// Nested calls inside the arguments run first.
-	env = a.havocCalls(env, exprNodes(s.Args), registerOpt(register)...)
+	env = a.havocCalls(env, exprNodes(s.Args), false)
 	if !env.reachable {
 		return env
-	}
-	if register {
-		a.registerCall(env, callee, s.Args)
 	}
 	exit := a.res.exitEnv[callee]
 	if !exit.reachable {
@@ -698,9 +714,10 @@ func (a *analyzer) callStmt(env Env, r *sem.Routine, s *ast.CallStmt, register b
 	}
 	// Modified non-locals take their summary exit values (Top when the
 	// callee does not track them, e.g. an enclosing routine's local).
+	w := edit{env: env}
 	for _, g := range a.res.side.Of[callee].ModGlobals.Slice() {
 		if a.trackedIn(r, g) {
-			env = env.with(g, exit.Lookup(g))
+			w.set(g, exit.Lookup(g))
 		}
 	}
 	// By-reference actuals take the formal's exit value.
@@ -710,11 +727,11 @@ func (a *analyzer) callStmt(env Env, r *sem.Routine, s *ast.CallStmt, register b
 		}
 		if v := info.VarOf(s.Args[i]); v != nil && a.trackedIn(r, v) {
 			if _, isIdent := s.Args[i].(*ast.Ident); isIdent {
-				env = env.with(v, exit.Lookup(p))
+				w.set(v, exit.Lookup(p))
 			}
 		}
 	}
-	return env
+	return w.env
 }
 
 // registerCall folds one call site's entry store into the callee.
@@ -726,12 +743,12 @@ func (a *analyzer) registerCall(env Env, callee *sem.Routine, args []ast.Expr) {
 			continue
 		}
 		if i < len(args) {
-			bs = append(bs, binding{p.ID, a.eval(env, args[i])})
+			bs = append(bs, bind(p.ID, a.eval(env, args[i])))
 		}
 	}
 	if callee.Result != nil && a.trackedIn(callee, callee.Result) {
 		if z, ok := zeroValue(callee.Result.Type); ok {
-			bs = append(bs, binding{callee.Result.ID, z})
+			bs = append(bs, bind(callee.Result.ID, z))
 		}
 	}
 	for _, l := range callee.Locals {
@@ -739,12 +756,12 @@ func (a *analyzer) registerCall(env Env, callee *sem.Routine, args []ast.Expr) {
 			continue
 		}
 		if z, ok := zeroValue(l.Type); ok {
-			bs = append(bs, binding{l.ID, z})
+			bs = append(bs, bind(l.ID, z))
 		}
 	}
 	for _, gv := range info.Main.Locals {
 		if a.trackedIn(callee, gv) {
-			bs = append(bs, binding{gv.ID, env.Lookup(gv)})
+			bs = append(bs, bind(gv.ID, env.Lookup(gv)))
 		}
 	}
 	centry := newEnv(bs)
@@ -773,23 +790,20 @@ func exprNodes(es []ast.Expr) []ast.Node {
 // its summary exit value, so reads before, between and after the calls
 // are all over-approximated. Entry stores are registered when requested.
 // Returns the bottom store when a callee provably never returns.
-func (a *analyzer) havocCalls(env Env, roots []ast.Node, register ...bool) Env {
+func (a *analyzer) havocCalls(env Env, roots []ast.Node, register bool) Env {
 	if !env.reachable {
 		return env
 	}
-	reg := len(register) > 0 && register[0]
 	info := a.res.Info
 	var refs []callRef
 	for _, root := range roots {
 		a.collectCalls(root, &refs)
 	}
+	w := edit{env: env}
 	for _, ref := range refs {
 		callee := ref.callee
-		if !env.reachable {
-			return env
-		}
-		if reg {
-			a.registerCall(env, callee, ref.args)
+		if register {
+			a.registerCall(w.env, callee, ref.args)
 		}
 		exit := a.res.exitEnv[callee]
 		if !exit.reachable {
@@ -798,8 +812,8 @@ func (a *analyzer) havocCalls(env Env, roots []ast.Node, register ...bool) Env {
 		// A variable absent from the store is already ⊤ and needs no
 		// join; only present entries weaken.
 		for _, g := range a.res.side.Of[callee].ModGlobals.Slice() {
-			if val, ok := env.get(g); ok {
-				env = env.with(g, val.Join(exit.Lookup(g)))
+			if val, ok := w.env.get(g); ok {
+				w.set(g, val.Join(exit.Lookup(g)))
 			}
 		}
 		for i, p := range callee.Params {
@@ -807,13 +821,13 @@ func (a *analyzer) havocCalls(env Env, roots []ast.Node, register ...bool) Env {
 				continue
 			}
 			if v := info.VarOf(ref.args[i]); v != nil {
-				if val, ok := env.get(v); ok {
-					env = env.with(v, val.Join(exit.Lookup(p)))
+				if val, ok := w.env.get(v); ok {
+					w.set(v, val.Join(exit.Lookup(p)))
 				}
 			}
 		}
 	}
-	return env
+	return w.env
 }
 
 // callRef is one user-routine call occurrence: a CallExpr, a CallStmt,

@@ -20,10 +20,21 @@ type Env struct {
 	reachable bool
 }
 
-// binding is one variable's value in an Env.
+// binding is one variable's value in an Env, the Val's fields laid
+// out flat beside the ID so an entry takes 24 bytes instead of 40.
 type binding struct {
-	id  int // sem.VarSym.ID
-	val Val
+	lo, hi     int64
+	id         int32 // sem.VarSym.ID
+	kind       valKind
+	mayT, mayF bool
+}
+
+func bind(id int, v Val) binding {
+	return binding{lo: v.lo, hi: v.hi, id: int32(id), kind: v.kind, mayT: v.mayT, mayF: v.mayF}
+}
+
+func (b binding) val() Val {
+	return Val{kind: b.kind, lo: b.lo, hi: b.hi, mayT: b.mayT, mayF: b.mayF}
 }
 
 // Reachable reports whether the program point can execute at all.
@@ -45,13 +56,13 @@ func botEnv() Env { return Env{} }
 // find returns the position of the variable numbered id in e.vals, or
 // where it would be inserted.
 func (e Env) find(id int) (int, bool) {
-	return slices.BinarySearchFunc(e.vals, id, func(b binding, id int) int { return b.id - id })
+	return slices.BinarySearchFunc(e.vals, int32(id), func(b binding, id int32) int { return int(b.id - id) })
 }
 
 // get returns v's stored value; ok is false when v is not stored (⊤).
 func (e Env) get(v *sem.VarSym) (Val, bool) {
 	if i, ok := e.find(v.ID); ok {
-		return e.vals[i].val, true
+		return e.vals[i].val(), true
 	}
 	return Val{}, false
 }
@@ -59,31 +70,46 @@ func (e Env) get(v *sem.VarSym) (Val, bool) {
 // with returns e with v set to val (⊤ removes v), or e itself when v
 // already holds val.
 func (e Env) with(v *sem.VarSym, val Val) Env {
-	i, ok := e.find(v.ID)
-	var out []binding
+	w := edit{env: e}
+	w.set(v, val)
+	return w.env
+}
+
+// edit updates a store in several steps: the first change copies the
+// store's slice, the later ones update that copy in place. The edited
+// Env must not be kept anywhere until the edit is done.
+type edit struct {
+	env   Env
+	owned bool // env.vals is the edit's own copy
+}
+
+// set sets v to val (⊤ removes v).
+func (w *edit) set(v *sem.VarSym, val Val) {
+	i, ok := w.env.find(v.ID)
 	switch {
-	case val.IsTop() && !ok, ok && e.vals[i].val == val:
-		return e
-	case val.IsTop():
-		out = make([]binding, 0, len(e.vals)-1)
-		out = append(append(out, e.vals[:i]...), e.vals[i+1:]...)
-	case ok:
-		out = slices.Clone(e.vals)
-		out[i].val = val
-	default:
-		out = make([]binding, 0, len(e.vals)+1)
-		out = append(append(append(out, e.vals[:i]...), binding{v.ID, val}), e.vals[i:]...)
+	case val.IsTop() && !ok, ok && w.env.vals[i].val() == val:
+		return
+	case !w.owned:
+		w.env.vals = append(make([]binding, 0, len(w.env.vals)+1), w.env.vals...)
+		w.owned = true
 	}
-	return Env{vals: out, reachable: e.reachable}
+	switch {
+	case val.IsTop():
+		w.env.vals = slices.Delete(w.env.vals, i, i+1)
+	case ok:
+		w.env.vals[i] = bind(v.ID, val)
+	default:
+		w.env.vals = slices.Insert(w.env.vals, i, bind(v.ID, val))
+	}
 }
 
 // newEnv returns the reachable store holding bs; ⊤ values are dropped
 // and, should a variable occur twice, the later binding wins.
 func newEnv(bs []binding) Env {
-	slices.SortStableFunc(bs, func(a, b binding) int { return a.id - b.id })
+	slices.SortStableFunc(bs, func(a, b binding) int { return int(a.id - b.id) })
 	out := bs[:0]
 	for i, b := range bs {
-		if i+1 < len(bs) && bs[i+1].id == b.id || b.val.IsTop() {
+		if i+1 < len(bs) && bs[i+1].id == b.id || b.kind == topVal {
 			continue
 		}
 		out = append(out, b)
@@ -124,7 +150,7 @@ func (e Env) merge(o Env, f func(Val, Val) Val) Env {
 		for j < len(o.vals) && o.vals[j].id < a.id {
 			j++
 		}
-		if j == len(o.vals) || o.vals[j].id != a.id || f(a.val, o.vals[j].val) != a.val {
+		if j == len(o.vals) || o.vals[j].id != a.id || bind(int(a.id), f(a.val(), o.vals[j].val())) != a {
 			keep = false
 			break
 		}
@@ -142,8 +168,8 @@ func (e Env) merge(o Env, f func(Val, Val) Val) Env {
 			break
 		}
 		if o.vals[j].id == a.id {
-			if v := f(a.val, o.vals[j].val); !v.IsTop() {
-				out = append(out, binding{a.id, v})
+			if v := f(a.val(), o.vals[j].val()); !v.IsTop() {
+				out = append(out, bind(int(a.id), v))
 			}
 		}
 	}
