@@ -669,8 +669,7 @@ func (a *analyzer) trackedIn(r *sem.Routine, v *sem.VarSym) bool {
 	if v.Owner != r && v.Owner != a.res.Info.Main {
 		return false
 	}
-	un := a.res.untracked[r]
-	return !un.Has(v.ID)
+	return !a.res.untracked[r].Has(v.ID)
 }
 
 // callStmt models a direct procedure/function-statement call: argument

@@ -50,7 +50,7 @@ type Result struct {
 	defsOf [][]*Def
 	// in holds, per node ID, the definitions reaching the node's entry
 	// (one bit per Def.ID).
-	in []defuse.BitSet
+	in defuse.BitSets
 }
 
 // ReachingDefs runs the analysis for g. The resolver supplies call
@@ -164,22 +164,23 @@ func ReachingDefs(info *sem.Info, g *cfg.Graph, res defuse.Resolver) *Result {
 
 	// gen/kill per node; out starts at gen.
 	nDefs := len(defs)
-	sets := defuse.NewBitSets(4*nn+1, nDefs)
-	gen, kill, out := sets[:nn], sets[nn:2*nn], sets[2*nn:3*nn]
-	r.in = sets[3*nn : 4*nn]
-	next := &sets[4*nn]
+	gen, kill, out := defuse.NewBitSets(nn, nDefs), defuse.NewBitSets(nn, nDefs), defuse.NewBitSets(nn, nDefs)
+	r.in = defuse.NewBitSets(nn, nDefs)
+	next := defuse.NewBitSet(nDefs)
 	for _, d := range r.Defs {
-		gen[d.Node.ID].Set(d.ID)
+		g := gen.At(d.Node.ID)
+		g.Set(d.ID)
 		if d.Must {
+			k := kill.At(d.Node.ID)
 			for _, other := range r.defsOf[varOf[d.ID]] {
 				if other != d {
-					kill[d.Node.ID].Set(other.ID)
+					k.Set(other.ID)
 				}
 			}
 		}
 	}
-	for i := range out {
-		out[i].CopyFrom(&gen[i])
+	for i := range nn {
+		out.At(i).CopyFrom(gen.At(i))
 	}
 
 	// Iterative worklist over a ring of node IDs; inWork keeps each
@@ -195,16 +196,16 @@ func ReachingDefs(info *sem.Info, g *cfg.Graph, res defuse.Resolver) *Result {
 		head, size = (head+1)%nn, size-1
 		inWork[id] = false
 		n := g.Nodes[id]
-		in := &r.in[id]
+		in := r.in.At(id)
 		in.Reset()
 		for _, p := range n.Preds {
-			in.UnionWith(&out[p.ID])
+			in.UnionWith(out.At(p.ID))
 		}
 		next.CopyFrom(in)
-		next.DiffWith(&kill[id])
-		next.UnionWith(&gen[id])
-		if !next.Equal(&out[id]) {
-			out[id].CopyFrom(next)
+		next.DiffWith(kill.At(id))
+		next.UnionWith(gen.At(id))
+		if !next.Equal(out.At(id)) {
+			out.At(id).CopyFrom(next)
 			for _, s := range n.Succs {
 				if !inWork[s.ID] {
 					inWork[s.ID] = true
@@ -268,10 +269,10 @@ func (r *Result) VarIndex(v *sem.VarSym) int {
 // in ID order, until f returns false.
 func (r *Result) reaching(n *cfg.Node, v *sem.VarSym, f func(d *Def) bool) {
 	k := r.VarIndex(v)
-	if k < 0 || n.ID >= len(r.in) || r.Graph.Nodes[n.ID] != n {
+	if k < 0 || n.Graph != r.Graph {
 		return
 	}
-	in := &r.in[n.ID]
+	in := r.in.At(n.ID)
 	for _, d := range r.defsOf[k] {
 		if in.Has(d.ID) && !f(d) {
 			return

@@ -17,13 +17,13 @@ type Live struct {
 	flow  *Result
 	// in/out hold, per node ID, the variables live at node entry/exit,
 	// one bit per index in flow.Vars.
-	in, out []defuse.BitSet
+	in, out defuse.BitSets
 }
 
 // LiveOut reports whether v is live immediately after n.
 func (l *Live) LiveOut(n *cfg.Node, v *sem.VarSym) bool {
 	k := l.flow.VarIndex(v)
-	return k >= 0 && l.out[n.ID].Has(k)
+	return k >= 0 && l.out.At(n.ID).Has(k)
 }
 
 // Liveness computes live variables over the graph of r, reusing the
@@ -34,27 +34,28 @@ func (l *Live) LiveOut(n *cfg.Node, v *sem.VarSym) bool {
 func (r *Result) Liveness() *Live {
 	g := r.Graph
 	nn, nv := len(g.Nodes), len(r.Vars)
-	sets := defuse.NewBitSets(4*nn+1, nv)
-	l := &Live{Graph: g, flow: r, in: sets[:nn], out: sets[nn : 2*nn]}
-	uses, kills := sets[2*nn:3*nn], sets[3*nn:4*nn]
-	live := &sets[4*nn]
+	l := &Live{Graph: g, flow: r, in: defuse.NewBitSets(nn, nv), out: defuse.NewBitSets(nn, nv)}
+	uses, kills := defuse.NewBitSets(nn, nv), defuse.NewBitSets(nn, nv)
+	live := defuse.NewBitSet(nv)
 	for _, n := range g.Nodes {
+		u := uses.At(n.ID)
 		for _, v := range r.UsesAt[n.ID] {
-			uses[n.ID].Set(r.VarIndex(v))
+			u.Set(r.VarIndex(v))
 		}
 		// Only must definitions kill liveness; may definitions (partial
 		// updates, call effects) leave the incoming value observable.
+		k := kills.At(n.ID)
 		for _, d := range r.DefsAt[n.ID] {
 			if d.Must && !d.Synthetic {
-				kills[n.ID].Set(r.VarIndex(d.Var))
+				k.Set(r.VarIndex(d.Var))
 			}
 		}
 	}
 
 	// Boundary condition at Exit: declared outputs plus defined
 	// non-locals (their final values escape to the caller's environment).
-	exitLive := &l.in[g.Exit.ID]
-	exitLive.UnionWith(&uses[g.Exit.ID])
+	exitLive := l.in.At(g.Exit.ID)
+	exitLive.UnionWith(uses.At(g.Exit.ID))
 	for _, d := range r.Defs {
 		if !d.Synthetic && d.Var.Owner != g.Routine {
 			exitLive.Set(r.VarIndex(d.Var))
@@ -67,16 +68,16 @@ func (r *Result) Liveness() *Live {
 		changed = false
 		for i := nn - 1; i >= 0; i-- {
 			n := g.Nodes[i]
-			out := &l.out[n.ID]
+			out := l.out.At(n.ID)
 			for _, s := range n.Succs {
-				if out.UnionWith(&l.in[s.ID]) {
+				if out.UnionWith(l.in.At(s.ID)) {
 					changed = true
 				}
 			}
 			live.CopyFrom(out)
-			live.DiffWith(&kills[n.ID])
-			live.UnionWith(&uses[n.ID])
-			if l.in[n.ID].UnionWith(live) {
+			live.DiffWith(kills.At(n.ID))
+			live.UnionWith(uses.At(n.ID))
+			if l.in.At(n.ID).UnionWith(live) {
 				changed = true
 			}
 		}

@@ -2,77 +2,52 @@ package defuse
 
 // BitSet is a set of small non-negative integers, one bit each: the
 // dense indices the analyses key their state by (sem.VarSym.ID,
-// cfg.Node.ID, a definition's ID). The zero value is empty; Set grows
-// the set to fit.
-type BitSet struct {
-	words []uint64
-}
+// cfg.Node.ID, a definition's ID). Its capacity is 64 bits per word.
+// The zero value is empty; Set grows the set to fit. The operations that
+// combine two sets need room in the receiver for the other's elements.
+type BitSet []uint64
 
 // NewBitSet returns an empty set with room for the integers 0 to n-1.
-func NewBitSet(n int) *BitSet {
-	return &BitSet{words: make([]uint64, (n+63)/64)}
-}
+func NewBitSet(n int) BitSet { return make(BitSet, (n+63)/64) }
 
-// NewBitSets returns count empty sets with room for 0 to n-1 each,
-// backed by one allocation: per-node facts of one graph.
-func NewBitSets(count, n int) []BitSet {
-	w := (n + 63) / 64
-	words := make([]uint64, count*w)
-	sets := make([]BitSet, count)
-	for i := range sets {
-		sets[i].words = words[i*w : (i+1)*w : (i+1)*w]
-	}
-	return sets
-}
-
-// Set adds i.
+// Set adds i, growing the set when i is beyond its capacity.
 func (b *BitSet) Set(i int) {
-	if w := i >> 6; w >= len(b.words) {
-		b.words = append(b.words, make([]uint64, w+1-len(b.words))...)
+	if w := i >> 6; w >= len(*b) {
+		*b = append(*b, make(BitSet, w+1-len(*b))...)
 	}
-	b.words[i>>6] |= 1 << (uint(i) & 63)
+	(*b)[i>>6] |= 1 << (uint(i) & 63)
 }
 
 // Unset removes i.
-func (b *BitSet) Unset(i int) {
-	if w := i >> 6; w < len(b.words) {
-		b.words[w] &^= 1 << (uint(i) & 63)
+func (b BitSet) Unset(i int) {
+	if w := i >> 6; w < len(b) {
+		b[w] &^= 1 << (uint(i) & 63)
 	}
 }
 
 // Has reports whether i is in the set.
-func (b *BitSet) Has(i int) bool {
+func (b BitSet) Has(i int) bool {
 	w := i >> 6
-	return w < len(b.words) && b.words[w]&(1<<(uint(i)&63)) != 0
+	return w < len(b) && b[w]&(1<<(uint(i)&63)) != 0
 }
 
 // Reset empties the set, keeping its storage.
-func (b *BitSet) Reset() { clear(b.words) }
+func (b BitSet) Reset() { clear(b) }
 
 // Clone copies the set.
-func (b *BitSet) Clone() *BitSet {
-	return &BitSet{words: append([]uint64(nil), b.words...)}
-}
+func (b BitSet) Clone() BitSet { return append(BitSet(nil), b...) }
 
-// CopyFrom makes b equal to o, reusing b's storage when it is large
-// enough.
-func (b *BitSet) CopyFrom(o *BitSet) {
-	if len(b.words) < len(o.words) {
-		b.words = make([]uint64, len(o.words))
-	}
-	n := copy(b.words, o.words)
-	clear(b.words[n:])
+// CopyFrom makes b hold exactly o's elements.
+func (b BitSet) CopyFrom(o BitSet) {
+	clear(b[copy(b, o):])
 }
 
 // UnionWith adds o's elements to b and reports whether b grew.
-func (b *BitSet) UnionWith(o *BitSet) bool {
-	if len(b.words) < len(o.words) {
-		b.words = append(b.words, make([]uint64, len(o.words)-len(b.words))...)
-	}
+func (b BitSet) UnionWith(o BitSet) bool {
 	changed := false
-	for i, w := range o.words {
-		if b.words[i]|w != b.words[i] {
-			b.words[i] |= w
+	for i, w := range o {
+		if b[i]|w != b[i] {
+			b[i] |= w
 			changed = true
 		}
 	}
@@ -80,18 +55,15 @@ func (b *BitSet) UnionWith(o *BitSet) bool {
 }
 
 // DiffWith removes o's elements from b.
-func (b *BitSet) DiffWith(o *BitSet) {
-	for i := range b.words {
-		if i >= len(o.words) {
-			break
-		}
-		b.words[i] &^= o.words[i]
+func (b BitSet) DiffWith(o BitSet) {
+	for i := range min(len(b), len(o)) {
+		b[i] &^= o[i]
 	}
 }
 
 // Equal reports whether b and o hold the same elements.
-func (b *BitSet) Equal(o *BitSet) bool {
-	short, long := b.words, o.words
+func (b BitSet) Equal(o BitSet) bool {
+	short, long := b, o
 	if len(short) > len(long) {
 		short, long = long, short
 	}
@@ -106,4 +78,22 @@ func (b *BitSet) Equal(o *BitSet) bool {
 		}
 	}
 	return true
+}
+
+// BitSets is count bit sets of one capacity in one array: the per-node
+// facts of one graph. Its sets do not grow.
+type BitSets struct {
+	words []uint64
+	w     int // words per set
+}
+
+// NewBitSets returns count empty sets with room for 0 to n-1 each.
+func NewBitSets(count, n int) BitSets {
+	w := (n + 63) / 64
+	return BitSets{words: make([]uint64, count*w), w: w}
+}
+
+// At returns set i. It is a view of s's array: changing it changes s.
+func (s BitSets) At(i int) BitSet {
+	return BitSet(s.words[i*s.w : (i+1)*s.w : (i+1)*s.w])
 }

@@ -54,7 +54,7 @@ func TestQuickBitSetInPlace(t *testing.T) {
 	const n = 130
 	prop := func(aBits, bBits, drop []uint8) bool {
 		sets := defuse.NewBitSets(3, n)
-		a, b, c := &sets[0], &sets[1], &sets[2]
+		a, b, c := sets.At(0), sets.At(1), sets.At(2)
 		am, bm := map[int]bool{}, map[int]bool{}
 		for _, x := range aBits {
 			a.Set(int(x) % n)

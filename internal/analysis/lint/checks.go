@@ -92,7 +92,7 @@ func checkMaybeUninit(cx *Context) []Diagnostic {
 				continue
 			}
 			for _, v := range fl.UsesAt[n.ID] {
-				if !localOf(r, v) || !cx.observes(r, n, v) || !uninit[n.ID].Has(fl.VarIndex(v)) || fl.SyntheticOnly(n, v) {
+				if !localOf(r, v) || !cx.observes(r, n, v) || !uninit.At(n.ID).Has(fl.VarIndex(v)) || fl.SyntheticOnly(n, v) {
 					continue
 				}
 				out = append(out, Diagnostic{

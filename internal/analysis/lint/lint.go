@@ -35,7 +35,7 @@ type Context struct {
 	// observe.go), one bit per index in the routine's Flows[r].Vars. The
 	// use-before-definition checks consult this instead of UsesAt so that
 	// pure output arguments are not reported as reads.
-	Observed map[*sem.Routine][]defuse.BitSet
+	Observed map[*sem.Routine]defuse.BitSets
 
 	// usedAnywhere / definedAnywhere record, across every routine's
 	// graph, the variables (one bit per sem.VarSym.ID) with at least one
@@ -94,9 +94,8 @@ func NewContext(info *sem.Info, src string) *Context {
 // observes reports whether node n of routine r may read the incoming
 // value of v (see Observed).
 func (cx *Context) observes(r *sem.Routine, n *cfg.Node, v *sem.VarSym) bool {
-	obs := cx.Observed[r]
 	k := cx.Flows[r].VarIndex(v)
-	return k >= 0 && obs[n.ID].Has(k)
+	return k >= 0 && cx.Observed[r].At(n.ID).Has(k)
 }
 
 // Check is one registered analysis pass.

@@ -28,8 +28,9 @@ type observeResolver struct {
 	sites map[ast.Node]*callgraph.Site
 	// exposed[r] holds the variables (one bit per sem.VarSym.ID) whose
 	// incoming value routine r may read. Only by-reference formals and
-	// non-locals are ever consulted.
-	exposed map[*sem.Routine]*defuse.BitSet
+	// non-locals are ever consulted. Each set has room for every ID, so
+	// it is updated in place through the map.
+	exposed map[*sem.Routine]defuse.BitSet
 	// uses is CallUses' result, valid until its next call.
 	uses defuse.Set
 }
@@ -69,14 +70,14 @@ func computeObserved(cx *Context) {
 	res := &observeResolver{
 		cx:      cx,
 		sites:   make(map[ast.Node]*callgraph.Site),
-		exposed: make(map[*sem.Routine]*defuse.BitSet, len(cx.Info.Routines)),
+		exposed: make(map[*sem.Routine]defuse.BitSet, len(cx.Info.Routines)),
 	}
 	for _, sites := range cx.CG.Sites {
 		for _, s := range sites {
 			res.sites[s.Node] = s
 		}
 	}
-	cx.Observed = make(map[*sem.Routine][]defuse.BitSet, len(cx.Info.Routines))
+	cx.Observed = make(map[*sem.Routine]defuse.BitSets, len(cx.Info.Routines))
 	for _, r := range cx.Info.Routines {
 		res.exposed[r] = defuse.NewBitSet(cx.Info.NumVars)
 		cx.Observed[r] = defuse.NewBitSets(len(cx.Graphs[r].Nodes), len(cx.Flows[r].Vars))
@@ -94,7 +95,7 @@ func computeObserved(cx *Context) {
 				defs.Reset()
 				uses.Reset()
 				defuse.Node(cx.Info, n, res, &defs, &uses)
-				obs := &cx.Observed[r][n.ID]
+				obs := cx.Observed[r].At(n.ID)
 				obs.Reset()
 				for _, v := range uses.Slice() {
 					// Observing uses are a subset of the node's uses, so

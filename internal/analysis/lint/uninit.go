@@ -18,17 +18,17 @@ import (
 // no definition at the site at all). The asymmetry is deliberate:
 // reaching definitions must over-approximate for slicing soundness,
 // while the anomaly report must under-approximate to avoid crying wolf.
-func maybeUninit(cx *Context, r *sem.Routine) []defuse.BitSet {
+func maybeUninit(cx *Context, r *sem.Routine) defuse.BitSets {
 	g, fl := cx.Graphs[r], cx.Flows[r]
-	nn := len(g.Nodes)
+	nn, nv := len(g.Nodes), len(fl.Vars)
 
 	// Per node ID, one bit per index in fl.Vars.
-	sets := defuse.NewBitSets(2*nn+1, len(fl.Vars))
-	in, out, next := sets[:nn], sets[nn:2*nn], &sets[2*nn]
+	in, out, next := defuse.NewBitSets(nn, nv), defuse.NewBitSets(nn, nv), defuse.NewBitSet(nv)
 	// Track plain locals only; parameters are caller-initialized and the
 	// function result is P009's business.
+	entry := out.At(g.Entry.ID)
 	for _, v := range r.Locals {
-		out[g.Entry.ID].Set(fl.VarIndex(v))
+		entry.Set(fl.VarIndex(v))
 	}
 
 	for changed := true; changed; {
@@ -37,9 +37,9 @@ func maybeUninit(cx *Context, r *sem.Routine) []defuse.BitSet {
 			if n == g.Entry {
 				continue
 			}
-			inN := &in[n.ID]
+			inN := in.At(n.ID)
 			for _, p := range n.Preds {
-				if inN.UnionWith(&out[p.ID]) {
+				if inN.UnionWith(out.At(p.ID)) {
 					changed = true
 				}
 			}
@@ -49,7 +49,7 @@ func maybeUninit(cx *Context, r *sem.Routine) []defuse.BitSet {
 					next.Unset(fl.VarIndex(d.Var))
 				}
 			}
-			if out[n.ID].UnionWith(next) {
+			if out.At(n.ID).UnionWith(next) {
 				changed = true
 			}
 		}
