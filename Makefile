@@ -1,7 +1,7 @@
 # Developer entry points for the GADT reproduction.
 #
 #   make check      - formatting, vet, build, tests, the bench/ smoke test, every
-#                     benchmark once, fuzz + journal smokes
+#                     benchmark once, plint over testdata, fuzz + journal smokes
 #   make build      - compile every package and command
 #   make test       - run the test suite
 #   make bench      - run every microbenchmark once (no tests); the end-to-end
@@ -11,7 +11,8 @@
 #   make diff       - run the differential equivalence campaign, write BENCH_diff.json
 #   make trace-smoke - record Chrome traces (gadt + pmut + pdiff) and validate them
 #   make serve-smoke - boot gadt-serve, drive a curl session, scrape /metrics
-#   make lint       - run plint over the fixture and example programs
+#   make lint       - run plint over testdata, with and without -pval; fails
+#                     on a usage error or a crash, not on findings
 #   make staticcheck - run staticcheck when installed (CI pins its version)
 #   make fmt        - rewrite sources with gofmt
 
@@ -33,6 +34,7 @@ check:
 	$(GO) test ./...
 	cd bench && $(GO) test ./...
 	$(MAKE) bench
+	$(MAKE) lint
 	$(MAKE) smoke-fuzz
 	$(MAKE) smoke-journal
 
@@ -125,8 +127,20 @@ SERVE_SMOKE_DIR ?= serve-smoke-out
 serve-smoke:
 	sh scripts/serve-smoke.sh $(SERVE_SMOKE_DIR)
 
+# plint is built once, so its own exit status reaches the shell (go run
+# turns every failure into 1). Status 1 only reports findings: the
+# fixture plants error-severity ones. 2 or more is a usage error or a
+# crash (a Go panic exits 2) and fails the target.
 lint:
-	$(GO) run ./cmd/plint testdata/*.pas || true
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) build -o "$$tmp/plint" ./cmd/plint || exit 1; \
+	for flag in "" -pval; do \
+		"$$tmp/plint" $$flag testdata/*.pas testdata/diff/*.pas > /dev/null; st=$$?; \
+		if [ $$st -ge 2 ]; then \
+			echo "plint$${flag:+ $$flag} over testdata: exit status $$st"; exit 1; \
+		fi; \
+	done; \
+	echo "plint over testdata ok (with and without -pval)"
 
 # Static analysis beyond go vet. The tool is not vendored; install it
 # with `go install honnef.co/go/tools/cmd/staticcheck@2023.1.7` (the

@@ -261,21 +261,20 @@ func trackedType(v *sem.VarSym) bool {
 // actual that is not a plain variable (an array element, say) makes the
 // formal's binding unanalyzable and the formal itself untracked.
 func computeUntracked(info *sem.Info, cg *callgraph.Graph, side *sideeffect.Result) map[*sem.Routine]defuse.BitSet {
-	// carriers[f.ID] and unknown are only ever set for by-ref formals.
-	var carriers []defuse.Set
+	// carriers[r][i] holds the carriers of r's i-th parameter, a by-ref
+	// formal; unknown marks the by-ref formals whose binding is
+	// unanalyzable.
+	carriers := make(map[*sem.Routine][]defuse.Set)
+	carriersOf := func(p *sem.VarSym) *defuse.Set {
+		cs := carriers[p.Owner]
+		if cs == nil {
+			cs = make([]defuse.Set, len(p.Owner.Params))
+			carriers[p.Owner] = cs
+		}
+		return &cs[slices.Index(p.Owner.Params, p)]
+	}
+	add := func(p, v *sem.VarSym) bool { return carriersOf(p).Add(v) }
 	var unknown defuse.BitSet
-	add := func(p, v *sem.VarSym) bool {
-		if carriers == nil {
-			carriers = make([]defuse.Set, info.NumVars)
-		}
-		return carriers[p.ID].Add(v)
-	}
-	carriersOf := func(p *sem.VarSym) []*sem.VarSym {
-		if carriers == nil {
-			return nil
-		}
-		return carriers[p.ID].Slice()
-	}
 	for changed := true; changed; {
 		changed = false
 		for _, sites := range cg.Sites {
@@ -299,7 +298,7 @@ func computeUntracked(info *sem.Info, cg *callgraph.Graph, side *sideeffect.Resu
 						changed = true
 					}
 					if v.IsByRef() {
-						for _, t := range carriersOf(v) {
+						for _, t := range carriersOf(v).Slice() {
 							if add(p, t) {
 								changed = true
 							}
@@ -332,7 +331,7 @@ func computeUntracked(info *sem.Info, cg *callgraph.Graph, side *sideeffect.Resu
 			if unknown.Has(p.ID) {
 				mark(r, p)
 			}
-			for _, t := range carriersOf(p) {
+			for _, t := range carriersOf(p).Slice() {
 				if trackedType(t) && (t.Owner == info.Main || t.Owner == r) {
 					mark(r, t)
 				}
@@ -346,8 +345,8 @@ func computeUntracked(info *sem.Info, cg *callgraph.Graph, side *sideeffect.Resu
 		// Two formals bound to the same root alias each other.
 		for i, p := range refs {
 			for _, q := range refs[i+1:] {
-				for _, t := range carriersOf(p) {
-					if carriers[q.ID].Has(t) {
+				for _, t := range carriersOf(p).Slice() {
+					if carriersOf(q).Has(t) {
 						mark(r, p)
 						mark(r, q)
 						break

@@ -69,8 +69,8 @@ func ReachingDefs(info *sem.Info, g *cfg.Graph, res defuse.Resolver) *Result {
 		defs = append(defs, Def{ID: len(defs), Var: v, Node: n, Must: must, Synthetic: synthetic})
 	}
 
-	// Per-node defs/uses. The uses of all nodes share one backing
-	// array; useEnd[id] is where node id's uses end in it.
+	// Per-node defs/uses. The uses of all nodes share one array: node
+	// n's are uses[useEnd[n.ID]:useEnd[n.ID+1]].
 	var nonlocals, nodeDefs, nodeUses defuse.Set
 	noteNonlocal := func(v *sem.VarSym) {
 		if v != nil && v.Owner != g.Routine {
@@ -168,13 +168,12 @@ func ReachingDefs(info *sem.Info, g *cfg.Graph, res defuse.Resolver) *Result {
 	r.in = defuse.NewBitSets(nn, nDefs)
 	next := defuse.NewBitSet(nDefs)
 	for _, d := range r.Defs {
-		g := gen.At(d.Node.ID)
-		g.Set(d.ID)
+		genN, killN := gen.At(d.Node.ID), kill.At(d.Node.ID)
+		genN.Set(d.ID)
 		if d.Must {
-			k := kill.At(d.Node.ID)
 			for _, other := range r.defsOf[varOf[d.ID]] {
 				if other != d {
-					k.Set(other.ID)
+					killN.Set(other.ID)
 				}
 			}
 		}
