@@ -103,18 +103,12 @@ func (w *edit) set(v *sem.VarSym, val Val) {
 	}
 }
 
-// newEnv returns the reachable store holding bs; ⊤ values are dropped
-// and, should a variable occur twice, the later binding wins.
+// newEnv returns the reachable store holding bs, which bind distinct
+// variables; ⊤ values are dropped. The store takes over bs.
 func newEnv(bs []binding) Env {
-	slices.SortStableFunc(bs, func(a, b binding) int { return int(a.id - b.id) })
-	out := bs[:0]
-	for i, b := range bs {
-		if i+1 < len(bs) && bs[i+1].id == b.id || b.kind == topVal {
-			continue
-		}
-		out = append(out, b)
-	}
-	return Env{vals: out, reachable: true}
+	bs = slices.DeleteFunc(bs, func(b binding) bool { return b.kind == topVal })
+	slices.SortFunc(bs, func(a, b binding) int { return int(a.id - b.id) })
+	return Env{vals: bs, reachable: true}
 }
 
 // join returns the pointwise least upper bound.

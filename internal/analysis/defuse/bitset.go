@@ -2,9 +2,9 @@ package defuse
 
 // BitSet is a set of small non-negative integers, one bit each: the
 // dense indices the analyses key their state by (sem.VarSym.ID,
-// cfg.Node.ID, a definition's ID). Its capacity is 64 bits per word.
-// The zero value is empty; Set grows the set to fit. The operations that
-// combine two sets need room in the receiver for the other's elements.
+// cfg.Node.ID, a definition's ID). The zero value is empty, and Set
+// grows a set to fit. CopyFrom and UnionWith do not grow: the receiver
+// must have room for the other set's elements.
 type BitSet []uint64
 
 // NewBitSet returns an empty set with room for the integers 0 to n-1.
@@ -33,9 +33,6 @@ func (b BitSet) Has(i int) bool {
 
 // Reset empties the set, keeping its storage.
 func (b BitSet) Reset() { clear(b) }
-
-// Clone copies the set.
-func (b BitSet) Clone() BitSet { return append(BitSet(nil), b...) }
 
 // CopyFrom makes b hold exactly o's elements.
 func (b BitSet) CopyFrom(o BitSet) {
