@@ -9,6 +9,9 @@
 // contribute only the uses syntactically present in their argument
 // expressions — that syntactic-only mode is what the side-effect
 // analysis itself bootstraps from.
+//
+// The package also holds the analyses' bit sets: Set for variables,
+// BitSet and BitSets for state indexed by node, variable or definition.
 package defuse
 
 import (
