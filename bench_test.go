@@ -100,7 +100,7 @@ func BenchmarkTraceSynthetic(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				run := sys.TraceOriginal("")
+				run := sys.TraceOriginal("", 0, 0)
 				if run.RunErr != nil {
 					b.Fatal(run.RunErr)
 				}
@@ -202,7 +202,7 @@ func BenchmarkTGenClassify(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	run := sys.TraceOriginal("")
+	run := sys.TraceOriginal("", 0, 0)
 	var arrsum *exectree.Node
 	run.Tree.Walk(func(n *exectree.Node) bool {
 		if n.Unit.Name == "arrsum" {
@@ -277,7 +277,7 @@ func benchDynamicSlice(b *testing.B, unit, output string) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	run := sys.TraceOriginal("")
+	run := sys.TraceOriginal("", 0, 0)
 	var target *exectree.Node
 	run.Tree.Walk(func(n *exectree.Node) bool {
 		if target == nil && n.Unit.Name == unit {
@@ -321,7 +321,7 @@ func benchDebug(b *testing.B, strat debugger.Strategy, slicing, tests bool) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		run := sys.TraceOriginal("")
+		run := sys.TraceOriginal("", 0, 0)
 		out, err := run.Debug(oracle, gadt.DebugConfig{Strategy: strat, Slicing: slicing, Tests: lookup})
 		if err != nil {
 			b.Fatal(err)
@@ -380,7 +380,7 @@ func BenchmarkDebugSynthetic(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				run := sys.TraceOriginal("")
+				run := sys.TraceOriginal("", 0, 0)
 				out, err := run.Debug(oracle, gadt.DebugConfig{Slicing: true})
 				if err != nil || !out.Localized() {
 					b.Fatalf("%v / %v", err, out)

@@ -210,7 +210,7 @@ func run(file string, o options) (err error) {
 			return err
 		}
 	} else {
-		run = sys.TraceOriginal(o.input)
+		run = sys.TraceOriginal(o.input, 0, 0)
 	}
 	fmt.Fprintf(w, "program output:\n%s", run.Output)
 	if run.RunErr != nil {
@@ -269,7 +269,6 @@ func run(file string, o options) (err error) {
 			return err
 		}
 		replayer = debugger.NewReplayOracle(journal)
-		replayer.DB = db
 		oracle = replayer
 		fmt.Fprintf(w, "\nreplaying %d recorded answers from %s (no questions will be asked)\n",
 			len(journal.Entries), o.replay)

@@ -97,7 +97,7 @@ func run(file string, o options) (err error) {
 	}
 	var r *gadt.Run
 	if o.original {
-		r = sys.TraceOriginal(o.input)
+		r = sys.TraceOriginal(o.input, 0, 0)
 	} else {
 		r, err = sys.Trace(o.input)
 		if err != nil {

@@ -60,7 +60,7 @@ func dynamicSlices() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	run := sys.TraceOriginal("")
+	run := sys.TraceOriginal("", 0, 0)
 	find := func(unit string) *exectree.Node {
 		var out *exectree.Node
 		run.Tree.Walk(func(n *exectree.Node) bool {

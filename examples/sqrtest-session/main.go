@@ -29,7 +29,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	run := sys.TraceOriginal("") // Figure 4 is already side-effect free
+	run := sys.TraceOriginal("", 0, 0) // Figure 4 is already side-effect free
 
 	fmt.Println("=== execution tree (Figure 7) ===")
 	run.Tree.Render(logWriter{}, nil, nil)

@@ -38,7 +38,7 @@ func show(title, src, input string) {
 	fmt.Print(printer.Print(res.Program))
 
 	// Behavior is preserved.
-	orig := sys.TraceOriginal(input)
+	orig := sys.TraceOriginal(input, 0, 0)
 	xform, err := sys.Trace(input)
 	if err != nil {
 		log.Fatal(err)

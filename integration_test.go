@@ -39,7 +39,7 @@ func TestPipelineMatrix(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			orig := sys.TraceOriginal("")
+			orig := sys.TraceOriginal("", 0, 0)
 			run, err := sys.Trace("")
 			if err != nil {
 				t.Fatal(err)
@@ -131,7 +131,7 @@ func TestAllPaperProgramsThroughPipeline(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			orig := sys.TraceOriginal(s.input)
+			orig := sys.TraceOriginal(s.input, 0, 0)
 			run, err := sys.Trace(s.input)
 			if err != nil {
 				t.Fatal(err)

@@ -18,7 +18,7 @@ func TestCorpusMatrix(t *testing.T) {
 			if err != nil {
 				t.Fatalf("load: %v", err)
 			}
-			orig := sys.TraceOriginal(p.Input)
+			orig := sys.TraceOriginal(p.Input, 0, 0)
 			if orig.RunErr != nil {
 				t.Fatalf("run: %v", orig.RunErr)
 			}

@@ -198,7 +198,7 @@ type Session struct {
 	Oracle Oracle
 	Opts   Options
 
-	view map[*exectree.Node]bool // nil = full tree
+	view *dynamic.TreeSlice // intersection of the slices so far; nil = full tree
 	memo map[string]Answer
 	out  *Outcome
 
@@ -236,7 +236,7 @@ func New(tree *exectree.Tree, oracle Oracle, opts Options) *Session {
 
 // kept reports whether n survives the current view.
 func (s *Session) kept(n *exectree.Node) bool {
-	return s.view == nil || s.view[n]
+	return s.view == nil || s.view.Keep(n)
 }
 
 // children returns n's children retained by the current view, most
@@ -391,24 +391,18 @@ func (s *Session) applySlice(n *exectree.Node, output string) bool {
 		return false
 	}
 	if s.view == nil {
-		s.view = sl.Kept
+		s.view = sl
 	} else {
-		merged := make(map[*exectree.Node]bool)
-		for k := range s.view {
-			if sl.Kept[k] {
-				merged[k] = true
-			}
-		}
-		s.view = merged
+		s.view = dynamic.Intersect(s.view, sl)
 	}
 	s.out.Slices++
 	s.Opts.Metrics.Counter("debugger.slices").Inc()
-	s.Opts.Metrics.Gauge("debugger.slice.kept.nodes").Set(int64(len(s.view)))
+	s.Opts.Metrics.Gauge("debugger.slice.kept.nodes").Set(int64(s.view.Size()))
 	before := s.Tree.Size()
 	s.record(Event{
 		Kind: EvSlice, Node: n,
 		Text:   fmt.Sprintf("slice on output %s of %s", output, s.renderUnitName(n)),
-		Detail: fmt.Sprintf("execution tree pruned to %d of %d nodes", len(s.view), before),
+		Detail: fmt.Sprintf("execution tree pruned to %d of %d nodes", s.view.Size(), before),
 	})
 	return true
 }

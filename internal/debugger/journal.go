@@ -3,8 +3,10 @@ package debugger
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"gadt/internal/assertion"
@@ -47,6 +49,34 @@ type JournalEntry struct {
 	Verdict     string `json:"verdict"`
 	WrongOutput string `json:"wrong_output,omitempty"`
 	Assertion   string `json:"assertion,omitempty"`
+}
+
+// Answer converts the entry into the engine answer it records for q:
+// an assertion is parsed for q's unit; otherwise the verdict must be
+// known, and a wrong output needs an incorrect verdict and must be one
+// of q's outputs. ReplayOracle and gadt-serve's answer endpoint both
+// convert through it.
+func (e JournalEntry) Answer(q *Query) (Answer, error) {
+	if e.Assertion != "" {
+		a, err := assertion.Parse(q.Node.Unit.Name, e.Assertion)
+		if err != nil {
+			return Answer{}, fmt.Errorf("bad assertion: %w", err)
+		}
+		return Answer{Assertion: a}, nil
+	}
+	v, ok := ParseVerdict(e.Verdict)
+	if !ok {
+		return Answer{}, fmt.Errorf("verdict must be correct, incorrect or dont-know, got %q", e.Verdict)
+	}
+	if e.WrongOutput != "" {
+		if v != Incorrect {
+			return Answer{}, errors.New(`wrong_output requires verdict "incorrect"`)
+		}
+		if !slices.Contains(q.Outputs, e.WrongOutput) {
+			return Answer{}, fmt.Errorf("unknown output %q (outputs: %v)", e.WrongOutput, q.Outputs)
+		}
+	}
+	return Answer{Verdict: v, WrongOutput: e.WrongOutput}, nil
 }
 
 // JournalWriter appends session entries to a JSONL stream.
@@ -185,12 +215,10 @@ func LoadJournal(r io.Reader) (*Journal, error) {
 // the same invocation behavior — consuming each entry at most once;
 // when several invocations render identically they are consumed in
 // journal order. A query absent from the journal is an error: replay
-// only makes sense when trace and traversal are reproducible.
+// only makes sense when trace and traversal are reproducible. The
+// engine adds replayed assertions to its Options.Assertions, as it does
+// for every oracle.
 type ReplayOracle struct {
-	// DB, when non-nil, receives assertions stored during the recorded
-	// session, mirroring the InteractiveOracle's side effect.
-	DB *assertion.DB
-
 	byText map[string][]int // query text -> entry indexes, FIFO
 	all    []JournalEntry
 }
@@ -225,16 +253,9 @@ func (o *ReplayOracle) Ask(q *Query) (Answer, error) {
 	} else {
 		o.byText[q.Text] = idx[1:]
 	}
-	if e.Assertion != "" {
-		a, err := assertion.Parse(e.Unit, e.Assertion)
-		if err != nil {
-			return Answer{}, fmt.Errorf("debugger: journal assertion %q: %w", e.Assertion, err)
-		}
-		if o.DB != nil {
-			o.DB.Add(a)
-		}
-		return Answer{Assertion: a}, nil
+	a, err := e.Answer(q)
+	if err != nil {
+		return Answer{}, fmt.Errorf("debugger: journal entry %d: %w", e.Seq, err)
 	}
-	v, _ := ParseVerdict(e.Verdict)
-	return Answer{Verdict: v, WrongOutput: e.WrongOutput}, nil
+	return a, nil
 }

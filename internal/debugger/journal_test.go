@@ -95,8 +95,7 @@ func TestJournalAssertionRoundTrip(t *testing.T) {
 	db := assertion.NewDB()
 	res2, _ := traceIt(t, paper.PQR)
 	ro := debugger.NewReplayOracle(j)
-	ro.DB = db
-	replayed, err := debugger.New(res2.Tree, ro, debugger.Options{}).Run()
+	replayed, err := debugger.New(res2.Tree, ro, debugger.Options{Assertions: db}).Run()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -109,11 +109,17 @@ func (n *Node) OutputNames() []string {
 type Tree struct {
 	Root  *Node
 	Nodes []*Node // pre-order
-	byID  map[int64]*Node
 }
 
-// NodeByID looks a node up by its invocation ID.
-func (t *Tree) NodeByID(id int64) *Node { return t.byID[id] }
+// NodeByID looks a node up by its invocation ID. The interpreter numbers
+// calls from 0 in the order they start, which is Nodes' pre-order, so
+// the ID is the node's index; nil when no node has that ID.
+func (t *Tree) NodeByID(id int64) *Node {
+	if id < 0 || id >= int64(len(t.Nodes)) || t.Nodes[id].ID != id {
+		return nil
+	}
+	return t.Nodes[id]
+}
 
 // Size returns the number of nodes.
 func (t *Tree) Size() int { return len(t.Nodes) }
@@ -171,12 +177,11 @@ type Builder struct {
 	root  *Node
 	stack []*Node
 	nodes []*Node
-	byID  map[int64]*Node
 }
 
 // NewBuilder returns an empty Builder.
 func NewBuilder() *Builder {
-	return &Builder{byID: make(map[int64]*Node)}
+	return &Builder{}
 }
 
 var _ interp.EventSink = (*Builder)(nil)
@@ -200,7 +205,6 @@ func (b *Builder) EnterCall(ci *interp.CallInfo) {
 	}
 	b.stack = append(b.stack, n)
 	b.nodes = append(b.nodes, n)
-	b.byID[n.ID] = n
 }
 
 // ExitCall implements interp.EventSink.
@@ -230,7 +234,7 @@ func (b *Builder) Stmt(ast.Stmt, *sem.Routine) {
 // Tree finalizes and returns the built tree. Safe to call after a failed
 // run: nodes still on the stack stay marked Incomplete.
 func (b *Builder) Tree() *Tree {
-	return &Tree{Root: b.root, Nodes: b.nodes, byID: b.byID}
+	return &Tree{Root: b.root, Nodes: b.nodes}
 }
 
 // Current returns the node currently executing (innermost open call).

@@ -166,7 +166,7 @@ func RunS3() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	run := sys.TraceOriginal("")
+	run := sys.TraceOriginal("", 0, 0)
 	oracle := &debugger.ScriptedOracle{
 		ByUnit: map[string]debugger.Answer{
 			"p": {Verdict: debugger.Incorrect},
@@ -190,7 +190,7 @@ func RunF7() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	run := sys.TraceOriginal("")
+	run := sys.TraceOriginal("", 0, 0)
 	var b strings.Builder
 	fmt.Fprintf(&b, "program output: %s", run.Output)
 	fmt.Fprintf(&b, "execution tree (%d nodes):\n", run.Tree.Size())
@@ -203,7 +203,7 @@ func slicedTree(unit, output string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	run := sys.TraceOriginal("")
+	run := sys.TraceOriginal("", 0, 0)
 	var target *exectree.Node
 	run.Tree.Walk(func(n *exectree.Node) bool {
 		if target == nil && n.Unit.Name == unit {
@@ -255,7 +255,7 @@ func RunS6() (string, error) {
 		if err != nil {
 			return "", err
 		}
-		orig := sys.TraceOriginal("")
+		orig := sys.TraceOriginal("", 0, 0)
 		xform, err := sys.Trace("")
 		if err != nil {
 			return "", err
@@ -369,7 +369,7 @@ func RunS8() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	run := sys.TraceOriginal("")
+	run := sys.TraceOriginal("", 0, 0)
 	oracle, err := gadt.IntendedOracleOriginal(paper.SqrtestFixed)
 	if err != nil {
 		return "", err
@@ -568,7 +568,7 @@ func RunMultiBug() (string, error) {
 		if err != nil {
 			return "", err
 		}
-		run := sys.TraceOriginal("")
+		run := sys.TraceOriginal("", 0, 0)
 		oracle, err := gadt.IntendedOracleOriginal(fullyFixed)
 		if err != nil {
 			return "", err
@@ -690,7 +690,7 @@ func RunAblation() (string, error) {
 		if err != nil {
 			return "", err
 		}
-		run := sys.TraceOriginal("")
+		run := sys.TraceOriginal("", 0, 0)
 		oracle, err := gadt.IntendedOracleOriginal(paper.SqrtestFixed)
 		if err != nil {
 			return "", err

@@ -166,10 +166,11 @@ func (s *System) TraceLimited(input string, maxSteps, maxDepth int) (*Run, error
 }
 
 // TraceOriginal traces the UNTRANSFORMED program (no loop units, no
-// goto/global rewrites). Useful for figure-faithful execution trees of
+// goto/global rewrites) under the budgets of TraceLimited (<= 0 uses
+// interpreter defaults). Useful for figure-faithful execution trees of
 // programs that are already side-effect free, and for comparisons.
-func (s *System) TraceOriginal(input string) *Run {
-	return s.trace(s.Info, input, 0, 0)
+func (s *System) TraceOriginal(input string, maxSteps, maxDepth int) *Run {
+	return s.trace(s.Info, input, maxSteps, maxDepth)
 }
 
 // trace executes info under the given budgets, building its execution

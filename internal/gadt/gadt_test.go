@@ -70,7 +70,7 @@ func TestTraceOriginalMatchesFigure7(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := sys.TraceOriginal("")
+	run := sys.TraceOriginal("", 0, 0)
 	if run.Tree.Size() != 14 {
 		t.Errorf("original tree size = %d, want 14", run.Tree.Size())
 	}

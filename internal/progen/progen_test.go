@@ -31,8 +31,8 @@ func TestGeneratedProgramsRun(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cfg %+v: fixed does not load: %v", cfg, err)
 		}
-		rb := buggy.TraceOriginal("")
-		rf := fixed.TraceOriginal("")
+		rb := buggy.TraceOriginal("", 0, 0)
+		rf := fixed.TraceOriginal("", 0, 0)
 		if rb.RunErr != nil || rf.RunErr != nil {
 			t.Fatalf("cfg %+v: runtime errors %v / %v", cfg, rb.RunErr, rf.RunErr)
 		}

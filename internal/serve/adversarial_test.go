@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"gadt/internal/debugger"
 	"gadt/internal/paper"
 	"gadt/internal/serve"
 )
@@ -37,6 +38,35 @@ end;
 begin
   dig(0, r);
   writeln(r)
+end.
+`
+
+// nonLocalGoto jumps out of a function to a label of the main program,
+// which the transformation phase rejects.
+const nonLocalGoto = `program t;
+label 9;
+var x: integer;
+
+function f(n: integer): integer;
+begin
+  if n < 0 then goto 9;
+  f := n;
+end;
+
+begin
+  x := f(3);
+  9: writeln(x);
+end.
+`
+
+// countLoop terminates after about 100,000 statements.
+const countLoop = `program count;
+var i, s: integer;
+begin
+  s := 0;
+  for i := 1 to 100000 do
+    s := s + 1;
+  writeln(s)
 end.
 `
 
@@ -85,6 +115,22 @@ func TestFuelBombRejected(t *testing.T) {
 	if resp.Cache == nil || resp.Cache.Trace != "hit" {
 		t.Errorf("resubmitted bomb cache = %+v, want trace hit", resp.Cache)
 	}
+
+	// An untransformed trace runs under the same budget, not under the
+	// interpreter's default of 5,000,000 statements, within which
+	// countLoop would end.
+	body, _ := json.Marshal(serve.CreateRequest{Program: countLoop, NoTransform: true})
+	status, raw = c.do("POST", "/v1/sessions", body)
+	if status != http.StatusUnprocessableEntity {
+		t.Fatalf("no_transform loop = %d, want 422\n%s", status, raw)
+	}
+	var loop serve.SessionResponse
+	if err := json.Unmarshal(raw, &loop); err != nil {
+		t.Fatal(err)
+	}
+	if loop.Error == nil || loop.Error.Code != serve.CodeFuelExhausted {
+		t.Fatalf("no_transform loop error = %+v, want fuel_exhausted", loop.Error)
+	}
 }
 
 func TestDepthBombRejected(t *testing.T) {
@@ -118,6 +164,8 @@ func TestMalformedBodies(t *testing.T) {
 		{"empty program", `{}`, http.StatusBadRequest, serve.CodeBadRequest},
 		{"bad strategy", `{"program": "x", "strategy": "quantum"}`, http.StatusBadRequest, serve.CodeBadRequest},
 		{"unparsable program", `{"program": "not pascal"}`, http.StatusUnprocessableEntity, serve.CodeParseError},
+		{"undeclared variable", `{"program": "program p; begin x := 1 end."}`, http.StatusUnprocessableEntity, serve.CodeSemError},
+		{"non-local goto", string(createBody(nonLocalGoto)), http.StatusUnprocessableEntity, serve.CodeTransformError},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -278,7 +326,7 @@ func TestBadAnswers(t *testing.T) {
 	if got.State != "waiting" || got.Question == nil || got.Question.Seq != q.Seq || got.Question.Query != q.Query {
 		t.Fatalf("session no longer waiting on the same question: %+v", got.Question)
 	}
-	ans, _ := json.Marshal(serve.AnswerRequest{
+	ans, _ := json.Marshal(debugger.JournalEntry{
 		Kind: "query", Seq: q.Seq, Node: q.Node, Unit: q.Unit, Query: q.Query, Verdict: "correct",
 	})
 	after := c.answer(id, ans)

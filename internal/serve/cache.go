@@ -3,69 +3,48 @@ package serve
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
 
-	"gadt/internal/analysis/lint"
-	"gadt/internal/exectree"
+	"gadt/internal/gadt"
 	"gadt/internal/obs"
 	"gadt/internal/pascal/parser"
-	"gadt/internal/pascal/sem"
-	"gadt/internal/slicing/dynamic"
-	"gadt/internal/transform"
 )
 
 // The content-addressed cache has two layers, both keyed by the
 // program's SHA-256 plus PipelineVersion plus the pipeline flags that
 // change the result:
 //
-//	artifact  parse + sem + transform + lint hints   (input-independent)
-//	trace     execution tree + output + the on-demand dependence graph
-//	          (adds the input hash and the fuel/depth budgets)
+//	artifact  the gadt.System: parse + sem + transform + lint hints
+//	          (input-independent)
+//	trace     the gadt.Run: execution tree + output + the on-demand
+//	          dependence graph (adds the input hash and the fuel/depth
+//	          budgets)
 //
 // Entries are built once under singleflight — concurrent sessions for
 // the same program block on the first builder instead of duplicating
-// work — and shared read-only afterwards: the debugger keeps all
-// per-session state (view, memo, assertion DB) outside the tree. A
-// trace's dependence graph (dynamic.Deps) is built at most once, by the
-// first session that slices, and later slices only read it, so one
-// trace can back any number of concurrent sessions. Build errors are
-// cached too (they are deterministic for a given key), which makes
-// hostile resubmission of a fuel bomb cost one lookup, not one trace.
+// work — and shared read-only afterwards: the artifact build runs every
+// phase that writes to the system (Transform, LintHints), and the
+// debugger keeps all per-session state (view, memo, assertion DB)
+// outside the tree. A trace's dependence graph (dynamic.Deps) is built
+// at most once, by the first session that slices, and later slices only
+// read it, so one trace can back any number of concurrent sessions.
+// Build errors are cached too (they are deterministic for a given key),
+// which makes hostile resubmission of a fuel bomb cost one lookup, not
+// one trace.
 
 // Artifact is the input-independent pipeline product for one program.
 type Artifact struct {
 	Hash string // hex SHA-256 of the source
 
-	// Info is the semantic analysis of the ORIGINAL program; Transformed
-	// is nil when the session asked for -no-transform.
-	Info        *sem.Info
-	Transformed *transform.Result
+	// System is the loaded program, transformed unless the session asked
+	// for no_transform. It reports its phases into the server's registry.
+	System *gadt.System
 
-	// Hints are the plint suspiciousness scores (nil when lint is off);
-	// LintDiags is kept for the session report.
-	Hints     map[string]float64
-	LintDiags []lint.Diagnostic
-}
-
-// TraceInfo returns the program analysis the tracing phase executes:
-// the transformed program when transformation ran, the original
-// otherwise.
-func (a *Artifact) TraceInfo() *sem.Info {
-	if a.Transformed != nil {
-		return a.Transformed.Info
-	}
-	return a.Info
-}
-
-// TraceArtifact is one cached traced execution.
-type TraceArtifact struct {
-	Tree   *exectree.Tree
-	Deps   *dynamic.Deps
-	Output string
-	RunErr error
-	Steps  int
+	// Hints are the plint suspiciousness scores (nil when lint is off).
+	Hints map[string]float64
 }
 
 // hashProgram returns the hex SHA-256 of the source text.
@@ -99,7 +78,7 @@ type Cache struct {
 	entries    map[string]*cacheEntry
 	maxEntries int
 
-	reg    *obs.Registry // observes each trace's dependence-graph build
+	reg    *obs.Registry // observes every phase of the systems it builds
 	hits   *obs.CounterVec
 	misses *obs.CounterVec
 }
@@ -173,12 +152,29 @@ func (c *Cache) Len() int {
 }
 
 // Artifact returns (building if necessary) the artifact layer for the
-// program under the given pipeline flags.
+// program under the given pipeline flags. Build errors are apiErrors so
+// the session surfaces a stable code per failing phase.
 func (c *Cache) Artifact(file, src string, doTransform, doLint bool) (*Artifact, error, bool) {
 	hash := hashProgram(src)
 	key := artifactKey(hash, file, doTransform, doLint)
 	v, err, hit := c.getOrBuild("artifact", key, func() (any, error) {
-		return buildArtifact(hash, file, src, doTransform, doLint)
+		sys, err := gadt.LoadObserved(file, src, c.reg, nil)
+		if err != nil {
+			if errors.As(err, new(parser.ErrorList)) {
+				return nil, errf(422, CodeParseError, "parse: %v", err)
+			}
+			return nil, errf(422, CodeSemError, "sem: %v", err)
+		}
+		if doTransform {
+			if _, err := sys.Transform(); err != nil {
+				return nil, errf(422, CodeTransformError, "transform: %v", err)
+			}
+		}
+		art := &Artifact{Hash: hash, System: sys}
+		if doLint {
+			art.Hints = sys.LintHints()
+		}
+		return art, nil
 	})
 	if err != nil {
 		return nil, err, hit
@@ -186,64 +182,21 @@ func (c *Cache) Artifact(file, src string, doTransform, doLint bool) (*Artifact,
 	return v.(*Artifact), nil, hit
 }
 
-// Trace returns (building if necessary) the traced execution of the
-// artifact's program on input under the given budgets.
-func (c *Cache) Trace(art *Artifact, file string, doTransform, doLint bool, input string, fuel, depth int) (*TraceArtifact, error, bool) {
+// Trace returns (building if necessary) the traced run of the
+// artifact's program on input under the given budgets: the transformed
+// program, or the original one when doTransform is off. A runtime error
+// still yields the partial tree — crashes are debuggable — so it is
+// kept in the run, not returned.
+func (c *Cache) Trace(art *Artifact, file string, doTransform, doLint bool, input string, fuel, depth int) (*gadt.Run, error, bool) {
 	key := traceKey(artifactKey(art.Hash, file, doTransform, doLint), input, fuel, depth)
 	v, err, hit := c.getOrBuild("trace", key, func() (any, error) {
-		return buildTrace(art, input, fuel, depth, c.reg), nil
+		if doTransform {
+			return art.System.TraceLimited(input, fuel, depth)
+		}
+		return art.System.TraceOriginal(input, fuel, depth), nil
 	})
 	if err != nil {
 		return nil, err, hit
 	}
-	return v.(*TraceArtifact), nil, hit
-}
-
-// buildArtifact runs the input-independent pipeline phases. Errors are
-// apiErrors so the session surfaces a stable code per failing phase.
-func buildArtifact(hash, file, src string, doTransform, doLint bool) (*Artifact, error) {
-	prog, err := parser.ParseProgram(file, src)
-	if err != nil {
-		return nil, errf(422, CodeParseError, "parse: %v", err)
-	}
-	info, err := sem.Analyze(prog)
-	if err != nil {
-		return nil, errf(422, CodeSemError, "sem: %v", err)
-	}
-	art := &Artifact{Hash: hash, Info: info}
-	if doTransform {
-		res, err := transform.Apply(info)
-		if err != nil {
-			return nil, errf(422, CodeTransformError, "transform: %v", err)
-		}
-		art.Transformed = res
-	}
-	if doLint {
-		art.LintDiags = lint.RunInfo(info, src, lint.Options{})
-		art.Hints = lint.Hints(art.LintDiags)
-	}
-	return art, nil
-}
-
-// buildTrace executes the program under budgets, recording the
-// execution tree; the dependence graph for slicing is built on the first
-// slice. A runtime error still yields the partial tree — crashes are
-// debuggable — so it is stored in the artifact, not returned.
-func buildTrace(art *Artifact, input string, fuel, depth int, reg *obs.Registry) *TraceArtifact {
-	info := art.TraceInfo()
-	tr := exectree.TraceWith(info, exectree.TraceOpts{
-		Input:    input,
-		MaxSteps: fuel,
-		MaxDepth: depth,
-	})
-	return &TraceArtifact{
-		Tree: tr.Tree,
-		Deps: &dynamic.Deps{
-			Info: info, Input: input, MaxSteps: fuel, MaxDepth: depth,
-			Nodes: tr.Tree.Size(), Metrics: reg,
-		},
-		Output: tr.Output,
-		RunErr: tr.Err,
-		Steps:  tr.Steps,
-	}
+	return v.(*gadt.Run), nil, hit
 }

@@ -8,17 +8,16 @@ import (
 	"sync"
 	"time"
 
-	"gadt/internal/debugger"
+	"gadt/internal/gadt"
 	"gadt/internal/obs"
 	"gadt/internal/pascal/interp"
 )
 
 // Options configures the service.
 type Options struct {
-	// Workers sizes the pipeline worker pool (default 4); QueueLen its
-	// job queue (default Workers*64). A full queue answers 429.
-	Workers  int
-	QueueLen int
+	// Workers sizes the pipeline worker pool (default 4); its job queue
+	// holds Workers*64 jobs. A full queue answers 429.
+	Workers int
 
 	// Fuel and Depth are the per-session execution budgets enforced on
 	// every traced run (defaults 2_000_000 statements, 5_000 frames).
@@ -28,10 +27,9 @@ type Options struct {
 	Depth int
 
 	// IdleTimeout evicts sessions not touched for this long (default
-	// 15m); TombstoneTTL keeps terminal sessions addressable for stable
-	// error codes before they are forgotten (default 2×IdleTimeout).
-	IdleTimeout  time.Duration
-	TombstoneTTL time.Duration
+	// 15m). Terminal sessions stay addressable, for stable error codes,
+	// until they have been idle for twice as long.
+	IdleTimeout time.Duration
 
 	// MaxBody caps request bodies in bytes (default 1 MiB).
 	MaxBody int64
@@ -64,9 +62,6 @@ func (o Options) withDefaults() Options {
 	if o.IdleTimeout <= 0 {
 		o.IdleTimeout = 15 * time.Minute
 	}
-	if o.TombstoneTTL <= 0 {
-		o.TombstoneTTL = 2 * o.IdleTimeout
-	}
 	if o.MaxBody <= 0 {
 		o.MaxBody = 1 << 20
 	}
@@ -85,7 +80,6 @@ func (o Options) withDefaults() Options {
 // Manager owns the session registry, the worker pool and the cache,
 // and runs the idle-eviction janitor.
 type Manager struct {
-	reg   *obs.Registry
 	opts  Options
 	cache *Cache
 	pool  *pool
@@ -108,10 +102,9 @@ type Manager struct {
 func NewManager(reg *obs.Registry, opts Options) *Manager {
 	opts = opts.withDefaults()
 	m := &Manager{
-		reg:      reg,
 		opts:     opts,
 		cache:    NewCache(reg, opts.CacheEntries),
-		pool:     newPool(opts.Workers, opts.QueueLen, reg),
+		pool:     newPool(opts.Workers, reg),
 		sessions: make(map[string]*Session),
 		active:   reg.Gauge("serve.sessions.active"),
 		created:  reg.Counter("serve.sessions.created"),
@@ -196,7 +189,7 @@ func (m *Manager) prepare(sess *Session, req CreateRequest) {
 		return
 	}
 
-	tr, err, thit := m.cache.Trace(art, req.File, !req.NoTransform, !req.NoLint, req.Input, m.opts.Fuel, m.opts.Depth)
+	run, err, thit := m.cache.Trace(art, req.File, !req.NoTransform, !req.NoLint, req.Input, m.opts.Fuel, m.opts.Depth)
 	sess.mu.Lock()
 	sess.Cache.Trace = hitstr(thit)
 	sess.mu.Unlock()
@@ -206,9 +199,9 @@ func (m *Manager) prepare(sess *Session, req CreateRequest) {
 	}
 
 	sess.mu.Lock()
-	sess.output = tr.Output
-	if tr.RunErr != nil {
-		sess.runErr = tr.RunErr.Error()
+	sess.output = run.Output
+	if run.RunErr != nil {
+		sess.runErr = run.RunErr.Error()
 	}
 	sess.mu.Unlock()
 
@@ -217,16 +210,16 @@ func (m *Manager) prepare(sess *Session, req CreateRequest) {
 	// gigantic partial tree. Other runtime errors (division by zero,
 	// bad index) keep going — crashes are debuggable.
 	switch {
-	case errors.Is(tr.RunErr, interp.ErrFuelExhausted):
+	case errors.Is(run.RunErr, interp.ErrFuelExhausted):
 		sess.fail(errf(http.StatusUnprocessableEntity, CodeFuelExhausted,
-			"execution exceeded the %d-statement fuel budget: %v", m.opts.Fuel, tr.RunErr))
+			"execution exceeded the %d-statement fuel budget: %v", m.opts.Fuel, run.RunErr))
 		return
-	case errors.Is(tr.RunErr, interp.ErrDepthExhausted):
+	case errors.Is(run.RunErr, interp.ErrDepthExhausted):
 		sess.fail(errf(http.StatusUnprocessableEntity, CodeDepthExhausted,
-			"execution exceeded the %d-frame depth budget: %v", m.opts.Depth, tr.RunErr))
+			"execution exceeded the %d-frame depth budget: %v", m.opts.Depth, run.RunErr))
 		return
 	}
-	if tr.Tree == nil || tr.Tree.Root == nil {
+	if run.Tree == nil || run.Tree.Root == nil {
 		sess.fail(errf(http.StatusUnprocessableEntity, CodeEmptyTree,
 			"program produced no execution tree"))
 		return
@@ -243,16 +236,12 @@ func (m *Manager) prepare(sess *Session, req CreateRequest) {
 	// The question/answer loop runs on its own goroutine — it blocks on
 	// client answers for arbitrarily long and must not pin a worker.
 	go func() {
-		out, derr := debugger.New(tr.Tree, sess, debugger.Options{
+		out, derr := run.Debug(sess, gadt.DebugConfig{
 			Strategy:     sess.Strategy,
-			Assertions:   sess.db,
 			Slicing:      !req.NoSlicing,
-			Deps:         tr.Deps,
-			Meta:         art.Transformed,
 			Hints:        art.Hints,
 			MaxQuestions: req.MaxQuestions,
-			Metrics:      m.reg,
-		}).Run()
+		})
 		if errors.Is(derr, errSessionClosed) {
 			return // eviction/deletion already set the terminal state
 		}
@@ -370,7 +359,7 @@ func (m *Manager) sweep(now time.Time) {
 	for _, s := range m.sessions {
 		idle := now.Sub(s.idleSince())
 		if s.currentState().Terminal() {
-			if idle > m.opts.TombstoneTTL {
+			if idle > 2*m.opts.IdleTimeout {
 				forget = append(forget, s)
 			}
 			continue

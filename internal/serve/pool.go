@@ -16,16 +16,10 @@ type pool struct {
 	queue *obs.Gauge
 }
 
-// newPool starts n workers with a queue of cap qlen.
-func newPool(n, qlen int, reg *obs.Registry) *pool {
-	if n <= 0 {
-		n = 4
-	}
-	if qlen <= 0 {
-		qlen = n * 64
-	}
+// newPool starts n workers with a queue of n*64 jobs.
+func newPool(n int, reg *obs.Registry) *pool {
 	p := &pool{
-		jobs:  make(chan func(), qlen),
+		jobs:  make(chan func(), n*64),
 		done:  make(chan struct{}),
 		queue: reg.Gauge("serve.pool.queue"),
 	}

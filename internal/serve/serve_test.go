@@ -163,9 +163,9 @@ func recordJournal(t *testing.T, source, reference, input string) (lines []strin
 // verbatim as answer bodies, asserting zero divergence: every pending
 // question must match the recorded entry byte for byte (seq, node,
 // unit, query — the server additionally cross-checks the echoes).
-func replayJournal(t *testing.T, c *tclient, file, program, input string, lines []string) serve.SessionResponse {
+func replayJournal(t *testing.T, c *tclient, req serve.CreateRequest, lines []string) serve.SessionResponse {
 	t.Helper()
-	resp := c.createReq(serve.CreateRequest{Program: program, Input: input, File: file})
+	resp := c.createReq(req)
 	for _, line := range lines {
 		var entry debugger.JournalEntry
 		if err := json.Unmarshal([]byte(line), &entry); err != nil {
@@ -214,7 +214,7 @@ func TestReplayCLIJournal(t *testing.T) {
 
 	c, _, _ := newTestServer(t, serve.Options{})
 	lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
-	resp := replayJournal(t, c, j.Header.File, string(program), "", lines)
+	resp := replayJournal(t, c, serve.CreateRequest{Program: string(program), File: j.Header.File}, lines)
 
 	if resp.State != "localized" || resp.Diagnosis == nil || !resp.Diagnosis.Localized {
 		t.Fatalf("state = %s, diagnosis = %+v; want localized", resp.State, resp.Diagnosis)
@@ -225,6 +225,41 @@ func TestReplayCLIJournal(t *testing.T) {
 	if resp.Questions != len(j.Entries) {
 		t.Errorf("questions = %d, want %d (whole journal consumed, nothing extra)",
 			resp.Questions, len(j.Entries))
+	}
+}
+
+// TestNoTransformSession records a session on the untransformed sqrtest,
+// answered by the untransformed reference, and replays it against a
+// no_transform session: the server traces the original program, so the
+// questions and the diagnosis match the local run.
+func TestNoTransformSession(t *testing.T) {
+	sys, err := gadt.Load("program.pas", paper.Sqrtest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle, err := gadt.IntendedOracleOriginal(paper.SqrtestFixed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf strings.Builder
+	jw := debugger.NewJournalWriter(&buf)
+	out, err := sys.TraceOriginal("", 0, 0).Debug(&debugger.JournalingOracle{Inner: oracle, Journal: jw},
+		gadt.DebugConfig{Slicing: true, Hints: sys.LintHints()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !out.Localized() || out.Bug.Unit.Name != "decrement" {
+		t.Fatalf("local untransformed session localized %v, want decrement", out.Bug)
+	}
+
+	c, _, _ := newTestServer(t, serve.Options{})
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	resp := replayJournal(t, c, serve.CreateRequest{Program: paper.Sqrtest, NoTransform: true}, lines)
+	if resp.State != "localized" || resp.Diagnosis == nil || resp.Diagnosis.Unit != "decrement" {
+		t.Fatalf("state = %s, diagnosis = %+v; want decrement localized", resp.State, resp.Diagnosis)
+	}
+	if resp.Questions != jw.Entries() {
+		t.Errorf("questions = %d, want %d", resp.Questions, jw.Entries())
 	}
 }
 
@@ -276,7 +311,7 @@ func TestCorpusSessions(t *testing.T) {
 		t.Run(sub.name, func(t *testing.T) {
 			cc := c.with(t)
 			lines, localUnit := recordJournal(t, sub.buggy, sub.fixed, sub.input)
-			resp := replayJournal(t, cc, "program.pas", sub.buggy, sub.input, lines)
+			resp := replayJournal(t, cc, serve.CreateRequest{Program: sub.buggy, Input: sub.input, File: "program.pas"}, lines)
 			if resp.State != "localized" || resp.Diagnosis == nil {
 				t.Fatalf("state = %s, want localized", resp.State)
 			}
@@ -310,7 +345,7 @@ func TestInteractiveSession(t *testing.T) {
 		if onPath[resp.Question.Unit] {
 			verdict = "incorrect"
 		}
-		body, _ := json.Marshal(serve.AnswerRequest{Verdict: verdict})
+		body, _ := json.Marshal(debugger.JournalEntry{Verdict: verdict})
 		resp = c.answer(resp.ID, body)
 	}
 	if resp.State != "localized" || resp.Diagnosis == nil || resp.Diagnosis.Unit != "decrement" {

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"time"
 
+	"gadt/internal/debugger"
 	"gadt/internal/obs"
 )
 
@@ -102,13 +103,13 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.mgr.opts.PrepareWait)
 	defer cancel()
-	resp := sess.awaitReady(ctx)
+	resp, failure := sess.awaitReady(ctx)
 	// A pipeline rejection (parse error, fuel bomb …) surfaces as the
 	// session's terminal failure: answer with its status so the client
 	// sees a clean 4xx, and keep the session id in the body for
 	// inspection.
-	if resp.State == StateFailed.String() && resp.Error != nil {
-		s.writeJSON(w, statusForCode(resp.Error.Code), resp)
+	if failure != nil {
+		s.writeJSON(w, failure.Status, resp)
 		return
 	}
 	w.Header().Set("Location", "/v1/sessions/"+sess.ID)
@@ -141,7 +142,7 @@ func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, apiErr)
 		return
 	}
-	var req AnswerRequest
+	var req debugger.JournalEntry
 	if apiErr := decodeJSON(body, &req); apiErr != nil {
 		s.writeError(w, apiErr)
 		return
@@ -152,7 +153,8 @@ func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.mgr.opts.AnswerWait)
 	defer cancel()
-	s.writeJSON(w, http.StatusOK, sess.awaitReady(ctx))
+	resp, _ := sess.awaitReady(ctx)
+	s.writeJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
@@ -162,29 +164,6 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	}
 	s.statuses.With("204").Inc()
 	w.WriteHeader(http.StatusNoContent)
-}
-
-// statusForCode maps a stable error code back onto its HTTP status for
-// terminal-session responses.
-func statusForCode(code string) int {
-	switch code {
-	case CodeParseError, CodeSemError, CodeTransformError,
-		CodeFuelExhausted, CodeDepthExhausted, CodeEmptyTree, CodeNothingToDebug:
-		return http.StatusUnprocessableEntity
-	case CodeNotFound:
-		return http.StatusNotFound
-	case CodeEvicted, CodeClosed:
-		return http.StatusGone
-	case CodeFinished, CodeNotWaiting, CodeDivergence, CodeQuestionsBudget:
-		return http.StatusConflict
-	case CodeBodyTooLarge:
-		return http.StatusRequestEntityTooLarge
-	case CodeBusy:
-		return http.StatusTooManyRequests
-	case CodeBadRequest, CodeBadAnswer:
-		return http.StatusBadRequest
-	}
-	return http.StatusInternalServerError
 }
 
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {

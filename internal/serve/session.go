@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"gadt/internal/assertion"
 	"gadt/internal/debugger"
 )
 
@@ -70,8 +69,6 @@ type Session struct {
 	Hash     string // program SHA-256
 	Cache    CacheInfo
 
-	db *assertion.DB // assertion answers land here, like the CLI's
-
 	mu      sync.Mutex
 	state   State
 	touched time.Time
@@ -102,7 +99,6 @@ func newSession(id string, strategy debugger.Strategy, hash string, onInactive f
 		Created:    now,
 		Strategy:   strategy,
 		Hash:       hash,
-		db:         assertion.NewDB(),
 		state:      StatePreparing,
 		touched:    now,
 		changed:    make(chan struct{}),
@@ -155,7 +151,7 @@ func (s *Session) Ask(q *debugger.Query) (debugger.Answer, error) {
 // to the blocked oracle. The journal-entry echoes (seq, node, unit,
 // query) are divergence-checked when present; a rejected answer leaves
 // the session waiting so the client can correct and retry.
-func (s *Session) Deliver(req AnswerRequest) *apiError {
+func (s *Session) Deliver(req debugger.JournalEntry) *apiError {
 	s.mu.Lock()
 	switch s.state {
 	case StateWaiting:
@@ -180,10 +176,10 @@ func (s *Session) Deliver(req AnswerRequest) *apiError {
 		s.mu.Unlock()
 		return apiErr
 	}
-	a, apiErr := toAnswer(req, q, s.db)
-	if apiErr != nil {
+	a, err := req.Answer(q)
+	if err != nil {
 		s.mu.Unlock()
-		return apiErr
+		return errf(http.StatusBadRequest, CodeBadAnswer, "%v", err)
 	}
 	s.pending = nil
 	s.setStateLocked(StateDeciding)
@@ -195,7 +191,7 @@ func (s *Session) Deliver(req AnswerRequest) *apiError {
 }
 
 // validateAnswer divergence-checks the journal-entry echoes.
-func validateAnswer(req AnswerRequest, q *debugger.Query, seq int) *apiError {
+func validateAnswer(req debugger.JournalEntry, q *debugger.Query, seq int) *apiError {
 	if req.Kind != "" && req.Kind != "query" {
 		return errf(http.StatusBadRequest, CodeBadAnswer, "answer kind must be \"query\", got %q", req.Kind)
 	}
@@ -216,44 +212,6 @@ func validateAnswer(req AnswerRequest, q *debugger.Query, seq int) *apiError {
 			"answer echoes query %q but the pending question is %q", req.Query, q.Text)
 	}
 	return nil
-}
-
-// toAnswer converts a validated request into an engine answer,
-// mirroring the interactive oracle: assertions are parsed and stored,
-// wrong-output names must name an output of the invocation.
-func toAnswer(req AnswerRequest, q *debugger.Query, db *assertion.DB) (debugger.Answer, *apiError) {
-	if req.Assertion != "" {
-		a, err := assertion.Parse(q.Node.Unit.Name, req.Assertion)
-		if err != nil {
-			return debugger.Answer{}, errf(http.StatusBadRequest, CodeBadAnswer, "bad assertion: %v", err)
-		}
-		if db != nil {
-			db.Add(a)
-		}
-		return debugger.Answer{Assertion: a}, nil
-	}
-	v, ok := debugger.ParseVerdict(req.Verdict)
-	if !ok {
-		return debugger.Answer{}, errf(http.StatusBadRequest, CodeBadAnswer,
-			"verdict must be correct, incorrect or dont-know, got %q", req.Verdict)
-	}
-	if req.WrongOutput != "" {
-		if v != debugger.Incorrect {
-			return debugger.Answer{}, errf(http.StatusBadRequest, CodeBadAnswer,
-				"wrong_output requires verdict \"incorrect\"")
-		}
-		found := false
-		for _, name := range q.Outputs {
-			if name == req.WrongOutput {
-				found = true
-			}
-		}
-		if !found {
-			return debugger.Answer{}, errf(http.StatusBadRequest, CodeBadAnswer,
-				"unknown output %q (outputs: %v)", req.WrongOutput, q.Outputs)
-		}
-	}
-	return debugger.Answer{Verdict: v, WrongOutput: req.WrongOutput}, nil
 }
 
 // fail moves the session to StateFailed (no-op if already terminal).
@@ -318,29 +276,34 @@ func (s *Session) closeWith(st State) {
 }
 
 // awaitReady blocks until the session leaves the transient states
-// (preparing/deciding) or ctx expires, then returns the snapshot.
-func (s *Session) awaitReady(ctx context.Context) SessionResponse {
+// (preparing/deciding) or ctx expires, then returns the snapshot and,
+// when the session has failed, its failure.
+func (s *Session) awaitReady(ctx context.Context) (SessionResponse, *apiError) {
 	for {
 		s.mu.Lock()
-		st := s.state
+		if (s.state != StatePreparing && s.state != StateDeciding) || ctx.Err() != nil {
+			resp, failure := s.snapshotLocked(), s.failure
+			s.mu.Unlock()
+			return resp, failure
+		}
 		ch := s.changed
 		s.mu.Unlock()
-		if st != StatePreparing && st != StateDeciding {
-			break
-		}
 		select {
 		case <-ch:
 		case <-ctx.Done():
-			return s.Snapshot()
 		}
 	}
-	return s.Snapshot()
 }
 
 // Snapshot renders the wire representation.
 func (s *Session) Snapshot() SessionResponse {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.snapshotLocked()
+}
+
+// snapshotLocked is Snapshot for callers holding mu.
+func (s *Session) snapshotLocked() SessionResponse {
 	cache := s.Cache
 	resp := SessionResponse{
 		ID:              s.ID,

@@ -8,10 +8,12 @@
 //
 // The wire schema is the session-journal JSONL entry format from
 // internal/debugger: every pending question is rendered as a journal
-// "query" record, and an answer request accepts exactly a journal
-// entry's fields — so a session recorded with `gadt -journal` replays
-// against the server verbatim, line by line, with server-side
-// divergence checking on the seq/node/unit/query echoes.
+// "query" record, and the body of POST /v1/sessions/{id}/answer is a
+// debugger.JournalEntry — so a session recorded with `gadt -journal`
+// replays against the server verbatim, line by line, with server-side
+// divergence checking on the seq/node/unit/query echoes. Seq, Node,
+// Unit and Query, when set, must echo the pending question; a mismatch
+// is a replay divergence and is rejected without consuming the answer.
 package serve
 
 import (
@@ -52,22 +54,6 @@ type CreateRequest struct {
 	NoSlicing   bool `json:"no_slicing,omitempty"`
 	// MaxQuestions bounds oracle interactions (0 = engine default).
 	MaxQuestions int `json:"max_questions,omitempty"`
-}
-
-// AnswerRequest is the body of POST /v1/sessions/{id}/answer. Its
-// fields are exactly the journal-entry fields: a `gadt -journal` line
-// is a valid answer body. Seq, Node, Unit and Query, when set, are
-// echoes of the pending question; a mismatch is a replay divergence
-// and rejected without consuming the answer.
-type AnswerRequest struct {
-	Kind        string `json:"kind,omitempty"` // "" or "query"
-	Seq         int    `json:"seq,omitempty"`
-	Node        int64  `json:"node,omitempty"`
-	Unit        string `json:"unit,omitempty"`
-	Query       string `json:"query,omitempty"`
-	Verdict     string `json:"verdict,omitempty"`
-	WrongOutput string `json:"wrong_output,omitempty"`
-	Assertion   string `json:"assertion,omitempty"`
 }
 
 // Question is a pending oracle question, shaped like a journal entry.

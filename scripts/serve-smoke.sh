@@ -2,7 +2,8 @@
 # serve-smoke: boot gadt-serve, drive one complete debugging session
 # with curl by replaying the checked-in CLI journal, and scrape the ops
 # surface. Proves the binary end to end: HTTP wiring, the journal wire
-# format, the cache counters and the metrics endpoint.
+# format, the cache counters, the metrics endpoint, and that sessions
+# run through the gadt facade (its trace and transform counters).
 #
 # Usage: scripts/serve-smoke.sh [outdir]   (default: serve-smoke-out)
 #
@@ -89,7 +90,9 @@ for series in \
     'serve_requests{endpoint="sessions.create"}' \
     'serve_requests{endpoint="sessions.answer"}' \
     'serve_cache_misses{layer="artifact"}' \
-    'serve_sessions_created'; do
+    'serve_sessions_created' \
+    'exectree_traces' \
+    'transform_routines'; do
     # The counter must exist and be nonzero (skip # HELP/# TYPE lines).
     val=$(grep -F "$series " "$OUT/metrics.txt" | grep -v '^#' | awk '{print $NF}' | head -1)
     case "$val" in
