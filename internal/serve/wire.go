@@ -1,10 +1,10 @@
-// Package serve hosts the GADT pipeline as a long-running HTTP/JSON
-// service: many simultaneous algorithmic-debugging sessions, each an
-// oracle question/answer loop over the wire, backed by a worker pool
-// with per-session fuel/depth budgets and a content-addressed cache
-// that computes parse/sem/transform artifacts and execution traces
-// once per (program hash, pipeline version) and shares them across
-// sessions.
+// Package serve hosts the GADT pipeline (package gadt) as a
+// long-running HTTP/JSON service: many simultaneous algorithmic
+// debugging sessions, each an oracle question/answer loop over the
+// wire, backed by a worker pool with per-session fuel/depth budgets and
+// a content-addressed cache that computes parse/sem/transform artifacts
+// and execution traces once per (program hash, pipeline version) and
+// shares them across sessions.
 //
 // The wire schema is the session-journal JSONL entry format from
 // internal/debugger: every pending question is rendered as a journal
