@@ -26,6 +26,7 @@ say "== build =="
 $GO build -o "$OUT/gadt-serve" ./cmd/gadt-serve
 
 say "== start =="
+rm -f "$OUT/port" # a port file left by an earlier run would be read first
 "$OUT/gadt-serve" -addr 127.0.0.1:0 -port-file "$OUT/port" \
     2>> "$TRANSCRIPT" &
 SERVER_PID=$!
