@@ -89,6 +89,60 @@ func mustAnalyze(t *testing.T, prog *ast.Program) *sem.Info {
 	return info
 }
 
+// TestOneResolutionPerNode pins that a node resolves to at most one of
+// a use, a user routine and a builtin, and that UseOf answers only for
+// variables and constants: a parameterless function call is a call,
+// while an assignment to the function's name uses its result variable.
+func TestOneResolutionPerNode(t *testing.T) {
+	prog := parser.MustParse("r.pas", resolveSrc)
+	info := mustAnalyze(t, prog)
+	for n, r := range resolveAll(info, prog) {
+		if (r.use != nil && r.call != nil) || (r.use != nil && r.builtin != nil) || (r.call != nil && r.builtin != nil) {
+			t.Errorf("%T %v resolves as %+v, want at most one resolution", n, n.Pos(), r)
+		}
+	}
+
+	seven := info.LookupRoutine("seven")
+	var call, target *ast.Ident
+	var abs *ast.CallExpr
+	var show *ast.CallStmt
+	ast.Inspect(prog, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			if id, ok := n.Rhs.(*ast.Ident); ok && id.Name == "seven" {
+				call = id
+			}
+			if id, ok := n.Lhs.(*ast.Ident); ok && id.Name == "seven" {
+				target = id
+			}
+		case *ast.CallExpr:
+			if n.Name == "abs" {
+				abs = n
+			}
+		case *ast.CallStmt:
+			if n.Name == "show" {
+				show = n
+			}
+		}
+		return true
+	})
+	if call == nil || target == nil || abs == nil || show == nil {
+		t.Fatal("resolveSrc lacks one of the nodes under test")
+	}
+	if got := resolveNode(info, call); got.use != nil || got.call != seven || got.typ != types.Integer {
+		t.Errorf("parameterless call seven resolves as %+v, want a call of seven typed integer", got)
+	}
+	if got := resolveNode(info, target); got.use != seven.Result || got.call != nil {
+		t.Errorf("assignment target seven resolves as %+v, want its result variable", got)
+	}
+	if got := resolveNode(info, abs); got.builtin == nil || got.builtin.Name != "abs" || got.call != nil {
+		t.Errorf("abs(x) resolves as %+v, want the builtin abs", got)
+	}
+	if got := info.CallOf(show); got == nil || got.Name != "show" {
+		t.Errorf("show(y) calls %v, want show", got)
+	}
+}
+
 // TestReanalysisKeepsEarlierInfo pins that UIDs are never reassigned:
 // analyzing an AST again, even after adding nodes, leaves an earlier
 // Info resolving every old node exactly as before and not seeing the

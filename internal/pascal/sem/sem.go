@@ -52,26 +52,45 @@ type Info struct {
 	// are 0 to NumVars-1.
 	NumVars int
 
-	// Resolution and type tables, indexed by the UID Analyze gives
-	// every expression and CallStmt. owner[uid] is the UID field of the
-	// node this analysis resolved or typed under uid (nil if none), so
-	// a node of another program, or one added after this analysis,
-	// reads as unresolved; comparing field addresses keeps interface
-	// compares off the interpreter's hot path. syms holds identifier
-	// uses; routines and builtins hold call targets; exprTypes holds
-	// expression types.
-	owner     []*int
-	syms      []Symbol
-	routines  []*Routine
-	builtins  []*Builtin
-	exprTypes []types.Type
+	// Resolution and type table, indexed by the UID Analyze gives
+	// every expression and CallStmt. A node has at most one resolution
+	// (a variable or constant use, a *Routine or a *Builtin) and at most
+	// one type, so one entry holds both.
+	tab []entry
+}
+
+// entry is what one analysis knows about the node numbered with its
+// index. owner is the UID field of the node this analysis resolved or
+// typed under that number (nil if none), so a node of another program,
+// or one added after this analysis, reads as unresolved; comparing
+// field addresses keeps interface compares off the interpreter's hot
+// path.
+type entry struct {
+	owner *int
+	res   Symbol
+	typ   types.Type
 }
 
 // UseOf resolves an identifier use to its variable or constant symbol
 // (nil when e is not a resolved use in this analysis).
 func (in *Info) UseOf(e *ast.Ident) Symbol {
-	if uid := e.UID; uid < len(in.owner) && in.owner[uid] == &e.UID {
-		return in.syms[uid]
+	sym := in.resolution(e)
+	if _, ok := sym.(*VarSym); ok {
+		return sym
+	}
+	if _, ok := sym.(*ConstSym); ok {
+		return sym
+	}
+	return nil
+}
+
+// resolution returns what this analysis resolved identifier e to: a
+// variable, a constant or, for a parameterless function call, a routine
+// (nil when e was not resolved under it). Single type assertions on its
+// result compile to one pointer compare, which keeps UseOf cheap.
+func (in *Info) resolution(e *ast.Ident) Symbol {
+	if uid := e.UID; uid < len(in.tab) && in.tab[uid].owner == &e.UID {
+		return in.tab[uid].res
 	}
 	return nil
 }
@@ -80,25 +99,27 @@ func (in *Info) UseOf(e *ast.Ident) Symbol {
 // parameterless-function Ident (nil for builtins, unresolved calls and
 // any other node).
 func (in *Info) CallOf(n ast.Node) *Routine {
-	return in.routines[in.uidOf(n)]
+	r, _ := in.tab[in.uidOf(n)].res.(*Routine)
+	return r
 }
 
 // BuiltinOf resolves the predeclared target of a CallStmt or CallExpr
 // (nil for user calls, unresolved calls and any other node).
 func (in *Info) BuiltinOf(n ast.Node) *Builtin {
-	return in.builtins[in.uidOf(n)]
+	b, _ := in.tab[in.uidOf(n)].res.(*Builtin)
+	return b
 }
 
 // TypeOf returns the type this analysis gave expression e (nil when e
 // was not checked under it).
 func (in *Info) TypeOf(e ast.Expr) types.Type {
-	return in.exprTypes[in.uidOf(e)]
+	return in.tab[in.uidOf(e)].typ
 }
 
 // uidOf returns n's UID when this analysis resolved or typed n under
-// it, else 0 (whose table slots are always empty).
+// it, else 0 (whose entry is always empty).
 func (in *Info) uidOf(n ast.Node) int {
-	if p := uidField(n); p != nil && *p < len(in.owner) && in.owner[*p] == p {
+	if p := uidField(n); p != nil && *p < len(in.tab) && in.tab[*p].owner == p {
 		return *p
 	}
 	return 0
@@ -135,7 +156,7 @@ func uidField(n ast.Node) *int {
 }
 
 // numberNodes gives every expression and CallStmt of prog without a UID
-// the next number from prog's counter, then sizes the tables to cover
+// the next number from prog's counter, then sizes the table to cover
 // every UID the program has handed out. UIDs are never reassigned, so
 // an earlier Info of the same program stays valid.
 func (in *Info) numberNodes(prog *ast.Program) {
@@ -146,31 +167,18 @@ func (in *Info) numberNodes(prog *ast.Program) {
 		}
 		return true
 	})
-	n := prog.UIDs + 1 // slot 0 stays empty
-	in.owner = make([]*int, n)
-	in.syms = make([]Symbol, n)
-	in.routines = make([]*Routine, n)
-	in.builtins = make([]*Builtin, n)
-	in.exprTypes = make([]types.Type, n)
+	in.tab = make([]entry, prog.UIDs+1) // slot 0 stays empty
 }
 
-func (in *Info) setUse(e *ast.Ident, sym Symbol) {
-	in.owner[e.UID], in.syms[e.UID] = &e.UID, sym
-}
-
-func (in *Info) setCall(n ast.Node, r *Routine) {
+// resolve records n's resolution (a use's symbol or a call's target).
+func (in *Info) resolve(n ast.Node, sym Symbol) {
 	p := uidField(n)
-	in.owner[*p], in.routines[*p] = p, r
-}
-
-func (in *Info) setBuiltin(n ast.Node, b *Builtin) {
-	p := uidField(n)
-	in.owner[*p], in.builtins[*p] = p, b
+	in.tab[*p].owner, in.tab[*p].res = p, sym
 }
 
 func (in *Info) setType(e ast.Expr, t types.Type) {
 	p := uidField(e)
-	in.owner[*p], in.exprTypes[*p] = p, t
+	in.tab[*p].owner, in.tab[*p].typ = p, t
 }
 
 // LookupRoutine finds a routine symbol by name, preferring the first
@@ -191,10 +199,8 @@ func (in *Info) VarOf(e ast.Expr) *VarSym {
 	for {
 		switch x := e.(type) {
 		case *ast.Ident:
-			if v, ok := in.UseOf(x).(*VarSym); ok {
-				return v
-			}
-			return nil
+			v, _ := in.resolution(x).(*VarSym)
+			return v
 		case *ast.IndexExpr:
 			e = x.X
 		case *ast.FieldExpr:
@@ -439,7 +445,7 @@ func (c *checker) constValue(e ast.Expr, sc *scope) (types.Type, any) {
 		return types.String, e.Value
 	case *ast.Ident:
 		if sym, ok := sc.lookup(e.Name).(*ConstSym); ok && sym != nil {
-			c.info.setUse(e, sym)
+			c.info.resolve(e, sym)
 			return sym.Type, sym.Value
 		}
 		c.errorf(e.Pos(), "%s is not a constant", e.Name)
@@ -605,7 +611,7 @@ func (c *checker) checkAssign(s *ast.AssignStmt, r *Routine, sc *scope) {
 	if id, ok := s.Lhs.(*ast.Ident); ok {
 		for fr := r; fr != nil; fr = fr.Parent {
 			if fr.Kind == ast.FuncKind && fr.Name == id.Name && fr.Result != nil {
-				c.info.setUse(id, fr.Result)
+				c.info.resolve(id, fr.Result)
 				c.info.setType(id, fr.Result.Type)
 				rt := c.checkExpr(s.Rhs, r, sc)
 				if rt != types.Bad && !types.AssignableTo(rt, fr.Result.Type) {
@@ -669,10 +675,10 @@ func (c *checker) checkCall(node ast.Node, name string, args []ast.Expr, pos tok
 		}
 		return types.Bad
 	case *Builtin:
-		c.info.setBuiltin(node, sym)
+		c.info.resolve(node, sym)
 		return c.checkBuiltinCall(sym, args, pos, r, sc, stmtCtx)
 	case *Routine:
-		c.info.setCall(node, sym)
+		c.info.resolve(node, sym)
 		if stmtCtx && sym.Kind == ast.FuncKind {
 			c.errorf(pos, "function %s called as a procedure", name)
 		}
@@ -787,10 +793,10 @@ func (c *checker) exprType(e ast.Expr, r *Routine, sc *scope) types.Type {
 			c.errorf(e.Pos(), "undeclared identifier %s", e.Name)
 			return types.Bad
 		case *VarSym:
-			c.info.setUse(e, sym)
+			c.info.resolve(e, sym)
 			return sym.Type
 		case *ConstSym:
-			c.info.setUse(e, sym)
+			c.info.resolve(e, sym)
 			return sym.Type
 		case *Routine:
 			// Parameterless function call in expression position.
@@ -798,7 +804,7 @@ func (c *checker) exprType(e ast.Expr, r *Routine, sc *scope) types.Type {
 				if len(sym.Params) != 0 {
 					c.errorf(e.Pos(), "function %s requires arguments", e.Name)
 				}
-				c.info.setCall(e, sym)
+				c.info.resolve(e, sym)
 				if sym.Result != nil {
 					return sym.Result.Type
 				}

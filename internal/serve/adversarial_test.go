@@ -4,7 +4,9 @@ package serve_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -130,6 +132,49 @@ func TestFuelBombRejected(t *testing.T) {
 	}
 	if loop.Error == nil || loop.Error.Code != serve.CodeFuelExhausted {
 		t.Fatalf("no_transform loop error = %+v, want fuel_exhausted", loop.Error)
+	}
+}
+
+// TestExhaustedRunsKeepNoTree checks that a run the fuel budget stopped
+// is cached without its partial execution tree: distinct untransformed
+// bombs, each calling a procedure from an endless loop until the fuel
+// runs out, leave the live heap almost as it was.
+func TestExhaustedRunsKeepNoTree(t *testing.T) {
+	const bombs = 8
+	c, _, _ := newTestServer(t, serve.Options{Fuel: 50_000})
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	for i := 0; i < bombs; i++ {
+		src := fmt.Sprintf(`program bomb;
+var x: integer;
+
+procedure p(var x: integer);
+begin
+  x := x + %d
+end;
+
+begin
+  x := 0;
+  while x >= 0 do
+    p(x);
+  writeln(x)
+end.
+`, i+1)
+		body, _ := json.Marshal(serve.CreateRequest{Program: src, NoTransform: true})
+		status, raw := c.do("POST", "/v1/sessions", body)
+		if status != http.StatusUnprocessableEntity || errBody(t, raw).Code != serve.CodeFuelExhausted {
+			t.Fatalf("bomb %d = %d, want 422 fuel_exhausted\n%s", i, status, raw)
+		}
+	}
+	// A kept partial tree holds about 5 MB per bomb at this fuel.
+	const bound = 2 << 20
+	if grown := int64(heap()) - int64(before); grown > bound {
+		t.Errorf("%d fuel-exhausted runs grew the live heap by %d bytes, want at most %d", bombs, grown, bound)
 	}
 }
 

@@ -1,15 +1,16 @@
 package serve
 
 import (
+	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"gadt/internal/gadt"
 	"gadt/internal/obs"
+	"gadt/internal/pascal/interp"
 	"gadt/internal/pascal/parser"
 )
 
@@ -21,7 +22,7 @@ import (
 //	          (input-independent)
 //	trace     the gadt.Run: execution tree + output + the on-demand
 //	          dependence graph (adds the input hash and the fuel/depth
-//	          budgets)
+//	          budgets; drops the lint flag, which a trace never reads)
 //
 // Entries are built once under singleflight — concurrent sessions for
 // the same program block on the first builder instead of duplicating
@@ -32,8 +33,10 @@ import (
 // at most once, by the first session that slices, and later slices only
 // read it, so one trace can back any number of concurrent sessions.
 // Build errors are cached too (they are deterministic for a given key),
-// which makes hostile resubmission of a fuel bomb cost one lookup, not
-// one trace.
+// and so is a run the fuel or depth budget stopped, as its output, error
+// and step count without the partial tree: hostile resubmission of a
+// fuel bomb costs one lookup, not one trace, and holds no tree. Over
+// capacity, the least recently used completed entry goes first.
 
 // Artifact is the input-independent pipeline product for one program.
 type Artifact struct {
@@ -59,23 +62,26 @@ func artifactKey(hash, file string, transform, lint bool) string {
 	return fmt.Sprintf("art:%s:%s:f=%s:t=%v:l=%v", PipelineVersion, hash, file, transform, lint)
 }
 
-// traceKey addresses one traced execution.
-func traceKey(akey, input string, fuel, depth int) string {
-	return fmt.Sprintf("trace:%s:in=%s:fuel=%d:depth=%d", akey, hashProgram(input), fuel, depth)
+// traceKey addresses one traced execution. A trace does not read lint
+// hints, so the lint flag is not part of the key.
+func traceKey(hash, file string, transform bool, input string, fuel, depth int) string {
+	return fmt.Sprintf("trace:%s:%s:f=%s:t=%v:in=%s:fuel=%d:depth=%d",
+		PipelineVersion, hash, file, transform, hashProgram(input), fuel, depth)
 }
 
 type cacheEntry struct {
-	ready   chan struct{} // closed when val/err are set
-	val     any
-	err     error
-	lastUse time.Time
+	key   string
+	ready chan struct{} // closed when val/err are set
+	val   any
+	err   error
 }
 
 // Cache is the two-layer content-addressed store with singleflight
 // builds and hit/miss counter vecs per layer.
 type Cache struct {
 	mu         sync.Mutex
-	entries    map[string]*cacheEntry
+	entries    map[string]*list.Element // of *cacheEntry
+	lru        list.List                // most recently used first
 	maxEntries int
 
 	reg    *obs.Registry // observes every phase of the systems it builds
@@ -89,7 +95,7 @@ func NewCache(reg *obs.Registry, maxEntries int) *Cache {
 		maxEntries = 1024
 	}
 	return &Cache{
-		entries:    make(map[string]*cacheEntry),
+		entries:    make(map[string]*list.Element),
 		maxEntries: maxEntries,
 		reg:        reg,
 		hits:       reg.CounterVec("serve.cache.hits", "layer"),
@@ -103,16 +109,16 @@ func NewCache(reg *obs.Registry, maxEntries int) *Cache {
 // present or in-flight entry).
 func (c *Cache) getOrBuild(layer, key string, build func() (any, error)) (any, error, bool) {
 	c.mu.Lock()
-	e, ok := c.entries[key]
-	if ok {
-		e.lastUse = time.Now()
+	if el, ok := c.entries[key]; ok {
+		c.lru.MoveToFront(el)
+		e := el.Value.(*cacheEntry)
 		c.mu.Unlock()
 		c.hits.With(layer).Inc()
 		<-e.ready
 		return e.val, e.err, true
 	}
-	e = &cacheEntry{ready: make(chan struct{}), lastUse: time.Now()}
-	c.entries[key] = e
+	e := &cacheEntry{key: key, ready: make(chan struct{})}
+	c.entries[key] = c.lru.PushFront(e)
 	c.evictLocked()
 	c.mu.Unlock()
 	c.misses.With(layer).Inc()
@@ -124,23 +130,15 @@ func (c *Cache) getOrBuild(layer, key string, build func() (any, error)) (any, e
 // evictLocked drops least-recently-used completed entries while over
 // capacity. In-flight entries (ready open) are never dropped.
 func (c *Cache) evictLocked() {
-	for len(c.entries) > c.maxEntries {
-		var oldestKey string
-		var oldest time.Time
-		for k, e := range c.entries {
-			select {
-			case <-e.ready:
-			default:
-				continue // still building
-			}
-			if oldestKey == "" || e.lastUse.Before(oldest) {
-				oldestKey, oldest = k, e.lastUse
-			}
+	for el := c.lru.Back(); el != nil && len(c.entries) > c.maxEntries; {
+		e, prev := el.Value.(*cacheEntry), el.Prev()
+		select {
+		case <-e.ready:
+			c.lru.Remove(el)
+			delete(c.entries, e.key)
+		default: // still building
 		}
-		if oldestKey == "" {
-			return
-		}
-		delete(c.entries, oldestKey)
+		el = prev
 	}
 }
 
@@ -186,14 +184,24 @@ func (c *Cache) Artifact(file, src string, doTransform, doLint bool) (*Artifact,
 // artifact's program on input under the given budgets: the transformed
 // program, or the original one when doTransform is off. A runtime error
 // still yields the partial tree — crashes are debuggable — so it is
-// kept in the run, not returned.
-func (c *Cache) Trace(art *Artifact, file string, doTransform, doLint bool, input string, fuel, depth int) (*gadt.Run, error, bool) {
-	key := traceKey(artifactKey(art.Hash, file, doTransform, doLint), input, fuel, depth)
+// kept in the run, not returned. A run stopped by the fuel or depth
+// budget is never debugged, so it is cached without its tree.
+func (c *Cache) Trace(art *Artifact, file string, doTransform bool, input string, fuel, depth int) (*gadt.Run, error, bool) {
+	key := traceKey(art.Hash, file, doTransform, input, fuel, depth)
 	v, err, hit := c.getOrBuild("trace", key, func() (any, error) {
+		var run *gadt.Run
 		if doTransform {
-			return art.System.TraceLimited(input, fuel, depth)
+			var err error
+			if run, err = art.System.TraceLimited(input, fuel, depth); err != nil {
+				return nil, err
+			}
+		} else {
+			run = art.System.TraceOriginal(input, fuel, depth)
 		}
-		return art.System.TraceOriginal(input, fuel, depth), nil
+		if errors.Is(run.RunErr, interp.ErrFuelExhausted) || errors.Is(run.RunErr, interp.ErrDepthExhausted) {
+			run.Tree, run.Deps = nil, nil
+		}
+		return run, nil
 	})
 	if err != nil {
 		return nil, err, hit

@@ -189,7 +189,7 @@ func (m *Manager) prepare(sess *Session, req CreateRequest) {
 		return
 	}
 
-	run, err, thit := m.cache.Trace(art, req.File, !req.NoTransform, !req.NoLint, req.Input, m.opts.Fuel, m.opts.Depth)
+	run, err, thit := m.cache.Trace(art, req.File, !req.NoTransform, req.Input, m.opts.Fuel, m.opts.Depth)
 	sess.mu.Lock()
 	sess.Cache.Trace = hitstr(thit)
 	sess.mu.Unlock()

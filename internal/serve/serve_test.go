@@ -430,6 +430,24 @@ func TestCacheSharing(t *testing.T) {
 	}
 }
 
+// TestNoLintSharesTrace checks that the lint flag keys only the
+// artifact layer: a no_lint create of a program already traced reuses
+// the trace.
+func TestNoLintSharesTrace(t *testing.T) {
+	c, reg, _ := newTestServer(t, serve.Options{})
+	c.create(paper.Sqrtest, "")
+	second := c.createReq(serve.CreateRequest{Program: paper.Sqrtest, NoLint: true})
+	if second.Cache == nil || second.Cache.Artifact != "miss" || second.Cache.Trace != "hit" {
+		t.Errorf("no_lint session cache = %+v, want artifact miss, trace hit", second.Cache)
+	}
+	if got := reg.CounterVec("serve.cache.hits", "layer").With("trace").Value(); got != 1 {
+		t.Errorf("trace hits = %d, want 1", got)
+	}
+	if got := reg.Counter("exectree.traces").Value(); got != 1 {
+		t.Errorf("exectree.traces = %d, want 1", got)
+	}
+}
+
 // TestOpsSurfaceOnSameListener checks that /metrics and /healthz are
 // served by the API listener and carry the per-endpoint counters.
 func TestOpsSurfaceOnSameListener(t *testing.T) {

@@ -5,7 +5,6 @@ import (
 
 	"gadt/internal/analysis/callgraph"
 	"gadt/internal/analysis/defuse"
-	"gadt/internal/analysis/sideeffect"
 	"gadt/internal/pascal/ast"
 	"gadt/internal/pascal/sem"
 )
@@ -53,10 +52,11 @@ func varBoundVars(info *sem.Info, cg *callgraph.Graph) *defuse.Set {
 // explicit parameter passing (the paper's first transformation example):
 // referenced-only globals become value ("in") parameters, modified ones
 // become var or out parameters, and every call site passes the variable
-// through, transitively.
-func (st *state) globalsToParams(p *ast.Program, info *sem.Info) error {
-	cg := callgraph.Build(info)
-	se := sideeffect.Analyze(info, cg)
+// through, transitively. It reports whether it changed the program:
+// without a routine that references a non-local variable it does not.
+func (st *state) globalsToParams(p *ast.Program) (bool, error) {
+	info := st.info
+	cg, se := st.effects()
 	bound := varBoundVars(info, cg)
 
 	// Plan the new parameters per routine.
@@ -115,7 +115,7 @@ func (st *state) globalsToParams(p *ast.Program, info *sem.Info) error {
 		plan[r] = entries
 	}
 	if len(plan) == 0 {
-		return nil
+		return false, nil
 	}
 
 	// Rewrite each routine: rename non-local references to the new
@@ -151,7 +151,7 @@ func (st *state) globalsToParams(p *ast.Program, info *sem.Info) error {
 
 		// Extend call sites in r's body.
 		if err := st.extendCalls(r, info, plan, denote); err != nil {
-			return err
+			return false, err
 		}
 
 		// Append the formal parameters.
@@ -159,7 +159,7 @@ func (st *state) globalsToParams(p *ast.Program, info *sem.Info) error {
 			for _, en := range entries {
 				texpr, err := typeExprOf(en.v)
 				if err != nil {
-					return fmt.Errorf("transform: lifting %s into a parameter of %s: %w", en.v.Name, r.Name, err)
+					return false, fmt.Errorf("transform: lifting %s into a parameter of %s: %w", en.v.Name, r.Name, err)
 				}
 				r.Decl.Params = append(r.Decl.Params, &ast.Param{
 					DeclPos: r.Decl.Pos(),
@@ -173,7 +173,7 @@ func (st *state) globalsToParams(p *ast.Program, info *sem.Info) error {
 			}
 		}
 	}
-	return nil
+	return true, nil
 }
 
 // typeExprOf reconstructs a type denotation for v from its declaration.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"gadt/internal/analysis/callgraph"
 	"gadt/internal/analysis/sideeffect"
 	"gadt/internal/pascal/ast"
 	"gadt/internal/pascal/sem"
@@ -21,10 +20,11 @@ const (
 // parameter; each global goto becomes `exitcond := code; goto exitlab`
 // with exitlab placed at the routine's end; each call site receives the
 // code in a fresh temporary and either jumps to the (now local) label or
-// re-raises through its own exit-condition parameter.
-func (st *state) breakGotos(p *ast.Program, info *sem.Info) error {
-	cg := callgraph.Build(info)
-	se := sideeffect.Analyze(info, cg)
+// re-raises through its own exit-condition parameter. It reports
+// whether it changed the program: without a global goto it does not.
+func (st *state) breakGotos(p *ast.Program) (bool, error) {
+	info := st.info
+	_, se := st.effects()
 
 	// Escape codes, program-wide, in deterministic order.
 	codes := make(map[*sem.LabelInfo]int)
@@ -38,7 +38,7 @@ func (st *state) breakGotos(p *ast.Program, info *sem.Info) error {
 		}
 	}
 	if len(codes) == 0 {
-		return nil // no global gotos anywhere
+		return false, nil // no global gotos anywhere
 	}
 
 	// Reject functions with exit effects: breaking them would require
@@ -46,7 +46,7 @@ func (st *state) breakGotos(p *ast.Program, info *sem.Info) error {
 	// in the paper).
 	for _, r := range info.Routines {
 		if r.Kind == ast.FuncKind && len(se.Of[r].ExitTargets) > 0 {
-			return fmt.Errorf("transform: function %s contains a non-local goto, which is not supported", r.Name)
+			return false, fmt.Errorf("transform: function %s contains a non-local goto, which is not supported", r.Name)
 		}
 	}
 
@@ -64,7 +64,7 @@ func (st *state) breakGotos(p *ast.Program, info *sem.Info) error {
 	for _, r := range info.Routines {
 		st.breakGotosInRoutine(r, info, se, codes, exitParam, exitLabel)
 	}
-	return nil
+	return true, nil
 }
 
 // freshLabel invents an unused numeric label.

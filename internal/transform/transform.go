@@ -35,6 +35,8 @@ package transform
 import (
 	"fmt"
 
+	"gadt/internal/analysis/callgraph"
+	"gadt/internal/analysis/sideeffect"
 	"gadt/internal/obs"
 	"gadt/internal/pascal/ast"
 	"gadt/internal/pascal/sem"
@@ -100,6 +102,8 @@ type Result struct {
 	// EscapeCodes maps exit-condition codes to a human-readable label
 	// description ("label 9 in p"), shared program-wide.
 	EscapeCodes map[int]string
+
+	analyses int // sem.Analyze calls ApplyStages made
 }
 
 // OriginRoutine maps a transformed unit name back to the ORIGINAL
@@ -179,38 +183,29 @@ func ApplyStages(info *sem.Info, stages Stages) (*Result, error) {
 		st.extractLoops(clone)
 	}
 
-	// (Re-)analyze the clone: the input info describes the original AST,
-	// and passes 2 and 3 must resolve symbols of the clone they rewrite.
-	cur, err := sem.Analyze(clone)
-	if err != nil {
-		return nil, fmt.Errorf("transform: loop extraction broke the program: %w", err)
+	// Analyze the clone: the input info describes the original AST, and
+	// passes 2 and 3 must resolve symbols of the clone they rewrite.
+	// After that, only a pass that changed the clone re-analyzes it.
+	if err := st.analyze(clone, "loop extraction broke the program"); err != nil {
+		return nil, err
 	}
 
 	// Pass 2: break global gotos.
 	if stages.Gotos {
-		if err := st.breakGotos(clone, cur); err != nil {
+		if err := st.pass(clone, st.breakGotos, "goto breaking broke the program"); err != nil {
 			return nil, err
 		}
-		info3, err := sem.Analyze(clone)
-		if err != nil {
-			return nil, fmt.Errorf("transform: goto breaking broke the program: %w", err)
-		}
-		cur = info3
 	}
 
 	// Pass 3: globals to parameters.
 	if stages.Globals {
-		if err := st.globalsToParams(clone, cur); err != nil {
+		if err := st.pass(clone, st.globalsToParams, "transformed program does not re-analyze"); err != nil {
 			return nil, err
 		}
 	}
 
-	final, err := sem.Analyze(clone)
-	if err != nil {
-		return nil, fmt.Errorf("transform: transformed program does not re-analyze: %w", err)
-	}
 	res.Program = clone
-	res.Info = final
+	res.Info = st.info
 	return res, nil
 }
 
@@ -219,6 +214,45 @@ type state struct {
 	res   *Result
 	names map[string]bool // all identifiers in use, for fresh-name generation
 	seq   int
+
+	// info is the current analysis of the clone. cg and se are its call
+	// graph and side effects, built by the first pass that needs them
+	// (nil until then), so a pass that changed nothing hands them on.
+	info *sem.Info
+	cg   *callgraph.Graph
+	se   *sideeffect.Result
+}
+
+// pass runs a rewriting pass over the clone, which reports whether it
+// changed it, and re-analyzes the clone only if it did.
+func (st *state) pass(p *ast.Program, rewrite func(*ast.Program) (bool, error), what string) error {
+	changed, err := rewrite(p)
+	if err != nil || !changed {
+		return err
+	}
+	return st.analyze(p, what)
+}
+
+// analyze runs semantic analysis on the clone; what names the step
+// that broke the program when it does not analyze.
+func (st *state) analyze(p *ast.Program, what string) error {
+	info, err := sem.Analyze(p)
+	st.res.analyses++
+	if err != nil {
+		return fmt.Errorf("transform: %s: %w", what, err)
+	}
+	st.info, st.cg, st.se = info, nil, nil
+	return nil
+}
+
+// effects returns the call graph and side effects of the current
+// analysis.
+func (st *state) effects() (*callgraph.Graph, *sideeffect.Result) {
+	if st.se == nil {
+		st.cg = callgraph.Build(st.info)
+		st.se = sideeffect.Analyze(st.info, st.cg)
+	}
+	return st.cg, st.se
 }
 
 // fresh returns an unused identifier based on base.
@@ -288,11 +322,15 @@ type Stats struct {
 	GlobalsLifted int
 	// GotosBroken counts distinct global-goto escape codes introduced.
 	GotosBroken int
+	// Analyses counts the semantic analyses of the transformed program:
+	// one after loop extraction, and one more after each pass that
+	// changed the program.
+	Analyses int
 }
 
 // Stats computes the transformation summary from the result.
 func (res *Result) Stats() Stats {
-	st := Stats{Routines: len(res.Units), GotosBroken: len(res.EscapeCodes)}
+	st := Stats{Routines: len(res.Units), GotosBroken: len(res.EscapeCodes), Analyses: res.analyses}
 	for _, u := range res.Units {
 		if u.Kind == LoopUnit {
 			st.LoopUnits++
@@ -314,7 +352,8 @@ func (res *Result) Stats() Stats {
 
 // RecordMetrics adds the transformation counters to a registry
 // (transform.routines, transform.routines.changed, transform.loop-units,
-// transform.globals-lifted, transform.gotos-broken). Nil-safe.
+// transform.globals-lifted, transform.gotos-broken, transform.analyses).
+// Nil-safe.
 func (res *Result) RecordMetrics(m *obs.Registry) {
 	if m == nil {
 		return
@@ -325,4 +364,5 @@ func (res *Result) RecordMetrics(m *obs.Registry) {
 	m.Counter("transform.loop-units").Add(int64(st.LoopUnits))
 	m.Counter("transform.globals-lifted").Add(int64(st.GlobalsLifted))
 	m.Counter("transform.gotos-broken").Add(int64(st.GotosBroken))
+	m.Counter("transform.analyses").Add(int64(st.Analyses))
 }

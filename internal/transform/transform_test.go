@@ -7,6 +7,7 @@ import (
 
 	"gadt/internal/analysis/callgraph"
 	"gadt/internal/analysis/sideeffect"
+	"gadt/internal/obs"
 	"gadt/internal/paper"
 	"gadt/internal/pascal/ast"
 	"gadt/internal/pascal/interp"
@@ -14,6 +15,7 @@ import (
 	"gadt/internal/pascal/printer"
 	"gadt/internal/pascal/sem"
 	"gadt/internal/pascal/token"
+	"gadt/internal/progen"
 	"gadt/internal/transform"
 )
 
@@ -431,6 +433,44 @@ func TestIdempotentWhenNoEffects(t *testing.T) {
 		if u.Kind == transform.LoopUnit {
 			t.Errorf("PQR gained loop unit %s", name)
 		}
+	}
+}
+
+// TestAnalysesOnlyAfterChange pins how often ApplyStages analyzes its
+// clone: once after loop extraction, and once more after each pass that
+// changed the program.
+func TestAnalysesOnlyAfterChange(t *testing.T) {
+	plain := progen.Generate(progen.Config{Depth: 4, Fanout: 3}).Buggy
+	cases := []struct {
+		name   string
+		src    string
+		stages transform.Stages
+		want   int
+	}{
+		{"no loop, goto or global", plain, transform.AllStages(), 1},
+		{"sqrtest", paper.Sqrtest, transform.AllStages(), 2},
+		{"globalGoto", paper.GlobalGoto, transform.AllStages(), 3},
+		{"no stages", paper.GlobalGoto, transform.Stages{}, 1},
+	}
+	reg := obs.NewRegistry()
+	total := 0
+	for _, c := range cases {
+		info, err := sem.Analyze(parser.MustParse("t.pas", c.src))
+		if err != nil {
+			t.Fatalf("%s: analyze: %v", c.name, err)
+		}
+		res, err := transform.ApplyStages(info, c.stages)
+		if err != nil {
+			t.Fatalf("%s: transform: %v", c.name, err)
+		}
+		if got := res.Stats().Analyses; got != c.want {
+			t.Errorf("%s: %d analyses, want %d", c.name, got, c.want)
+		}
+		res.RecordMetrics(reg)
+		total += c.want
+	}
+	if got := reg.Counter("transform.analyses").Value(); got != int64(total) {
+		t.Errorf("transform.analyses = %d, want %d", got, total)
 	}
 }
 

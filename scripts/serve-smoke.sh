@@ -93,7 +93,8 @@ for series in \
     'serve_cache_misses{layer="artifact"}' \
     'serve_sessions_created' \
     'exectree_traces' \
-    'transform_routines'; do
+    'transform_routines' \
+    'transform_analyses'; do
     # The counter must exist and be nonzero (skip # HELP/# TYPE lines).
     val=$(grep -F "$series " "$OUT/metrics.txt" | grep -v '^#' | awk '{print $NF}' | head -1)
     case "$val" in
