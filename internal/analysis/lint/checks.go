@@ -230,37 +230,11 @@ func checkUnreachable(cx *Context) []Diagnostic {
 		// it; descend into partially-live statements.
 		var top func(s ast.Stmt)
 		top = func(s ast.Stmt) {
-			if s == nil {
-				return
-			}
 			if alive, has := stmtAlive(s); has && !alive {
 				report(s)
 				return
 			}
-			switch s := s.(type) {
-			case *ast.CompoundStmt:
-				for _, c := range s.Stmts {
-					top(c)
-				}
-			case *ast.IfStmt:
-				top(s.Then)
-				top(s.Else)
-			case *ast.WhileStmt:
-				top(s.Body)
-			case *ast.ForStmt:
-				top(s.Body)
-			case *ast.RepeatStmt:
-				for _, c := range s.Stmts {
-					top(c)
-				}
-			case *ast.CaseStmt:
-				for _, arm := range s.Arms {
-					top(arm.Body)
-				}
-				top(s.Else)
-			case *ast.LabeledStmt:
-				top(s.Stmt)
-			}
+			ast.Stmts(s, func(c *ast.Stmt) { top(*c) })
 		}
 		top(r.Block.Body)
 	}
@@ -424,45 +398,23 @@ func checkGotoIntoLoop(cx *Context) []Diagnostic {
 		var gotos []*ast.GotoStmt
 
 		var loops []ast.Stmt
-		var walk func(s ast.Stmt)
-		walk = func(s ast.Stmt) {
-			switch s := s.(type) {
-			case nil:
-			case *ast.CompoundStmt:
-				for _, c := range s.Stmts {
-					walk(c)
-				}
-			case *ast.IfStmt:
-				walk(s.Then)
-				walk(s.Else)
-			case *ast.WhileStmt:
+		var walk func(slot *ast.Stmt)
+		walk = func(slot *ast.Stmt) {
+			switch s := (*slot).(type) {
+			case *ast.WhileStmt, *ast.ForStmt, *ast.RepeatStmt:
 				loops = append(loops, s)
-				walk(s.Body)
+				ast.Stmts(s, walk)
 				loops = loops[:len(loops)-1]
-			case *ast.ForStmt:
-				loops = append(loops, s)
-				walk(s.Body)
-				loops = loops[:len(loops)-1]
-			case *ast.RepeatStmt:
-				loops = append(loops, s)
-				for _, c := range s.Stmts {
-					walk(c)
-				}
-				loops = loops[:len(loops)-1]
-			case *ast.CaseStmt:
-				for _, arm := range s.Arms {
-					walk(arm.Body)
-				}
-				walk(s.Else)
+				return
 			case *ast.LabeledStmt:
 				labelLoops[s] = append([]ast.Stmt(nil), loops...)
-				walk(s.Stmt)
 			case *ast.GotoStmt:
 				gotoLoops[s] = append([]ast.Stmt(nil), loops...)
 				gotos = append(gotos, s)
 			}
+			ast.Stmts(*slot, walk)
 		}
-		walk(r.Block.Body)
+		ast.Stmts(r.Block.Body, walk)
 
 		for _, g := range gotos {
 			li := cx.Info.GotoTgt[g]

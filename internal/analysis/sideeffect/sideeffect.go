@@ -164,15 +164,9 @@ func (res *Result) direct(r *sem.Routine) {
 		defuse.ExprUses(res.Info, x, nil, &defs, &uses)
 		classifyAll()
 	}
-	var walkStmt func(s ast.Stmt)
-	walkStmt = func(s ast.Stmt) {
-		switch s := s.(type) {
-		case nil:
-			return
-		case *ast.CompoundStmt:
-			for _, c := range s.Stmts {
-				walkStmt(c)
-			}
+	var walk func(slot *ast.Stmt)
+	walk = func(slot *ast.Stmt) {
+		switch s := (*slot).(type) {
 		case *ast.AssignStmt:
 			defuse.Assign(res.Info, s, nil, &defs, &uses)
 			classifyAll()
@@ -181,37 +175,26 @@ func (res *Result) direct(r *sem.Routine) {
 			classifyAll()
 		case *ast.IfStmt:
 			expr(s.Cond)
-			walkStmt(s.Then)
-			walkStmt(s.Else)
 		case *ast.WhileStmt:
-			expr(s.Cond)
-			walkStmt(s.Body)
-		case *ast.RepeatStmt:
-			for _, c := range s.Stmts {
-				walkStmt(c)
-			}
 			expr(s.Cond)
 		case *ast.ForStmt:
 			classify(e, r, res.Info.VarOf(s.Var), true)
 			classify(e, r, res.Info.VarOf(s.Var), false)
 			expr(s.From)
 			expr(s.Limit)
-			walkStmt(s.Body)
 		case *ast.CaseStmt:
 			expr(s.Expr)
-			for _, arm := range s.Arms {
-				walkStmt(arm.Body)
-			}
-			walkStmt(s.Else)
 		case *ast.GotoStmt:
 			if li := res.Info.GotoTgt[s]; li != nil && li.Routine != r {
 				e.ExitTargets[li] = true
 			}
-		case *ast.LabeledStmt:
-			walkStmt(s.Stmt)
+		}
+		ast.Stmts(*slot, walk)
+		if s, ok := (*slot).(*ast.RepeatStmt); ok {
+			expr(s.Cond) // after the body, as it runs
 		}
 	}
-	walkStmt(r.Block.Body)
+	ast.Stmts(r.Block.Body, walk)
 }
 
 // propagate folds callee effects into caller r; reports change.

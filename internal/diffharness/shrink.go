@@ -45,9 +45,9 @@ func Shrink(source, input string, stages transform.Stages, cfg Config) string {
 	}
 }
 
-// edit is one candidate reduction applied to a fresh clone; counterpart
-// maps original nodes to their clones.
-type edit func(counterpart func(ast.Node) ast.Node) bool
+// edit is one candidate reduction: it changes the parsed program in
+// place and returns the edit that undoes it, as mutate's sites do.
+type edit func() (undo func())
 
 // shrinkPass greedily applies enumerated edits until none survives,
 // re-enumerating after every accepted edit; reports whether any edit
@@ -58,32 +58,20 @@ func shrinkPass(source string, diverges func(string) bool) (string, bool) {
 		return source, false
 	}
 	changed := false
-	for {
-		took := false
+	for took := true; took; {
+		took = false
 		for _, e := range enumerateEdits(prog) {
-			clone, cm := ast.Clone(prog)
-			old2new := make(map[ast.Node]ast.Node, len(cm))
-			for nw, old := range cm {
-				old2new[old] = nw
+			undo := e()
+			if _, err := sem.Analyze(prog); err == nil {
+				if src := printer.Print(prog); diverges(src) {
+					source, changed, took = src, true, true
+					break
+				}
 			}
-			if !e(func(n ast.Node) ast.Node { return old2new[n] }) {
-				continue
-			}
-			if _, err := sem.Analyze(clone); err != nil {
-				continue
-			}
-			src := printer.Print(clone)
-			if !diverges(src) {
-				continue
-			}
-			prog, source = clone, src
-			changed, took = true, true
-			break
-		}
-		if !took {
-			return source, changed
+			undo()
 		}
 	}
+	return source, changed
 }
 
 // enumerateEdits lists candidate reductions on prog, largest single
@@ -95,68 +83,58 @@ func enumerateEdits(prog *ast.Program) []edit {
 	var walkRoutines func(b *ast.Block)
 	walkRoutines = func(b *ast.Block) {
 		for i, r := range b.Routines {
-			i, b := i, b
-			edits = append(edits, func(counterpart func(ast.Node) ast.Node) bool {
-				nb, ok := counterpart(b).(*ast.Block)
-				if !ok || i >= len(nb.Routines) {
-					return false
-				}
-				nb.Routines = append(nb.Routines[:i:i], nb.Routines[i+1:]...)
-				return true
+			edits = append(edits, func() func() {
+				old := b.Routines
+				b.Routines = append(old[:i:i], old[i+1:]...)
+				return func() { b.Routines = old }
 			})
 			walkRoutines(r.Block)
 		}
 	}
 	walkRoutines(prog.Block)
 
+	// replace is the edit that puts with(old) in place of the statement
+	// old in slot.
+	replace := func(slot *ast.Stmt, with func(old ast.Stmt) ast.Stmt) {
+		edits = append(edits, func() func() {
+			old := *slot
+			*slot = with(old)
+			return func() { *slot = old }
+		})
+	}
 	// Drop statements from statement lists (replacement with the empty
 	// statement — mutate's drop-stmt operator, run in reverse for
 	// reduction instead of fault injection).
-	drop := func(parent ast.Node, stmts []ast.Stmt) {
-		for i, s := range stmts {
-			if _, empty := s.(*ast.EmptyStmt); empty {
-				continue
+	drop := func(list ast.Stmt) {
+		ast.Stmts(list, func(slot *ast.Stmt) {
+			if _, empty := (*slot).(*ast.EmptyStmt); !empty {
+				replace(slot, func(old ast.Stmt) ast.Stmt { return &ast.EmptyStmt{SemiPos: old.Pos()} })
 			}
-			i := i
-			edits = append(edits, func(counterpart func(ast.Node) ast.Node) bool {
-				switch p := counterpart(parent).(type) {
-				case *ast.CompoundStmt:
-					if i < len(p.Stmts) {
-						p.Stmts[i] = &ast.EmptyStmt{SemiPos: p.Stmts[i].Pos()}
-						return true
-					}
-				case *ast.RepeatStmt:
-					if i < len(p.Stmts) {
-						p.Stmts[i] = &ast.EmptyStmt{SemiPos: p.Stmts[i].Pos()}
-						return true
-					}
-				}
-				return false
-			})
-		}
+		})
 	}
 	// Hoist a structured statement's body in place of the construct
 	// (unwraps the loop/if/case shell around the culprit statement).
-	hoist := func(node ast.Node, body ast.Stmt) {
-		if body == nil {
-			return
+	// slots holds where each statement of a block hangs; the walk below
+	// fills it when it enters the block.
+	slots := make(map[ast.Stmt]*ast.Stmt)
+	var record func(slot *ast.Stmt)
+	record = func(slot *ast.Stmt) {
+		slots[*slot] = slot
+		ast.Stmts(*slot, record)
+	}
+	hoist := func(s, body ast.Stmt) {
+		if body != nil {
+			replace(slots[s], func(ast.Stmt) ast.Stmt { return body })
 		}
-		edits = append(edits, func(counterpart func(ast.Node) ast.Node) bool {
-			root, _ := counterpart(prog).(*ast.Program)
-			s, ok1 := counterpart(node).(ast.Stmt)
-			r, ok2 := counterpart(body).(ast.Stmt)
-			if root == nil || !ok1 || !ok2 {
-				return false
-			}
-			return replaceInTree(root, s, r)
-		})
 	}
 	ast.Inspect(prog, func(n ast.Node) bool {
 		switch n := n.(type) {
+		case *ast.Block:
+			ast.Stmts(n.Body, record)
 		case *ast.CompoundStmt:
-			drop(n, n.Stmts)
+			drop(n)
 		case *ast.RepeatStmt:
-			drop(n, n.Stmts)
+			drop(n)
 			if len(n.Stmts) > 0 {
 				hoist(n, n.Stmts[0])
 			}
@@ -183,14 +161,10 @@ func enumerateEdits(prog *ast.Program) []edit {
 			return true
 		}
 		for _, v := range candidateValues(lit.Value) {
-			v := v
-			edits = append(edits, func(counterpart func(ast.Node) ast.Node) bool {
-				nl, ok := counterpart(lit).(*ast.IntLit)
-				if !ok {
-					return false
-				}
-				nl.Value = v
-				return true
+			edits = append(edits, func() func() {
+				old := lit.Value
+				lit.Value = v
+				return func() { lit.Value = old }
 			})
 		}
 		return true
@@ -206,69 +180,4 @@ func candidateValues(v int64) []int64 {
 		}
 	}
 	return out
-}
-
-// replaceInTree substitutes r for the statement s wherever it hangs in
-// the tree rooted at root. Counterexamples are small, so a whole-tree
-// scan per edit is cheap.
-func replaceInTree(root ast.Node, s, r ast.Stmt) bool {
-	done := false
-	ast.Inspect(root, func(n ast.Node) bool {
-		if done {
-			return false
-		}
-		switch n := n.(type) {
-		case *ast.CompoundStmt:
-			for i := range n.Stmts {
-				if n.Stmts[i] == s {
-					n.Stmts[i], done = r, true
-					return false
-				}
-			}
-		case *ast.RepeatStmt:
-			for i := range n.Stmts {
-				if n.Stmts[i] == s {
-					n.Stmts[i], done = r, true
-					return false
-				}
-			}
-		case *ast.IfStmt:
-			if n.Then == s {
-				n.Then, done = r, true
-				return false
-			}
-			if n.Else == s {
-				n.Else, done = r, true
-				return false
-			}
-		case *ast.WhileStmt:
-			if n.Body == s {
-				n.Body, done = r, true
-				return false
-			}
-		case *ast.ForStmt:
-			if n.Body == s {
-				n.Body, done = r, true
-				return false
-			}
-		case *ast.CaseStmt:
-			for _, arm := range n.Arms {
-				if arm.Body == s {
-					arm.Body, done = r, true
-					return false
-				}
-			}
-			if n.Else == s {
-				n.Else, done = r, true
-				return false
-			}
-		case *ast.LabeledStmt:
-			if n.Stmt == s {
-				n.Stmt, done = r, true
-				return false
-			}
-		}
-		return true
-	})
-	return done
 }

@@ -125,7 +125,7 @@ begin
 end.`)
 	ifStmt := prog.Block.Body.Stmts[0]
 	var n int
-	ast.Stmts(ifStmt, func(ast.Stmt) { n++ })
+	ast.Stmts(ifStmt, func(*ast.Stmt) { n++ })
 	if n != 2 {
 		t.Errorf("children = %d, want 2 (then + else)", n)
 	}

@@ -142,36 +142,38 @@ func Inspect(n Node, f func(Node) bool) {
 	Walk(inspector(f), n)
 }
 
-// Stmts iterates over the immediate child statements of s, calling f for
-// each. It is the statement-level analogue of Inspect's first layer and
-// is used by control-flow construction.
-func Stmts(s Stmt, f func(Stmt)) {
+// Stmts calls f with the address of each immediate child statement of
+// s, in source order (then before else, arms before else). Readers use
+// *slot; rewriters assign through it. The transformation passes, the
+// side-effect and lint walks and the pdiff shrinker all walk statements
+// with it.
+func Stmts(s Stmt, f func(slot *Stmt)) {
 	switch s := s.(type) {
 	case *CompoundStmt:
-		for _, c := range s.Stmts {
-			f(c)
+		for i := range s.Stmts {
+			f(&s.Stmts[i])
 		}
 	case *IfStmt:
-		f(s.Then)
+		f(&s.Then)
 		if s.Else != nil {
-			f(s.Else)
+			f(&s.Else)
 		}
 	case *WhileStmt:
-		f(s.Body)
+		f(&s.Body)
 	case *RepeatStmt:
-		for _, c := range s.Stmts {
-			f(c)
+		for i := range s.Stmts {
+			f(&s.Stmts[i])
 		}
 	case *ForStmt:
-		f(s.Body)
+		f(&s.Body)
 	case *CaseStmt:
 		for _, arm := range s.Arms {
-			f(arm.Body)
+			f(&arm.Body)
 		}
 		if s.Else != nil {
-			f(s.Else)
+			f(&s.Else)
 		}
 	case *LabeledStmt:
-		f(s.Stmt)
+		f(&s.Stmt)
 	}
 }

@@ -252,14 +252,9 @@ func (st *state) extendCalls(r *sem.Routine, info *sem.Info, plan map[*sem.Routi
 		}
 	}
 
-	var rewriteStmt func(s ast.Stmt)
-	rewriteStmt = func(s ast.Stmt) {
-		switch s := s.(type) {
-		case nil:
-		case *ast.CompoundStmt:
-			for _, c := range s.Stmts {
-				rewriteStmt(c)
-			}
+	var rewriteStmt func(slot *ast.Stmt)
+	rewriteStmt = func(slot *ast.Stmt) {
+		switch s := (*slot).(type) {
 		case *ast.AssignStmt:
 			s.Lhs = rewriteExpr(s.Lhs)
 			s.Rhs = rewriteExpr(s.Rhs)
@@ -268,30 +263,19 @@ func (st *state) extendCalls(r *sem.Routine, info *sem.Info, plan map[*sem.Routi
 			s.Args = extend(s, s.Args)
 		case *ast.IfStmt:
 			s.Cond = rewriteExpr(s.Cond)
-			rewriteStmt(s.Then)
-			rewriteStmt(s.Else)
 		case *ast.WhileStmt:
-			s.Cond = rewriteExpr(s.Cond)
-			rewriteStmt(s.Body)
-		case *ast.RepeatStmt:
-			for _, c := range s.Stmts {
-				rewriteStmt(c)
-			}
 			s.Cond = rewriteExpr(s.Cond)
 		case *ast.ForStmt:
 			s.From = rewriteExpr(s.From)
 			s.Limit = rewriteExpr(s.Limit)
-			rewriteStmt(s.Body)
 		case *ast.CaseStmt:
 			s.Expr = rewriteExpr(s.Expr)
-			for _, arm := range s.Arms {
-				rewriteStmt(arm.Body)
-			}
-			rewriteStmt(s.Else)
-		case *ast.LabeledStmt:
-			rewriteStmt(s.Stmt)
+		}
+		ast.Stmts(*slot, rewriteStmt)
+		if s, ok := (*slot).(*ast.RepeatStmt); ok {
+			s.Cond = rewriteExpr(s.Cond) // after the body, as it runs
 		}
 	}
-	rewriteStmt(r.Block.Body)
+	ast.Stmts(r.Block.Body, rewriteStmt)
 	return nil
 }

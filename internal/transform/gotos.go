@@ -111,52 +111,19 @@ func (st *state) breakGotosInRoutine(r *sem.Routine, info *sem.Info, se *sideeff
 		b.Body.Stmts = append(append([]ast.Stmt{init}, b.Body.Stmts...), landing)
 	}
 
-	// Rewrite gotos and call sites in the body.
-	var rewrite func(s ast.Stmt) ast.Stmt
-	rewriteList := func(list []ast.Stmt) []ast.Stmt {
-		out := make([]ast.Stmt, 0, len(list))
-		for _, c := range list {
-			out = append(out, rewrite(c))
-		}
-		return out
-	}
-	rewrite = func(s ast.Stmt) ast.Stmt {
-		switch s := s.(type) {
-		case nil:
-			return nil
-		case *ast.CompoundStmt:
-			s.Stmts = rewriteList(s.Stmts)
-			return s
-		case *ast.IfStmt:
-			s.Then = rewrite(s.Then)
-			s.Else = rewrite(s.Else)
-			return s
-		case *ast.WhileStmt:
-			s.Body = rewrite(s.Body)
-			return s
-		case *ast.RepeatStmt:
-			s.Stmts = rewriteList(s.Stmts)
-			return s
-		case *ast.ForStmt:
-			s.Body = rewrite(s.Body)
-			return s
-		case *ast.CaseStmt:
-			for _, arm := range s.Arms {
-				arm.Body = rewrite(arm.Body)
-			}
-			s.Else = rewrite(s.Else)
-			return s
-		case *ast.LabeledStmt:
-			s.Stmt = rewrite(s.Stmt)
-			return s
+	// Rewrite gotos and call sites in the body, in place: the pass
+	// owns the clone.
+	var rewrite func(slot *ast.Stmt)
+	rewrite = func(slot *ast.Stmt) {
+		switch s := (*slot).(type) {
 		case *ast.GotoStmt:
 			li := info.GotoTgt[s]
 			if li == nil || li.Routine == r {
-				return s // local goto stays
+				return // local goto stays
 			}
 			// Global goto: raise the escape code and jump to the landing
 			// label.
-			return &ast.CompoundStmt{BeginPos: s.Pos(), Stmts: []ast.Stmt{
+			*slot = &ast.CompoundStmt{BeginPos: s.Pos(), Stmts: []ast.Stmt{
 				&ast.AssignStmt{
 					Lhs: &ast.Ident{NamePos: s.Pos(), Name: exitParam[r]},
 					Rhs: &ast.IntLit{LitPos: s.Pos(), Value: int64(codes[li])},
@@ -166,7 +133,7 @@ func (st *state) breakGotosInRoutine(r *sem.Routine, info *sem.Info, se *sideeff
 		case *ast.CallStmt:
 			callee := info.CallOf(s)
 			if callee == nil || len(se.Of[callee].ExitTargets) == 0 {
-				return s
+				return
 			}
 			// Receive the callee's exit code in a fresh temporary and
 			// dispatch.
@@ -207,10 +174,10 @@ func (st *state) breakGotosInRoutine(r *sem.Routine, info *sem.Info, se *sideeff
 				}
 				stmts = append(stmts, check)
 			}
-			return &ast.CompoundStmt{BeginPos: s.Pos(), Stmts: stmts}
+			*slot = &ast.CompoundStmt{BeginPos: s.Pos(), Stmts: stmts}
 		default:
-			return s
+			ast.Stmts(s, rewrite)
 		}
 	}
-	b.Body.Stmts = rewriteList(b.Body.Stmts)
+	ast.Stmts(b.Body, rewrite)
 }

@@ -54,32 +54,13 @@ func placesLabel(s ast.Stmt) bool {
 	return found
 }
 
+// extractInStmt returns s with every loop in it extracted into a loop
+// unit; a loop that places a label stays, and only its body is searched.
 func (st *state) extractInStmt(s ast.Stmt, b *ast.Block, routineName string) ast.Stmt {
 	switch s := s.(type) {
-	case nil:
-		return nil
-	case *ast.CompoundStmt:
-		for i, c := range s.Stmts {
-			s.Stmts[i] = st.extractInStmt(c, b, routineName)
-		}
-		return s
-	case *ast.IfStmt:
-		s.Then = st.extractInStmt(s.Then, b, routineName)
-		s.Else = st.extractInStmt(s.Else, b, routineName)
-		return s
-	case *ast.CaseStmt:
-		for _, arm := range s.Arms {
-			arm.Body = st.extractInStmt(arm.Body, b, routineName)
-		}
-		s.Else = st.extractInStmt(s.Else, b, routineName)
-		return s
-	case *ast.LabeledStmt:
-		s.Stmt = st.extractInStmt(s.Stmt, b, routineName)
-		return s
 	case *ast.WhileStmt:
-		if placesLabel(s.Body) {
-			s.Body = st.extractInStmt(s.Body, b, routineName)
-			return s
+		if placesLabel(s) {
+			break
 		}
 		return st.makeLoopUnit(s, b, routineName, func(self string) ast.Stmt {
 			// if C then begin B; self; end
@@ -93,13 +74,8 @@ func (st *state) extractInStmt(s ast.Stmt, b *ast.Block, routineName string) ast
 			}
 		}, nil)
 	case *ast.RepeatStmt:
-		for _, c := range s.Stmts {
-			if placesLabel(c) {
-				for i, cs := range s.Stmts {
-					s.Stmts[i] = st.extractInStmt(cs, b, routineName)
-				}
-				return s
-			}
+		if placesLabel(s) {
+			break
 		}
 		return st.makeLoopUnit(s, b, routineName, func(self string) ast.Stmt {
 			// B; if not C then self
@@ -112,9 +88,8 @@ func (st *state) extractInStmt(s ast.Stmt, b *ast.Block, routineName string) ast
 			return &ast.CompoundStmt{BeginPos: s.Pos(), Stmts: body}
 		}, nil)
 	case *ast.ForStmt:
-		if placesLabel(s.Body) {
-			s.Body = st.extractInStmt(s.Body, b, routineName)
-			return s
+		if placesLabel(s) {
+			break
 		}
 		// Introduce explicit limit and trip-counter variables in the
 		// enclosing block. The counter is essential for equivalence: a
@@ -162,6 +137,7 @@ func (st *state) extractInStmt(s ast.Stmt, b *ast.Block, routineName string) ast
 			}
 		}, pre)
 	}
+	ast.Stmts(s, func(slot *ast.Stmt) { *slot = st.extractInStmt(*slot, b, routineName) })
 	return s
 }
 
