@@ -95,13 +95,6 @@ func (v Val) ConstBool() (bool, bool) {
 	return false, false
 }
 
-// Singleton reports whether v denotes exactly one concrete value.
-func (v Val) Singleton() bool {
-	_, iok := v.ConstInt()
-	_, bok := v.ConstBool()
-	return iok || bok
-}
-
 // Bounds returns the interval bounds of an integer value (the full range
 // when v is not an interval; ⊥ has no bounds and reports false).
 func (v Val) Bounds() (lo, hi int64, ok bool) {

@@ -7,7 +7,6 @@ package dataflow
 import (
 	"gadt/internal/analysis/cfg"
 	"gadt/internal/analysis/defuse"
-	"gadt/internal/pascal/ast"
 	"gadt/internal/pascal/sem"
 )
 
@@ -116,17 +115,4 @@ func (r *Result) SyntheticOnly(n *cfg.Node, v *sem.VarSym) bool {
 // analysis consumes at call sites.
 func (r *Result) DefinitelyAssigns(v *sem.VarSym) bool {
 	return !r.SyntheticReaches(r.Graph.Exit, v)
-}
-
-// IsRoutineOutput reports whether v is an output of the graph's routine
-// (var/out parameter or function result), i.e. a variable whose value at
-// Exit is observable by the caller.
-func IsRoutineOutput(g *cfg.Graph, v *sem.VarSym) bool {
-	if v.Owner != g.Routine {
-		return false
-	}
-	if v == g.Routine.Result {
-		return true
-	}
-	return v.Kind == sem.ParamVar && v.Mode != ast.Value
 }

@@ -142,9 +142,6 @@ func (s *SDG) NodeForCFG(c *cfg.Node) *Node { return s.nodeOfCFG[c] }
 // parameter, the function result variable, or a modified global), or nil.
 func (s *SDG) FormalOutOf(r *sem.Routine, v *sem.VarSym) *Node { return s.formalOuts[r][v] }
 
-// FormalInOf returns the formal-in node of routine r for v, or nil.
-func (s *SDG) FormalInOf(r *sem.Routine, v *sem.VarSym) *Node { return s.formalIns[r][v] }
-
 func (s *SDG) newNode(n *Node) *Node {
 	n.ID = len(s.Nodes)
 	s.Nodes = append(s.Nodes, n)

@@ -346,3 +346,29 @@ end.`
 		}
 	}
 }
+
+// TestSetsKeepVisitOrder pins the insertion order of the direct effect
+// sets, which callers read through Slice: statements in source order,
+// then before else, and a repeat loop's condition after its body, as
+// it runs.
+func TestSetsKeepVisitOrder(t *testing.T) {
+	info, res := analyze(t, `program t;
+var a, b, c: integer;
+procedure p;
+begin
+  repeat
+    b := c
+  until a > b;
+  if c > 0 then a := 1 else c := 2
+end;
+begin
+  p
+end.`)
+	e := res.Of[info.LookupRoutine("p")]
+	if got := strings.Join(names(e.RefGlobals.Slice()), ","); got != "c,a,b" {
+		t.Errorf("REF(p) in visit order = %s, want c,a,b", got)
+	}
+	if got := strings.Join(names(e.ModGlobals.Slice()), ","); got != "b,a,c" {
+		t.Errorf("MOD(p) in visit order = %s, want b,a,c", got)
+	}
+}

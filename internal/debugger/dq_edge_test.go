@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"gadt/internal/debugger"
-	"gadt/internal/exectree"
 )
 
 // TestDivideAndQueryEdgeCases pins divide-and-query on degenerate tree
@@ -251,11 +250,17 @@ func TestDivideAndQueryAllDontKnowInconclusive(t *testing.T) {
 }
 
 // TestWeightedDivideAndQueryCustomWeights drives the weighted selector
-// with an explicit cost function: making c by far the heaviest call must
+// with recorded statement counts: making c by far the heaviest call must
 // move the first probe from the unweighted midpoint b down to c, per the
 // Insa–Silva rule (minimize the worst-case remaining weight).
 func TestWeightedDivideAndQueryCustomWeights(t *testing.T) {
 	res, _ := traceIt(t, dqChain)
+	for _, n := range res.Tree.Nodes {
+		n.Steps = 0
+		if n.Unit.Name == "c" {
+			n.Steps = 9
+		}
+	}
 	oracle := &debugger.ScriptedOracle{
 		ByUnit: map[string]debugger.Answer{
 			"a": {Verdict: debugger.Incorrect},
@@ -263,15 +268,7 @@ func TestWeightedDivideAndQueryCustomWeights(t *testing.T) {
 			"c": {Verdict: debugger.Correct},
 		},
 	}
-	sess := debugger.New(res.Tree, oracle, debugger.Options{
-		Strategy: debugger.WeightedDivideAndQuery,
-		Weights: func(n *exectree.Node) int64 {
-			if n.Unit.Name == "c" {
-				return 10
-			}
-			return 1
-		},
-	})
+	sess := debugger.New(res.Tree, oracle, debugger.Options{Strategy: debugger.WeightedDivideAndQuery})
 	out, err := sess.Run()
 	if err != nil {
 		t.Fatal(err)

@@ -98,12 +98,6 @@ type Options struct {
 	// MaxQuestions bounds user interactions (0 = 10000).
 	MaxQuestions int
 
-	// Weights, when non-nil, overrides the per-node weight used by
-	// WeightedDivideAndQuery (values < 1 are clamped to 1). When nil the
-	// weighted strategy uses 1 + Node.Steps — the invocation's recorded
-	// execution cost. Plain DivideAndQuery always weighs every node 1.
-	Weights func(n *exectree.Node) int64
-
 	// Hints maps unit names to static suspiciousness scores (package
 	// lint's Hints aggregation: routines carrying dataflow anomalies
 	// score higher). Traversals ask about higher-scored units first —
@@ -505,16 +499,10 @@ func newDQState(s *Session, weighted bool) *dqState {
 }
 
 // indiv is the node's own weight: 1 for plain divide-and-query; for the
-// weighted variant the caller-supplied weight, defaulting to the
-// invocation's recorded execution cost (1 + direct statement count).
+// weighted variant the invocation's recorded execution cost (1 + direct
+// statement count).
 func (d *dqState) indiv(n *exectree.Node) int64 {
 	if !d.weighted {
-		return 1
-	}
-	if f := d.s.Opts.Weights; f != nil {
-		if w := f(n); w > 0 {
-			return w
-		}
 		return 1
 	}
 	return 1 + n.Steps

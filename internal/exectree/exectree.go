@@ -237,14 +237,6 @@ func (b *Builder) Tree() *Tree {
 	return &Tree{Root: b.root, Nodes: b.nodes}
 }
 
-// Current returns the node currently executing (innermost open call).
-func (b *Builder) Current() *Node {
-	if len(b.stack) == 0 {
-		return nil
-	}
-	return b.stack[len(b.stack)-1]
-}
-
 // TraceResult bundles a built tree with the run outcome.
 type TraceResult struct {
 	Tree   *Tree

@@ -10,7 +10,6 @@ package interp
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -389,14 +388,4 @@ func isZeroScalar(v Value) bool {
 		return v.strv() == ""
 	}
 	return false
-}
-
-// SortedNames returns map keys in sorted order (printing helper).
-func SortedNames[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -125,9 +125,6 @@ type FrameLayout struct {
 	Vars []*VarSym
 }
 
-// Slots returns the number of frame slots the routine needs.
-func (l FrameLayout) Slots() int { return len(l.Vars) }
-
 func (r *Routine) SymName() string { return r.Name }
 func (r *Routine) SymPos() token.Pos {
 	if r.Decl != nil {
@@ -198,9 +195,6 @@ var builtins = map[string]*Builtin{
 	"trunc":   {Name: "trunc", Code: BuiltinTrunc},
 	"round":   {Name: "round", Code: BuiltinRound},
 }
-
-// LookupBuiltin returns the predeclared routine with the given name.
-func LookupBuiltin(name string) *Builtin { return builtins[name] }
 
 // scope is one lexical scope level.
 type scope struct {

@@ -116,9 +116,6 @@ func NewManager(reg *obs.Registry, opts Options) *Manager {
 	return m
 }
 
-// Cache exposes the content-addressed cache (tests assert its size).
-func (m *Manager) Cache() *Cache { return m.cache }
-
 func newSessionID() string {
 	var b [9]byte
 	if _, err := rand.Read(b[:]); err != nil {

@@ -146,13 +146,6 @@ func (sl *Slice) filter() *render.Filter {
 // retained (the paper's measure of slice size).
 func (sl *Slice) StmtCount() int { return len(sl.stmts) + len(sl.conds) }
 
-// Program returns the sliced program as a new AST: statements outside
-// the slice are removed; routines with no retained statements are
-// dropped entirely. The original program is not modified.
-func (sl *Slice) Program() *ast.Program {
-	return sl.filter().Program()
-}
-
 // Render prints the sliced program.
 func (sl *Slice) Render() string {
 	return sl.filter().Render()

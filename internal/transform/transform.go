@@ -299,14 +299,6 @@ func collectNames(p *ast.Program) map[string]bool {
 	return names
 }
 
-// GrowthFactor reports the size ratio of the transformed program to the
-// original, measured in printed source lines — the paper's Section 9
-// metric ("small procedures usually grow less than a factor of two").
-type GrowthFactor struct {
-	OrigLines, NewLines int
-	Factor              float64
-}
-
 // Stats summarizes what the transformation phase did, for the
 // observability layer and reports.
 type Stats struct {
