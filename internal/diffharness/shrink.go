@@ -93,12 +93,11 @@ func enumerateEdits(prog *ast.Program) []edit {
 	}
 	walkRoutines(prog.Block)
 
-	// replace is the edit that puts with(old) in place of the statement
-	// old in slot.
-	replace := func(slot *ast.Stmt, with func(old ast.Stmt) ast.Stmt) {
+	// replace is the edit that puts s in slot.
+	replace := func(slot *ast.Stmt, s ast.Stmt) {
 		edits = append(edits, func() func() {
 			old := *slot
-			*slot = with(old)
+			*slot = s
 			return func() { *slot = old }
 		})
 	}
@@ -108,7 +107,7 @@ func enumerateEdits(prog *ast.Program) []edit {
 	drop := func(list ast.Stmt) {
 		ast.Stmts(list, func(slot *ast.Stmt) {
 			if _, empty := (*slot).(*ast.EmptyStmt); !empty {
-				replace(slot, func(old ast.Stmt) ast.Stmt { return &ast.EmptyStmt{SemiPos: old.Pos()} })
+				replace(slot, &ast.EmptyStmt{SemiPos: (*slot).Pos()})
 			}
 		})
 	}
@@ -124,7 +123,7 @@ func enumerateEdits(prog *ast.Program) []edit {
 	}
 	hoist := func(s, body ast.Stmt) {
 		if body != nil {
-			replace(slots[s], func(ast.Stmt) ast.Stmt { return body })
+			replace(slots[s], body)
 		}
 	}
 	ast.Inspect(prog, func(n ast.Node) bool {
