@@ -32,6 +32,7 @@ check:
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test ./...
+	cd bench && $(GO) vet ./...
 	cd bench && $(GO) test ./...
 	$(MAKE) bench
 	$(MAKE) lint

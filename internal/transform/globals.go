@@ -150,9 +150,7 @@ func (st *state) globalsToParams(p *ast.Program) (bool, error) {
 		}
 
 		// Extend call sites in r's body.
-		if err := st.extendCalls(r, info, plan, denote); err != nil {
-			return false, err
-		}
+		st.extendCalls(r, info, plan, denote)
 
 		// Append the formal parameters.
 		if len(entries) > 0 {
@@ -196,7 +194,7 @@ func typeExprOf(v *sem.VarSym) (ast.TypeExpr, error) {
 // extendCalls appends global-passing arguments to every call in r's body
 // whose callee gained parameters. Parameterless function references in
 // expression position are promoted to explicit call expressions.
-func (st *state) extendCalls(r *sem.Routine, info *sem.Info, plan map[*sem.Routine][]globalEntry, denote func(*sem.VarSym, ast.Node) ast.Expr) error {
+func (st *state) extendCalls(r *sem.Routine, info *sem.Info, plan map[*sem.Routine][]globalEntry, denote func(*sem.VarSym, ast.Node) ast.Expr) {
 	var rewriteExpr func(e ast.Expr) ast.Expr
 	extend := func(node ast.Node, args []ast.Expr) []ast.Expr {
 		callee := info.CallOf(node)
@@ -277,5 +275,4 @@ func (st *state) extendCalls(r *sem.Routine, info *sem.Info, plan map[*sem.Routi
 		}
 	}
 	ast.Stmts(r.Block.Body, rewriteStmt)
-	return nil
 }
