@@ -172,6 +172,7 @@ type job struct {
 	subject Subject
 	want    string // reference output
 	mutant  *mutate.Mutant
+	en      *mutate.Enumeration // the subject's, which prints the mutant
 
 	// Built once from the subject's reference run and shared by every
 	// session over this subject's mutants: the oracle keeps no state
@@ -229,9 +230,10 @@ func Run(cfg Config) (*Report, error) {
 
 // buildJobs enumerates mutants for every subject, triages the provably
 // equivalent ones out of the execution pool, computes each subject's
-// reference output and builds its one oracle, and samples the remaining
-// list down to Budget with the campaign seed. Equivalent mutants bypass
-// the budget: their verdict is free, so they are always reported.
+// reference output and builds its one oracle, samples the remaining
+// list down to Budget with the campaign seed, and prints the sampled
+// mutants' sources. Equivalent mutants bypass the budget: their verdict
+// is free, so they are always reported.
 func buildJobs(cfg Config) (jobs []job, preclassified []MutantOutcome, subjectErrs []string, enumerated int, err error) {
 	for _, s := range cfg.Subjects {
 		ref, werr := referenceRun(s, cfg)
@@ -254,7 +256,7 @@ func buildJobs(cfg Config) (jobs []job, preclassified []MutantOutcome, subjectEr
 				asserts = nil
 			}
 		}
-		en, merr := mutate.EnumerateProgram(s.Name+".pas", s.Source, mutate.Config{Ops: cfg.Ops, Metrics: cfg.Metrics})
+		en, merr := mutate.Enumerate(s.Name+".pas", s.Source, mutate.Config{Ops: cfg.Ops, Metrics: cfg.Metrics})
 		if merr != nil {
 			subjectErrs = append(subjectErrs, fmt.Sprintf("%s: %v", s.Name, merr))
 			continue
@@ -279,7 +281,7 @@ func buildJobs(cfg Config) (jobs []job, preclassified []MutantOutcome, subjectEr
 				preclassified = append(preclassified, o)
 				continue
 			}
-			jobs = append(jobs, job{subject: s, want: want, mutant: m, oracle: oracle, tests: tests, asserts: asserts})
+			jobs = append(jobs, job{subject: s, want: want, mutant: m, en: en, oracle: oracle, tests: tests, asserts: asserts})
 		}
 	}
 	if len(jobs) == 0 && len(preclassified) == 0 {
@@ -287,6 +289,11 @@ func buildJobs(cfg Config) (jobs []job, preclassified []MutantOutcome, subjectEr
 	}
 	if cfg.Budget > 0 && len(jobs) > cfg.Budget {
 		jobs = sample(jobs, cfg.Budget, cfg.Seed)
+	}
+	// Source edits the subject's shared program, so the sampled mutants
+	// are printed here, one after another, before any worker starts.
+	for _, j := range jobs {
+		j.mutant.Source = j.en.Source(j.mutant)
 	}
 	return jobs, preclassified, subjectErrs, enumerated, nil
 }

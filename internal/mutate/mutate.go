@@ -17,12 +17,17 @@
 //	negate-cond       if/while/repeat condition wrapped in `not`
 //	drop-stmt         assignment or call statement deleted
 //
-// Each candidate mutant is an edit of the parsed original made in place,
-// validated with the semantic analyzer and printed, then undone before
-// the next site, so enumeration never copies the program. Mutants that
-// no longer type-check are discarded (stillborn), so the returned set
-// contains only executable programs. Enumeration order and mutant IDs
-// are fully deterministic for a given (source, Config) pair.
+// Each mutation site is an in-place edit of the parsed original that
+// can be applied and undone, so enumeration never copies the program.
+// Enumerate judges every site from the original's one semantic
+// analysis: a site whose fault no longer type-checks is discarded
+// (stillborn), so the returned set contains only executable programs.
+// Only a site the rules cannot decide (a var-swap of an assignment
+// target, or an operator flip that changes the expression's type) is
+// applied and the whole edited program re-analyzed. A mutant's source is
+// printed on demand (Enumeration.Source), so a campaign prints only the
+// mutants it runs. Enumeration order and mutant IDs are fully
+// deterministic for a given (source, Config) pair.
 package mutate
 
 import (
@@ -34,6 +39,7 @@ import (
 	"gadt/internal/pascal/printer"
 	"gadt/internal/pascal/sem"
 	"gadt/internal/pascal/token"
+	"gadt/internal/pascal/types"
 )
 
 // Op names a mutation operator.
@@ -78,7 +84,10 @@ type Mutant struct {
 	Pos token.Pos
 	// Description is human-readable, e.g. `rel-flip < -> <= in isprime`.
 	Description string
-	// Source is the complete mutated program.
+	// Source is the complete mutated program. EnumerateProgram fills it
+	// for every mutant; after Enumerate it is empty until the caller
+	// sets it from Enumeration.Source, as the campaign does for the
+	// mutants it samples.
 	Source string
 	// Equivalent marks mutants that static triage proved
 	// behaviour-preserving (see TriageEquivalent); the campaign reports
@@ -99,7 +108,9 @@ type Config struct {
 	Ops []Op
 	// Metrics, when non-nil, receives enumeration counters: the labeled
 	// mutate.sites{op=...} series, mutate.stillborn (faults that do not
-	// type-check), and mutate.mutants (viable mutants returned).
+	// type-check), mutate.mutants (viable mutants returned), and
+	// mutate.reanalyses (sites judged by re-analyzing the edited
+	// program).
 	Metrics *obs.Registry
 }
 
@@ -140,6 +151,9 @@ type site struct {
 	node    ast.Node
 	altOp   token.Kind
 	altName string
+	// target marks a var-swap of an assignment's whole left-hand side,
+	// which only a re-analysis can judge (see viable).
+	target bool
 }
 
 // Enumeration couples the parsed original program with its validated
@@ -151,10 +165,24 @@ type Enumeration struct {
 	Mutants []*Mutant
 }
 
-// EnumerateProgram parses source and returns every enabled,
-// type-correct mutant, keeping the original program and its semantic
-// info alongside.
+// EnumerateProgram returns every enabled, type-correct mutant of source
+// with its Source printed, keeping the original program and its
+// semantic info alongside.
 func EnumerateProgram(file, source string, cfg Config) (*Enumeration, error) {
+	en, err := Enumerate(file, source, cfg)
+	if err != nil {
+		return nil, err
+	}
+	for _, m := range en.Mutants {
+		m.Source = en.Source(m)
+	}
+	return en, nil
+}
+
+// Enumerate parses source and returns every enabled, type-correct
+// mutant without its Source, keeping the original program and its
+// semantic info alongside.
+func Enumerate(file, source string, cfg Config) (*Enumeration, error) {
 	prog, err := parser.ParseProgram(file, source)
 	if err != nil {
 		return nil, fmt.Errorf("mutate: %w", err)
@@ -182,32 +210,73 @@ func EnumerateProgram(file, source string, cfg Config) (*Enumeration, error) {
 
 	var mutants []*Mutant
 	for i, st := range sites {
-		if m := materialize(prog, i, st, cfg.Metrics); m != nil {
-			mutants = append(mutants, m)
+		if !viable(prog, info, st, cfg.Metrics) {
+			cfg.Metrics.Counter("mutate.stillborn").Inc()
+			continue
 		}
+		mutants = append(mutants, &Mutant{
+			ID:          i,
+			Op:          st.op,
+			Unit:        st.unit,
+			Pos:         st.pos,
+			Description: st.desc,
+			orig:        st,
+		})
 	}
 	cfg.Metrics.Counter("mutate.mutants").Add(int64(len(mutants)))
 	return &Enumeration{Prog: prog, Info: info, Mutants: mutants}, nil
 }
 
-// materialize applies st to prog, validates and prints the mutated
-// program, and undoes the edit before returning. It returns nil for a
-// stillborn mutant: one whose fault does not type-check.
-func materialize(prog *ast.Program, id int, st *site, m *obs.Registry) *Mutant {
+// Source prints en's program with m's fault planted: it applies m's
+// edit to en.Prog, prints the program and undoes the edit. Because it
+// edits the shared program, no other reader of en.Prog may run beside
+// it.
+func (en *Enumeration) Source(m *Mutant) string {
+	defer m.orig.apply()() // edit now, undo on return
+	return printer.Print(en.Prog)
+}
+
+// viable reports whether st's fault still type-checks, judged from
+// info, the analysis of the unedited prog. Every edit stays inside one
+// routine body, where the analyzer reads no literal value, so:
+//   - negate-cond wraps a condition the analyzer required to be
+//     boolean, and drop-stmt removes a statement no check depends on;
+//   - const-off-by-one leaves an integer literal an integer;
+//   - var-swap takes a name of the same declaration group, so the same
+//     type and mode, except as an assignment's whole left-hand side
+//     (see varGroups);
+//   - an operator flip keeps its operands, so the analyzer's own rule
+//     (sem.BinaryType) on their recorded types decides: the original
+//     type means viable, and types.Bad means the operator does not
+//     apply. The original type is tested first because operands typed
+//     Bad without an error (write used as a value) give Bad under
+//     every operator, as before the flip.
+//
+// Any other site is applied and the whole edited program re-analyzed.
+func viable(prog *ast.Program, info *sem.Info, st *site, m *obs.Registry) bool {
+	switch st.op {
+	case RelFlip, ArithFlip:
+		e := st.node.(*ast.BinaryExpr)
+		x, y, orig := info.TypeOf(e.X), info.TypeOf(e.Y), info.TypeOf(e)
+		if x != nil && y != nil && orig != nil {
+			switch sem.BinaryType(st.altOp, x, y) {
+			case orig:
+				return true
+			case types.Bad:
+				return false
+			}
+		}
+	case VarSwap:
+		if !st.target {
+			return true
+		}
+	default:
+		return true
+	}
+	m.Counter("mutate.reanalyses").Inc()
 	defer st.apply()() // edit now, undo on return
-	if _, err := sem.Analyze(prog); err != nil {
-		m.Counter("mutate.stillborn").Inc()
-		return nil
-	}
-	return &Mutant{
-		ID:          id,
-		Op:          st.op,
-		Unit:        st.unit,
-		Pos:         st.pos,
-		Description: st.desc,
-		Source:      printer.Print(prog),
-		orig:        st,
-	}
+	_, err := sem.Analyze(prog)
+	return err == nil
 }
 
 // collectBlock gathers mutation sites for the block's own body
@@ -229,8 +298,12 @@ func collectBlock(b *ast.Block, unit string, owner *ast.Routine, enabled map[Op]
 // (params of the owning routine are declared in the enclosing Routine,
 // so they are collected by the caller via the block's routine), the
 // other names of its declaration group. Names sharing one VarDecl or
-// one Param entry have identical declared types, making swaps
-// type-safe by construction.
+// one Param entry have identical declared types and modes, so a swap
+// type-checks wherever the name is read or passed. The exception is an
+// assignment's whole left-hand side: there a name spelled like the
+// routine or an enclosing function sets that function's result, and a
+// local may share that name, so a swap can change the type the
+// right-hand side must match. Enumeration re-analyzes those swaps.
 func varGroups(b *ast.Block) map[string][]string {
 	groups := make(map[string][]string)
 	add := func(names []string) {
@@ -272,9 +345,14 @@ func paramGroups(r *ast.Routine, groups map[string][]string) {
 }
 
 func collectBody(body ast.Stmt, unit string, groups map[string][]string, enabled map[Op]bool, sites *[]*site) {
+	// lhs is the last assignment's left-hand side; Inspect visits it
+	// right after its statement.
+	var lhs ast.Expr
 	// Statement-level sites: dropped statements and negated conditions.
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
+		case *ast.AssignStmt:
+			lhs = n.Lhs
 		case *ast.CompoundStmt:
 			collectDrops(n.Stmts, unit, enabled, sites)
 		case *ast.RepeatStmt:
@@ -289,7 +367,7 @@ func collectBody(body ast.Stmt, unit string, groups map[string][]string, enabled
 		case *ast.IntLit:
 			collectOffByOne(n, unit, enabled, sites)
 		case *ast.Ident:
-			collectSwap(n, unit, groups, enabled, sites)
+			collectSwap(n, lhs == n, unit, groups, enabled, sites)
 		}
 		return true
 	})
@@ -386,7 +464,7 @@ func collectOffByOne(e *ast.IntLit, unit string, enabled map[Op]bool, sites *[]*
 	}
 }
 
-func collectSwap(id *ast.Ident, unit string, groups map[string][]string, enabled map[Op]bool, sites *[]*site) {
+func collectSwap(id *ast.Ident, target bool, unit string, groups map[string][]string, enabled map[Op]bool, sites *[]*site) {
 	if !enabled[VarSwap] {
 		return
 	}
@@ -409,6 +487,7 @@ func collectSwap(id *ast.Ident, unit string, groups map[string][]string, enabled
 		desc:    fmt.Sprintf("var-swap %s -> %s in %s", id.Name, alt, unit),
 		node:    id,
 		altName: alt,
+		target:  target,
 		apply: func() func() {
 			orig := id.Name
 			id.Name = alt

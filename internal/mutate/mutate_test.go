@@ -86,7 +86,8 @@ func TestEnumerateDeterministic(t *testing.T) {
 }
 
 // TestEnumerateRestoresProgram: every site edits the original program
-// in place, so after enumeration the program must print exactly as a
+// in place, so after enumeration, and after a lazy enumeration has
+// printed each of its mutants, the program must print exactly as a
 // fresh parse of the source does.
 func TestEnumerateRestoresProgram(t *testing.T) {
 	en, err := mutate.EnumerateProgram("subj.pas", subject, mutate.Config{})
@@ -96,6 +97,25 @@ func TestEnumerateRestoresProgram(t *testing.T) {
 	want := printer.Print(parser.MustParse("subj.pas", subject))
 	if got := printer.Print(en.Prog); got != want {
 		t.Errorf("program after enumeration differs from the source:\n%s\nwant:\n%s", got, want)
+	}
+
+	lazy, err := mutate.Enumerate("subj.pas", subject, mutate.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(lazy.Mutants) != len(en.Mutants) {
+		t.Fatalf("Enumerate returned %d mutants, EnumerateProgram %d", len(lazy.Mutants), len(en.Mutants))
+	}
+	for i, m := range lazy.Mutants {
+		if m.Source != "" {
+			t.Fatalf("Enumerate printed mutant %d", m.ID)
+		}
+		if src := lazy.Source(m); src != en.Mutants[i].Source {
+			t.Errorf("mutant %d prints differently on demand:\n%s\nwant:\n%s", m.ID, src, en.Mutants[i].Source)
+		}
+	}
+	if got := printer.Print(lazy.Prog); got != want {
+		t.Errorf("program after printing every mutant differs from the source:\n%s\nwant:\n%s", got, want)
 	}
 }
 

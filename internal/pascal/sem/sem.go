@@ -895,53 +895,65 @@ func (c *checker) exprType(e ast.Expr, r *Routine, sc *scope) types.Type {
 	return types.Bad
 }
 
+// binaryType types e from its operand types and reports an operator
+// that does not apply to them. An operand already typed Bad was
+// reported where it failed, so it adds no error here.
 func (c *checker) binaryType(e *ast.BinaryExpr, xt, yt types.Type) types.Type {
-	if xt == types.Bad || yt == types.Bad {
-		return types.Bad
+	t := BinaryType(e.Op, xt, yt)
+	if t != types.Bad || xt == types.Bad || yt == types.Bad {
+		return t
 	}
 	switch e.Op {
+	case token.Plus, token.Minus, token.Star, token.Slash:
+		c.errorf(e.Pos(), "operator %s requires numeric operands, have %s and %s", e.Op, xt, yt)
+	case token.Div, token.Mod:
+		c.errorf(e.Pos(), "operator %s requires integer operands, have %s and %s", e.Op, xt, yt)
+	case token.And, token.Or:
+		c.errorf(e.Pos(), "operator %s requires boolean operands, have %s and %s", e.Op, xt, yt)
+	case token.Eq, token.NotEq:
+		c.errorf(e.Pos(), "cannot compare %s with %s", xt, yt)
+	case token.Less, token.LessEq, token.Greater, token.GreatEq:
+		c.errorf(e.Pos(), "cannot order %s against %s", xt, yt)
+	}
+	return t
+}
+
+// BinaryType returns the type of `x op y` for operands of types x and y,
+// or types.Bad when op does not apply to them or either operand is Bad.
+// It is the checker's whole rule for binary operators, so code that
+// judges an operator edit without re-analyzing the program (package
+// mutate) applies the same rule.
+func BinaryType(op token.Kind, x, y types.Type) types.Type {
+	if x == types.Bad || y == types.Bad {
+		return types.Bad
+	}
+	switch op {
 	case token.Plus, token.Minus, token.Star:
 		// String concatenation with + is a common dialect extension.
-		if e.Op == token.Plus && xt.Equal(types.String) && yt.Equal(types.String) {
+		if op == token.Plus && x.Equal(types.String) && y.Equal(types.String) {
 			return types.String
 		}
-		t := types.Arith(xt, yt)
-		if t == types.Bad {
-			c.errorf(e.Pos(), "operator %s requires numeric operands, have %s and %s", e.Op, xt, yt)
-		}
-		return t
+		return types.Arith(x, y)
 	case token.Slash:
-		if !types.IsNumeric(xt) || !types.IsNumeric(yt) {
-			c.errorf(e.Pos(), "operator / requires numeric operands, have %s and %s", xt, yt)
-			return types.Bad
+		if types.IsNumeric(x) && types.IsNumeric(y) {
+			return types.RealT
 		}
-		return types.RealT
 	case token.Div, token.Mod:
-		if !types.IsInteger(xt) || !types.IsInteger(yt) {
-			c.errorf(e.Pos(), "operator %s requires integer operands, have %s and %s", e.Op, xt, yt)
-			return types.Bad
+		if types.IsInteger(x) && types.IsInteger(y) {
+			return types.Integer
 		}
-		return types.Integer
 	case token.And, token.Or:
-		if !types.IsBoolean(xt) || !types.IsBoolean(yt) {
-			c.errorf(e.Pos(), "operator %s requires boolean operands, have %s and %s", e.Op, xt, yt)
-			return types.Bad
+		if types.IsBoolean(x) && types.IsBoolean(y) {
+			return types.Boolean
 		}
-		return types.Boolean
 	case token.Eq, token.NotEq:
-		if !xt.Equal(yt) && types.Arith(xt, yt) == types.Bad {
-			c.errorf(e.Pos(), "cannot compare %s with %s", xt, yt)
-			return types.Bad
+		if x.Equal(y) || types.Arith(x, y) != types.Bad {
+			return types.Boolean
 		}
-		return types.Boolean
 	case token.Less, token.LessEq, token.Greater, token.GreatEq:
-		ok := (types.IsOrdered(xt) && types.IsOrdered(yt)) &&
-			(xt.Equal(yt) || types.Arith(xt, yt) != types.Bad)
-		if !ok {
-			c.errorf(e.Pos(), "cannot order %s against %s", xt, yt)
-			return types.Bad
+		if types.IsOrdered(x) && types.IsOrdered(y) && (x.Equal(y) || types.Arith(x, y) != types.Bad) {
+			return types.Boolean
 		}
-		return types.Boolean
 	}
 	return types.Bad
 }

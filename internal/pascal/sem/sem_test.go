@@ -164,6 +164,11 @@ func TestSemanticErrors(t *testing.T) {
 		{"funcAsProc", `program t; function f: integer; begin f := 1; end; begin f; end.`, "called as a procedure"},
 		{"procInExpr", `program t; var x: integer; procedure p; begin end; begin x := p; end.`, "used in an expression"},
 		{"divReal", `program t; var r: real; begin r := 1.5 div 2; end.`, "requires integer operands"},
+		{"minusStrings", `program t; var s: string; begin s := s - s; end.`, "operator - requires numeric operands, have string and string"},
+		{"slashBool", `program t; var r: real; var b: boolean; begin r := b / 2; end.`, "operator / requires numeric operands, have boolean and integer"},
+		{"andInts", `program t; var b: boolean; begin b := 1 and 2; end.`, "operator and requires boolean operands"},
+		{"compareMixed", `program t; var b: boolean; begin b := b = 1; end.`, "cannot compare boolean with integer"},
+		{"orderBools", `program t; var b: boolean; begin b := b <= b; end.`, "cannot order boolean against boolean"},
 		{"dupParam", `program t; procedure p(a, a: integer); begin end; begin p(1, 2); end.`, "duplicate parameter"},
 		{"dupVar", `program t; var x: integer; var x: integer; begin x := 1; end.`, "duplicate declaration"},
 		{"badLabel", `program t; begin goto 9; end.`, "undeclared label"},
