@@ -111,24 +111,3 @@ func (g *Graph) PostOrder(main *sem.Routine) []*sem.Routine {
 	}
 	return order
 }
-
-// Recursive reports whether r can (transitively) call itself.
-func (g *Graph) Recursive(r *sem.Routine) bool {
-	seen := make(map[*sem.Routine]bool)
-	var walk func(c *sem.Routine) bool
-	walk = func(c *sem.Routine) bool {
-		for _, n := range g.Callees[c] {
-			if n == r {
-				return true
-			}
-			if !seen[n] {
-				seen[n] = true
-				if walk(n) {
-					return true
-				}
-			}
-		}
-		return false
-	}
-	return walk(r)
-}

@@ -95,53 +95,6 @@ func TestPostOrderCalleesFirst(t *testing.T) {
 	}
 }
 
-func TestRecursiveDetection(t *testing.T) {
-	info, g := build(t, `
-program t;
-var x: integer;
-
-function fact(n: integer): integer;
-begin
-  if n <= 1 then fact := 1 else fact := n * fact(n - 1);
-end;
-
-procedure plain;
-begin
-  x := fact(3);
-end;
-
-begin
-  plain;
-end.`)
-	if !g.Recursive(info.LookupRoutine("fact")) {
-		t.Error("fact not detected as recursive")
-	}
-	if g.Recursive(info.LookupRoutine("plain")) {
-		t.Error("plain wrongly detected as recursive")
-	}
-}
-
-func TestMutualRecursionDetection(t *testing.T) {
-	info, g := build(t, `
-program t;
-function isodd(n: integer): boolean;
-function iseven(n: integer): boolean;
-begin
-  if n = 0 then iseven := true else iseven := isodd(n - 1);
-end;
-begin
-  if n = 0 then isodd := false else isodd := iseven(n - 1);
-end;
-begin
-  writeln(isodd(3));
-end.`)
-	for _, name := range []string{"isodd", "iseven"} {
-		if !g.Recursive(info.LookupRoutine(name)) {
-			t.Errorf("%s not detected as recursive", name)
-		}
-	}
-}
-
 func TestParameterlessFunctionCallSite(t *testing.T) {
 	info, g := build(t, `
 program t;

@@ -402,23 +402,3 @@ func (g *Graph) Reachable() []bool {
 	walk(g.Entry)
 	return seen
 }
-
-// Dot renders the graph in Graphviz format (debugging aid).
-func (g *Graph) Dot() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "digraph %q {\n", g.Routine.Name)
-	for _, n := range g.Nodes {
-		fmt.Fprintf(&sb, "  n%d [label=%q];\n", n.ID, fmt.Sprintf("%d: %s", n.ID, n))
-	}
-	for _, n := range g.Nodes {
-		for _, s := range n.Succs {
-			if br := g.Label(n, s); br != BranchAlways {
-				fmt.Fprintf(&sb, "  n%d -> n%d [label=%q];\n", n.ID, s.ID, br)
-				continue
-			}
-			fmt.Fprintf(&sb, "  n%d -> n%d;\n", n.ID, s.ID)
-		}
-	}
-	sb.WriteString("}\n")
-	return sb.String()
-}

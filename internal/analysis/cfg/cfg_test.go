@@ -310,11 +310,3 @@ func TestBuildAllRoutines(t *testing.T) {
 		}
 	}
 }
-
-func TestDotOutput(t *testing.T) {
-	_, g := build(t, `program t; var x: integer; begin x := 1; end.`, "")
-	dot := g.Dot()
-	if len(dot) == 0 || dot[0] != 'd' {
-		t.Errorf("dot output malformed: %q", dot)
-	}
-}

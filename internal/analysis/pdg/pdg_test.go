@@ -86,7 +86,7 @@ begin
     y := 2;
   y := 3;
 end.`, "")
-	cd := controlDeps(g)
+	cd := ControlDeps(g)
 	var cond *cfg.Node
 	for _, n := range g.Nodes {
 		if n.Kind == cfg.Cond {
@@ -124,7 +124,7 @@ begin
   while i < 3 do
     i := i + 1;
 end.`, "")
-	cd := controlDeps(g)
+	cd := ControlDeps(g)
 	var cond, body *cfg.Node
 	for _, n := range g.Nodes {
 		switch n.Kind {
@@ -160,17 +160,16 @@ func TestSDGNodeKinds(t *testing.T) {
 		t.Errorf("parameter nodes missing: %v", counts)
 	}
 	// Every actual-in has a param-in edge to a formal-in.
+	linked := map[*Node]bool{}
 	for _, n := range s.Nodes {
-		if n.Kind != ActualIn {
-			continue
-		}
-		found := false
-		for _, e := range s.Succs(n) {
+		for _, e := range s.Preds(n) {
 			if e.Kind == ParamIn && e.To.Kind == FormalIn {
-				found = true
+				linked[e.From] = true
 			}
 		}
-		if !found {
+	}
+	for _, n := range s.Nodes {
+		if n.Kind == ActualIn && !linked[n] {
 			t.Errorf("actual-in %v lacks param-in edge", n)
 		}
 	}
@@ -185,7 +184,7 @@ func TestSummaryEdgesExist(t *testing.T) {
 	s := Build(info)
 	summaries := 0
 	for _, n := range s.Nodes {
-		for _, e := range s.Succs(n) {
+		for _, e := range s.Preds(n) {
 			if e.Kind == Summary {
 				summaries++
 				if e.From.Kind != ActualIn || e.To.Kind != ActualOut {
@@ -223,7 +222,7 @@ end.`)
 	// a summary edge at both call sites.
 	summaries := 0
 	for _, n := range s.Nodes {
-		for _, e := range s.Succs(n) {
+		for _, e := range s.Preds(n) {
 			if e.Kind == Summary {
 				summaries++
 			}
@@ -247,7 +246,7 @@ func TestEdgeDedup(t *testing.T) {
 	}
 	seen := map[key]bool{}
 	for _, n := range s.Nodes {
-		for _, e := range s.Succs(n) {
+		for _, e := range s.Preds(n) {
 			k := key{e.From, e.To, e.Kind}
 			if seen[k] {
 				t.Fatalf("duplicate edge %v -> %v (%v)", e.From, e.To, e.Kind)
@@ -257,20 +256,26 @@ func TestEdgeDedup(t *testing.T) {
 	}
 }
 
-func TestPredsSuccsConsistent(t *testing.T) {
+// TestPredsListIncomingEdges: every edge sits in the predecessor list
+// of its target.
+func TestPredsListIncomingEdges(t *testing.T) {
 	prog := parser.MustParse("t.pas", paper.Sqrtest)
 	info, err := sem.Analyze(prog)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := Build(info)
-	fwd, bwd := 0, 0
+	edges := 0
 	for _, n := range s.Nodes {
-		fwd += len(s.Succs(n))
-		bwd += len(s.Preds(n))
+		for _, e := range s.Preds(n) {
+			if e.To != n {
+				t.Errorf("edge %v -> %v listed among the predecessors of %v", e.From, e.To, n)
+			}
+		}
+		edges += len(s.Preds(n))
 	}
-	if fwd != bwd || fwd == 0 {
-		t.Errorf("edge counts inconsistent: %d succs vs %d preds", fwd, bwd)
+	if edges == 0 {
+		t.Error("no edges")
 	}
 }
 
@@ -303,7 +308,7 @@ end.`, "")
 			cur = next
 		}
 	}
-	if deps := controlDeps(g); len(deps) == 0 {
+	if deps := ControlDeps(g); len(deps) == 0 {
 		t.Fatal("no control dependences computed")
 	}
 }
@@ -341,7 +346,7 @@ end.`, "p")
 	if ipdom[cond] != g.Exit {
 		t.Errorf("ipdom(cond) = %v, want Exit: neither arm rejoins before the routine ends", ipdom[cond])
 	}
-	deps := controlDeps(g)
+	deps := ControlDeps(g)
 	for _, n := range g.Nodes {
 		if n.Kind != cfg.Stmt {
 			continue
@@ -360,7 +365,7 @@ end.`, "p")
 
 // TestPostDomSelfLoop: a goto targeting its own label is a self-loop
 // that never reaches Exit. postDoms must terminate, leave the trapped
-// node without an ipdom entry, and controlDeps must still attribute the
+// node without an ipdom entry, and ControlDeps must still attribute the
 // loop entry to the guarding condition.
 func TestPostDomSelfLoop(t *testing.T) {
 	_, g := buildCFG(t, `
@@ -397,7 +402,7 @@ end.`, "")
 	if len(cycle) == 0 || cond == nil {
 		t.Fatal("self-loop or condition node missing")
 	}
-	deps := controlDeps(g)
+	deps := ControlDeps(g)
 	found := false
 	for _, n := range cycle {
 		if _, ok := ipdom[n]; ok {
@@ -414,7 +419,7 @@ end.`, "")
 	}
 }
 
-// TestPostDomPrunedGraph drives postDoms and controlDeps over a graph
+// TestPostDomPrunedGraph drives postDoms and ControlDeps over a graph
 // mutated exactly the way pruneInfeasible does: a branch edge removed
 // and the orphaned arm disconnected. The surviving nodes must keep
 // postdominator chains and the one-armed condition must control
@@ -465,7 +470,7 @@ end.`, "")
 			cur = next
 		}
 	}
-	deps := controlDeps(g)
+	deps := ControlDeps(g)
 	for n, ds := range deps {
 		for _, d := range ds {
 			if d == cond {

@@ -80,18 +80,12 @@ func postDoms(g *cfg.Graph) map[*cfg.Node]*cfg.Node {
 	return ipdom
 }
 
-// ControlDeps exposes the control-dependence relation for external
-// consumers (the Weiser-baseline slicer); see controlDeps.
-func ControlDeps(g *cfg.Graph) map[*cfg.Node][]*cfg.Node {
-	return controlDeps(g)
-}
-
-// controlDeps computes, for each CFG node, the set of condition nodes it
+// ControlDeps computes, for each CFG node, the set of condition nodes it
 // is control-dependent on (Ferrante–Ottenstein–Warren): for an edge
 // A→B where B does not postdominate A, every node on the postdominator
 // path from B up to (but excluding) ipdom(A) is control-dependent on A.
 // Nodes with no controlling condition depend on Entry.
-func controlDeps(g *cfg.Graph) map[*cfg.Node][]*cfg.Node {
+func ControlDeps(g *cfg.Graph) map[*cfg.Node][]*cfg.Node {
 	ipdom := postDoms(g)
 	deps := make(map[*cfg.Node][]*cfg.Node)
 	add := func(n, on *cfg.Node) {

@@ -110,7 +110,6 @@ type SDG struct {
 	Nodes []*Node
 
 	preds map[*Node][]Edge
-	succs map[*Node][]Edge
 	edges map[[3]int]bool // dedup: fromID, toID, kind
 
 	EntryOf   map[*sem.Routine]*Node
@@ -129,14 +128,10 @@ type SDG struct {
 	sitesAt map[*cfg.Node][]*callgraph.Site
 }
 
-// Preds returns the incoming edges of n.
+// Preds returns the incoming edges of n. The graph keeps no successor
+// lists: every slice walks dependences backward, and each edge sits in
+// exactly one predecessor list.
 func (s *SDG) Preds(n *Node) []Edge { return s.preds[n] }
-
-// Succs returns the outgoing edges of n.
-func (s *SDG) Succs(n *Node) []Edge { return s.succs[n] }
-
-// NodeForCFG returns the SDG node wrapping a CFG node (nil for Exit).
-func (s *SDG) NodeForCFG(c *cfg.Node) *Node { return s.nodeOfCFG[c] }
 
 // FormalOutOf returns the formal-out node of routine r for v (a var/out
 // parameter, the function result variable, or a modified global), or nil.
@@ -157,9 +152,7 @@ func (s *SDG) addEdge(from, to *Node, kind EdgeKind) {
 		return
 	}
 	s.edges[key] = true
-	e := Edge{From: from, To: to, Kind: kind}
-	s.succs[from] = append(s.succs[from], e)
-	s.preds[to] = append(s.preds[to], e)
+	s.preds[to] = append(s.preds[to], Edge{From: from, To: to, Kind: kind})
 }
 
 // Build constructs the SDG of an analyzed program: per-routine PDGs
@@ -185,7 +178,6 @@ func build(info *sem.Info, prune bool) *SDG {
 		CG:                   cg,
 		SE:                   se,
 		preds:                make(map[*Node][]Edge),
-		succs:                make(map[*Node][]Edge),
 		edges:                make(map[[3]int]bool),
 		EntryOf:              make(map[*sem.Routine]*Node),
 		CFGs:                 make(map[*sem.Routine]*cfg.Graph),
@@ -295,7 +287,7 @@ func (s *SDG) buildRoutineSkeleton(r *sem.Routine) {
 	}
 
 	// Control dependence edges.
-	cd := controlDeps(g)
+	cd := ControlDeps(g)
 	for _, c := range g.Nodes {
 		if c == g.Entry || c == g.Exit {
 			continue
@@ -602,9 +594,13 @@ func (s *SDG) computeSummaryEdges() {
 		work = work[1:]
 		inWork[r] = false
 
-		changedCallers := false
+		// Inside r, a formal-out depends on the formal-ins that reach
+		// it over control, flow and summary edges.
+		intra := func(e Edge) bool {
+			return (e.Kind == ControlDep || e.Kind == FlowDep || e.Kind == Summary) && e.From.Routine == r
+		}
 		for _, fo := range s.formalOuts[r] {
-			reached := s.intraBackward(fo)
+			reached := s.traverse([]*Node{fo}, intra)
 			for fi := range reached {
 				if fi.Kind != FormalIn || fi.Routine != r {
 					continue
@@ -627,7 +623,6 @@ func (s *SDG) computeSummaryEdges() {
 						aout := s.actualOuts[site][fo.Var]
 						if ain != nil && aout != nil {
 							s.addEdge(ain, aout, Summary)
-							changedCallers = true
 							if !inWork[caller] {
 								inWork[caller] = true
 								work = append(work, caller)
@@ -637,30 +632,7 @@ func (s *SDG) computeSummaryEdges() {
 				}
 			}
 		}
-		_ = changedCallers
 	}
-}
-
-// intraBackward walks backward from n over intraprocedural edges
-// (control, flow, summary) staying inside n's routine, returning all
-// reached nodes.
-func (s *SDG) intraBackward(n *Node) map[*Node]bool {
-	seen := map[*Node]bool{n: true}
-	stack := []*Node{n}
-	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, e := range s.preds[cur] {
-			switch e.Kind {
-			case ControlDep, FlowDep, Summary:
-				if e.From.Routine == n.Routine && !seen[e.From] {
-					seen[e.From] = true
-					stack = append(stack, e.From)
-				}
-			}
-		}
-	}
-	return seen
 }
 
 // ---------------------------------------------------------------------------
@@ -669,19 +641,21 @@ func (s *SDG) intraBackward(n *Node) map[*Node]bool {
 // BackwardSlice computes the interprocedural backward slice from the
 // criterion nodes using the Horwitz–Reps–Binkley two-phase algorithm.
 func (s *SDG) BackwardSlice(criterion []*Node) map[*Node]bool {
-	phase1 := s.traverse(criterion, func(k EdgeKind) bool { return k != ParamOut })
+	phase1 := s.traverse(criterion, func(e Edge) bool { return e.Kind != ParamOut })
 	var seeds []*Node
 	for n := range phase1 {
 		seeds = append(seeds, n)
 	}
-	phase2 := s.traverse(seeds, func(k EdgeKind) bool { return k != CallEdge && k != ParamIn })
+	phase2 := s.traverse(seeds, func(e Edge) bool { return e.Kind != CallEdge && e.Kind != ParamIn })
 	for n := range phase1 {
 		phase2[n] = true
 	}
 	return phase2
 }
 
-func (s *SDG) traverse(start []*Node, follow func(EdgeKind) bool) map[*Node]bool {
+// traverse returns every node that reaches a start node backward over
+// the edges follow accepts, the start nodes included.
+func (s *SDG) traverse(start []*Node, follow func(Edge) bool) map[*Node]bool {
 	seen := make(map[*Node]bool)
 	var stack []*Node
 	for _, n := range start {
@@ -694,51 +668,11 @@ func (s *SDG) traverse(start []*Node, follow func(EdgeKind) bool) map[*Node]bool
 		cur := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		for _, e := range s.preds[cur] {
-			if !follow(e.Kind) || seen[e.From] {
+			if !follow(e) || seen[e.From] {
 				continue
 			}
 			seen[e.From] = true
 			stack = append(stack, e.From)
-		}
-	}
-	return seen
-}
-
-// ForwardSlice computes the interprocedural forward slice from the
-// criterion nodes (all nodes potentially affected by them), the dual of
-// BackwardSlice: phase 1 stays at the criterion's level or ascends into
-// callers (no ParamIn/Call edges), phase 2 descends (no ParamOut edges).
-func (s *SDG) ForwardSlice(criterion []*Node) map[*Node]bool {
-	phase1 := s.traverseFwd(criterion, func(k EdgeKind) bool { return k != ParamIn && k != CallEdge })
-	var seeds []*Node
-	for n := range phase1 {
-		seeds = append(seeds, n)
-	}
-	phase2 := s.traverseFwd(seeds, func(k EdgeKind) bool { return k != ParamOut })
-	for n := range phase1 {
-		phase2[n] = true
-	}
-	return phase2
-}
-
-func (s *SDG) traverseFwd(start []*Node, follow func(EdgeKind) bool) map[*Node]bool {
-	seen := make(map[*Node]bool)
-	var stack []*Node
-	for _, n := range start {
-		if n != nil && !seen[n] {
-			seen[n] = true
-			stack = append(stack, n)
-		}
-	}
-	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, e := range s.succs[cur] {
-			if !follow(e.Kind) || seen[e.To] {
-				continue
-			}
-			seen[e.To] = true
-			stack = append(stack, e.To)
 		}
 	}
 	return seen

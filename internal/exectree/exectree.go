@@ -111,16 +111,6 @@ type Tree struct {
 	Nodes []*Node // pre-order
 }
 
-// NodeByID looks a node up by its invocation ID. The interpreter numbers
-// calls from 0 in the order they start, which is Nodes' pre-order, so
-// the ID is the node's index; nil when no node has that ID.
-func (t *Tree) NodeByID(id int64) *Node {
-	if id < 0 || id >= int64(len(t.Nodes)) || t.Nodes[id].ID != id {
-		return nil
-	}
-	return t.Nodes[id]
-}
-
 // Size returns the number of nodes.
 func (t *Tree) Size() int { return len(t.Nodes) }
 
@@ -172,6 +162,9 @@ func (t *Tree) String() string {
 // Builder constructs a Tree from interpreter events; it implements
 // interp.EventSink (Read/Write are ignored — see slicing/dynamic for
 // the dependence recorder; Stmt only charges the open call's step cost).
+// A node keeps its CallInfo's Ins and Outs slices as they are: the
+// interpreter hands each call fresh slices and leaves them alone after
+// the event, so the tree holds the only copy of each call's bindings.
 type Builder struct {
 	interp.NopSink
 	root  *Node
@@ -193,7 +186,7 @@ func (b *Builder) EnterCall(ci *interp.CallInfo) {
 		Unit:       ci.Routine,
 		CallSite:   ci.CallSite,
 		Depth:      ci.Depth,
-		Ins:        append([]interp.Binding(nil), ci.Ins...),
+		Ins:        ci.Ins,
 		Incomplete: true,
 	}
 	if len(b.stack) > 0 {
@@ -218,7 +211,7 @@ func (b *Builder) ExitCall(ci *interp.CallInfo) {
 		// Mismatched exit (should not happen); keep the tree consistent.
 		return
 	}
-	n.Outs = append([]interp.Binding(nil), ci.Outs...)
+	n.Outs = ci.Outs
 	n.Result = ci.Result
 	n.Incomplete = false
 }

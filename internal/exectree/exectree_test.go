@@ -176,14 +176,10 @@ end.`)
 	}
 }
 
-func TestNodeByIDAndWalkPruning(t *testing.T) {
+// TestWalkPruning: a Walk callback that returns false skips the subtree
+// under p.
+func TestWalkPruning(t *testing.T) {
 	res := trace(t, paper.PQR, "")
-	for _, n := range res.Tree.Nodes {
-		if res.Tree.NodeByID(n.ID) != n {
-			t.Fatalf("NodeByID(%d) mismatch", n.ID)
-		}
-	}
-	// Walk with pruning: skip the subtree under p.
 	var visited []string
 	res.Tree.Walk(func(n *exectree.Node) bool {
 		visited = append(visited, n.Unit.Name)

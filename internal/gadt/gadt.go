@@ -236,30 +236,6 @@ func (r *Run) Debug(oracle debugger.Oracle, cfg DebugConfig) (*debugger.Outcome,
 	return out, err
 }
 
-// DebugWithFallback runs the debugging phase and, when the caller's
-// verify callback rejects the outcome (the user inspected the localized
-// unit and found no bug there — possibly because a stale test report
-// absorbed the real culprit), repeats the session without the test
-// database: the paper's "if the bug is not localized with this combined
-// method we must repeat the debugging without using the test results"
-// (Section 5.3.2). Returns the first outcome, the final outcome, and
-// whether a retry happened.
-func (r *Run) DebugWithFallback(oracle debugger.Oracle, cfg DebugConfig, verify func(*debugger.Outcome) bool) (first, final *debugger.Outcome, retried bool, err error) {
-	first, err = r.Debug(oracle, cfg)
-	if err != nil {
-		return nil, nil, false, err
-	}
-	if cfg.Tests == nil || (verify != nil && verify(first)) {
-		return first, first, false, nil
-	}
-	cfg.Tests = nil
-	final, err = r.Debug(oracle, cfg)
-	if err != nil {
-		return first, nil, true, err
-	}
-	return first, final, true, nil
-}
-
 // Oracle returns an intended-semantics oracle that treats this system
 // as the reference ("intended") implementation, transformed (Transform
 // is idempotent) the same way as the subject so unit names line up.

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"gadt/internal/debugger"
-	"gadt/internal/exectree"
 	"gadt/internal/gadt"
 	"gadt/internal/obs"
 	"gadt/internal/paper"
@@ -185,100 +184,6 @@ end.`
 	}
 	if out2.Localized() {
 		t.Fatalf("bug = %v, want inconclusive without the root assumption", out2.Bug)
-	}
-}
-
-// staleTests simulates an outdated test database vouching for a unit
-// that has since become buggy.
-type staleTests struct{ unit string }
-
-func (s staleTests) Judge(n *exectree.Node) debugger.Verdict {
-	if n.Unit.Name == s.unit {
-		return debugger.Correct
-	}
-	return debugger.DontKnow
-}
-
-// TestDebugWithFallback reproduces the paper's last resort in Section
-// 5.3.2: a stale passing report absorbs the real culprit and the first
-// session localizes the wrong unit; repeating without the test database
-// finds the actual bug.
-func TestDebugWithFallback(t *testing.T) {
-	buggy := `
-program t;
-var res: integer;
-
-procedure leaf(x: integer; var r: integer);
-begin
-  r := x * 2 + 1; (* bug: the +1 *)
-end;
-
-procedure mid(x: integer; var r: integer);
-var t: integer;
-begin
-  leaf(x, t);
-  r := t + 3;
-end;
-
-begin
-  mid(5, res);
-  writeln(res);
-end.`
-	fixed := strings.Replace(buggy, "r := x * 2 + 1; (* bug: the +1 *)", "r := x * 2;", 1)
-	sys, err := gadt.Load("buggy.pas", buggy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run, err := sys.Trace("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	oracle, err := gadt.IntendedOracle(fixed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := gadt.DebugConfig{Tests: staleTests{unit: "leaf"}}
-	verify := func(o *debugger.Outcome) bool {
-		// The "user" inspects the localized body and only accepts leaf
-		// (where the bug really is).
-		return o.Localized() && o.Bug.Unit.Name == "leaf"
-	}
-	first, final, retried, err := run.DebugWithFallback(oracle, cfg, verify)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !retried {
-		t.Fatal("expected a retry without the test database")
-	}
-	if !first.Localized() || first.Bug.Unit.Name != "mid" {
-		t.Fatalf("first bug = %v, want mid (stale report shields leaf)", first.Bug)
-	}
-	if !final.Localized() || final.Bug.Unit.Name != "leaf" {
-		t.Fatalf("final bug = %v, want leaf", final.Bug)
-	}
-}
-
-func TestDebugWithFallbackNoRetryWhenAccepted(t *testing.T) {
-	sys, err := gadt.Load("s.pas", paper.Sqrtest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run, err := sys.Trace("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	oracle, err := gadt.IntendedOracle(paper.SqrtestFixed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	first, final, retried, err := run.DebugWithFallback(oracle,
-		gadt.DebugConfig{Tests: staleTests{unit: "arrsum"}},
-		func(o *debugger.Outcome) bool { return o.Localized() && o.Bug.Unit.Name == "decrement" })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if retried || first != final {
-		t.Error("unnecessary retry")
 	}
 }
 

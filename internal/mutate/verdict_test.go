@@ -35,7 +35,6 @@ begin
   j := 3;
   r := i / j;
   v := [i / j, 2.5];
-  i := 1 + write(2);
   if f(i) then
     writeln(s)
 end.
@@ -100,11 +99,10 @@ func TestStillbornVerdictExact(t *testing.T) {
 		"18: var-swap i -> j in fixture":        {true, true},   // a target
 		"20: arith-flip / -> * in fixture":      {true, true},   // integer, assignable to real
 		"21: arith-flip / -> * in fixture":      {false, true},  // mixed array display
-		"22: arith-flip + -> - in fixture":      {true, false},  // write's Bad type, no error
 		"11: var-swap g -> f in f":              {false, true},  // f is f's result
 		"12: var-swap f -> g in f":              {false, true},  // g is the local
 		"12: rel-flip > -> >= in f":             {true, false},
-		"23: negate-cond if `f(i)` in fixture":  {true, false},
+		"22: negate-cond if `f(i)` in fixture":  {true, false},
 		"12: const-off-by-one 0 -> 1 in f":      {true, false},
 		"19: drop-stmt `j := 3 ...` in fixture": {true, false},
 	} {

@@ -99,23 +99,6 @@ func TestCloneIsDeepAndMapped(t *testing.T) {
 	}
 }
 
-func TestCloneStmtAndExpr(t *testing.T) {
-	prog := parser.MustParse("t.pas", `program t; var x: integer; begin x := 1 + 2; end.`)
-	s := prog.Block.Body.Stmts[0]
-	c := ast.CloneStmt(s)
-	if c == s {
-		t.Error("CloneStmt aliases")
-	}
-	as := s.(*ast.AssignStmt)
-	e := ast.CloneExpr(as.Rhs)
-	if e == as.Rhs {
-		t.Error("CloneExpr aliases")
-	}
-	if printer.PrintExpr(e) != "1 + 2" {
-		t.Errorf("cloned expr prints %q", printer.PrintExpr(e))
-	}
-}
-
 func TestStmtsIteration(t *testing.T) {
 	prog := parser.MustParse("t.pas", `
 program t;

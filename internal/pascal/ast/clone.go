@@ -18,16 +18,6 @@ func CloneProgram(p *Program) *Program {
 	return (&cloner{}).program(p)
 }
 
-// CloneStmt deep-copies a single statement subtree.
-func CloneStmt(s Stmt) Stmt {
-	return (&cloner{}).stmt(s)
-}
-
-// CloneExpr deep-copies a single expression subtree.
-func CloneExpr(e Expr) Expr {
-	return (&cloner{}).expr(e)
-}
-
 // CloneTypeExpr deep-copies a single type denotation.
 func CloneTypeExpr(t TypeExpr) TypeExpr {
 	return (&cloner{}).typeExpr(t)

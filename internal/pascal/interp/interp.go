@@ -32,7 +32,9 @@ func (b Binding) String() string { return fmt.Sprintf("%s: %s", b.Name, FormatVa
 
 // CallInfo describes one routine invocation for the event sink. The same
 // CallInfo pointer is passed to EnterCall and ExitCall; Outs and Result
-// are populated at exit.
+// are populated at exit. Each call gets fresh Ins and Outs slices, filled
+// only before EnterCall and ExitCall respectively, so a sink may keep
+// either slice and the bindings in it.
 type CallInfo struct {
 	ID       int64
 	Routine  *sem.Routine

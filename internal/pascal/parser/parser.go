@@ -12,10 +12,8 @@
 package parser
 
 import (
-	"errors"
 	"fmt"
 	"strconv"
-	"strings"
 
 	"gadt/internal/pascal/ast"
 	"gadt/internal/pascal/lexer"
@@ -705,16 +703,4 @@ func MustParse(file, src string) *ast.Program {
 		panic(fmt.Sprintf("parser.MustParse(%s): %v", file, err))
 	}
 	return prog
-}
-
-// ErrEmpty is returned by ParseProgram for blank inputs.
-var ErrEmpty = errors.New("parser: empty input")
-
-// CheckNonEmpty reports ErrEmpty when src has no tokens. Exposed so
-// callers can give a friendlier diagnostic than "expected program".
-func CheckNonEmpty(src string) error {
-	if strings.TrimSpace(src) == "" {
-		return ErrEmpty
-	}
-	return nil
 }

@@ -139,15 +139,6 @@ func TestErrorListFormatting(t *testing.T) {
 	}
 }
 
-func TestCheckNonEmpty(t *testing.T) {
-	if parser.CheckNonEmpty("  \n\t ") == nil {
-		t.Error("blank input accepted")
-	}
-	if parser.CheckNonEmpty("program t; begin end.") != nil {
-		t.Error("non-blank input rejected")
-	}
-}
-
 func TestDeclarationPartsInAnyOrder(t *testing.T) {
 	// Our parser (liberally) allows var parts after routines.
 	parse(t, `

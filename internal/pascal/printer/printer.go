@@ -23,13 +23,6 @@ func Print(p *ast.Program) string {
 	return pr.b.String()
 }
 
-// PrintRoutine renders a single routine declaration.
-func PrintRoutine(r *ast.Routine) string {
-	var pr printer
-	pr.routine(r)
-	return pr.b.String()
-}
-
 // PrintStmt renders a single statement at the given indent level.
 func PrintStmt(s ast.Stmt) string {
 	var pr printer
@@ -42,13 +35,6 @@ func PrintStmt(s ast.Stmt) string {
 func PrintExpr(e ast.Expr) string {
 	var pr printer
 	pr.expr(e, 0)
-	return pr.b.String()
-}
-
-// PrintTypeExpr renders a type denotation.
-func PrintTypeExpr(t ast.TypeExpr) string {
-	var pr printer
-	pr.typeExpr(t)
 	return pr.b.String()
 }
 

@@ -108,23 +108,6 @@ func TestPrintRealPreservesSpelling(t *testing.T) {
 	}
 }
 
-func TestPrintRoutineStandalone(t *testing.T) {
-	prog := parser.MustParse("t.pas", paper.PQR)
-	r := prog.Block.Routines[0]
-	out := printer.PrintRoutine(r)
-	if !strings.HasPrefix(out, "procedure q(a: integer; var b: integer);") {
-		t.Errorf("routine print:\n%s", out)
-	}
-}
-
-func TestPrintTypeExpr(t *testing.T) {
-	prog := parser.MustParse("t.pas", paper.Sqrtest)
-	te := prog.Block.Types[0].Type
-	if got := printer.PrintTypeExpr(te); got != "array [1 .. 10] of integer" {
-		t.Errorf("type printed as %q", got)
-	}
-}
-
 func TestPrintStmtSingle(t *testing.T) {
 	prog := parser.MustParse("t.pas", `program t; var x: integer; begin if x > 0 then x := 1 else x := 2; end.`)
 	s := prog.Block.Body.Stmts[0]

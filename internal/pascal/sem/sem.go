@@ -728,6 +728,9 @@ func (c *checker) checkCall(node ast.Node, name string, args []ast.Expr, pos tok
 }
 
 func (c *checker) checkBuiltinCall(b *Builtin, args []ast.Expr, pos token.Pos, r *Routine, sc *scope, stmtCtx bool) types.Type {
+	if b.Proc && !stmtCtx {
+		c.errorf(pos, "procedure %s used in an expression", b.Name)
+	}
 	switch b.Name {
 	case "read", "readln":
 		for _, a := range args {

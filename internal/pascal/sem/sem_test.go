@@ -163,6 +163,10 @@ func TestSemanticErrors(t *testing.T) {
 		{"varArgNotVariable", `program t; procedure p(var a: integer); begin a := 0; end; begin p(3); end.`, "must be a variable"},
 		{"funcAsProc", `program t; function f: integer; begin f := 1; end; begin f; end.`, "called as a procedure"},
 		{"procInExpr", `program t; var x: integer; procedure p; begin end; begin x := p; end.`, "used in an expression"},
+		{"writeInExpr", `program t; var i: integer; begin i := 1 + write(2); end.`, "procedure write used in an expression"},
+		{"writelnInExpr", `program t; var i: integer; begin i := writeln(i); end.`, "procedure writeln used in an expression"},
+		{"readInExpr", `program t; var i: integer; begin if read(i) then i := 0; end.`, "procedure read used in an expression"},
+		{"readlnInExpr", `program t; var i: integer; begin i := readln(i) * 2; end.`, "procedure readln used in an expression"},
 		{"divReal", `program t; var r: real; begin r := 1.5 div 2; end.`, "requires integer operands"},
 		{"minusStrings", `program t; var s: string; begin s := s - s; end.`, "operator - requires numeric operands, have string and string"},
 		{"slashBool", `program t; var r: real; var b: boolean; begin r := b / 2; end.`, "operator / requires numeric operands, have boolean and integer"},

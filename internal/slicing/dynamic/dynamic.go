@@ -4,9 +4,10 @@
 // statement-execution events; slicing on an output variable of a unit
 // invocation then prunes the execution tree to the invocations that
 // actually contributed to that value — exactly the tree reductions shown
-// in Figures 8 and 9. Tracing builds the execution tree alone; Deps
-// builds a traced run's graph on its first slice by executing the run
-// again with only the Recorder attached.
+// in Figures 8 and 9. A slice names invocations, not statements: the
+// debugger asks only which nodes to keep. Tracing builds the execution
+// tree alone; Deps builds a traced run's graph on its first slice by
+// executing the run again with only the Recorder attached.
 //
 // Dependences combine data flow (at whole-variable granularity, one
 // memory location per variable like the rest of the system) with
@@ -28,13 +29,11 @@ import (
 	"gadt/internal/pascal/ast"
 	"gadt/internal/pascal/interp"
 	"gadt/internal/pascal/sem"
-	"gadt/internal/slicing/render"
 )
 
 // event is one statement execution.
 type event struct {
 	node int64 // invocation (CallInfo/exectree node) ID
-	stmt ast.Stmt
 	deps []int32
 }
 
@@ -129,7 +128,7 @@ func (r *Recorder) Stmt(s ast.Stmt, rt *sem.Routine) {
 		return
 	}
 	r.buildControl(rt)
-	ev := event{node: f.id, stmt: s}
+	ev := event{node: f.id}
 	for _, cs := range r.ctrl[s] {
 		if ce, ok := f.lastByStmt[cs]; ok {
 			ev.deps = append(ev.deps, ce)
@@ -300,8 +299,10 @@ func (d *Deps) build() {
 		return
 	}
 	d.rec = rec
-	d.Metrics.Gauge("slicing.dynamic.events").Set(int64(rec.Events()))
-	d.Metrics.Gauge("slicing.dynamic.edges").Set(int64(rec.Edges()))
+	if d.Metrics != nil {
+		d.Metrics.Gauge("slicing.dynamic.events").Set(int64(rec.Events()))
+		d.Metrics.Gauge("slicing.dynamic.edges").Set(int64(rec.Edges()))
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -309,30 +310,9 @@ func (d *Deps) build() {
 
 // TreeSlice is the result of a dynamic slice: the set of execution-tree
 // nodes that contributed to the criterion value, closed under ancestors
-// so it always forms a subtree rooted at the original root. Stmts
-// additionally holds the contributing statement executions, giving a
-// statement-level dynamic program slice in the sense of [Kamkar-91b]
-// (executed statements that actually produced the criterion value).
+// so it always forms a subtree rooted at the original root.
 type TreeSlice struct {
-	Criterion *exectree.Node
-	Variable  string
-	Kept      map[*exectree.Node]bool
-	Stmts     map[ast.Stmt]bool
-}
-
-// StmtCount returns the number of distinct contributing statements.
-func (s *TreeSlice) StmtCount() int { return len(s.Stmts) }
-
-// RenderProgram prints the statement-level dynamic slice as a program:
-// only statements that contributed to the criterion value survive
-// (structure is kept around them; conditions are not part of the
-// data-flow slice). The info must describe the traced program.
-func (s *TreeSlice) RenderProgram(info *sem.Info) string {
-	f := &render.Filter{
-		Info:     info,
-		KeepStmt: func(st ast.Stmt) bool { return s.Stmts[st] },
-	}
-	return f.Render()
+	Kept map[*exectree.Node]bool
 }
 
 // Keep reports whether n survives the slice.
@@ -355,7 +335,6 @@ func (r *Recorder) SliceOnOutput(t *exectree.Tree, n *exectree.Node, output stri
 	seen := make(map[int32]bool)
 	stack := []int32{seed}
 	contributing := make(map[int64]bool)
-	stmts := make(map[ast.Stmt]bool)
 	for len(stack) > 0 {
 		e := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -365,9 +344,6 @@ func (r *Recorder) SliceOnOutput(t *exectree.Tree, n *exectree.Node, output stri
 		seen[e] = true
 		ev := r.events[e]
 		contributing[ev.node] = true
-		if ev.stmt != nil {
-			stmts[ev.stmt] = true
-		}
 		stack = append(stack, ev.deps...)
 	}
 
@@ -389,15 +365,7 @@ func (r *Recorder) SliceOnOutput(t *exectree.Tree, n *exectree.Node, output stri
 		return true
 	})
 	keepChain(n)
-	// For executability of the statement-level slice, the call
-	// statements of every kept invocation are part of the slice even
-	// when the binding itself moved no data (var-parameter aliasing).
-	for x := range kept {
-		if cs, ok := x.CallSite.(ast.Stmt); ok {
-			stmts[cs] = true
-		}
-	}
-	return &TreeSlice{Criterion: n, Variable: output, Kept: kept, Stmts: stmts}, nil
+	return &TreeSlice{Kept: kept}, nil
 }
 
 // Intersect returns a slice keeping only nodes present in both slices
@@ -409,5 +377,5 @@ func Intersect(a, b *TreeSlice) *TreeSlice {
 			kept[n] = true
 		}
 	}
-	return &TreeSlice{Criterion: b.Criterion, Variable: b.Variable, Kept: kept}
+	return &TreeSlice{Kept: kept}
 }

@@ -1,7 +1,6 @@
 package dynamic_test
 
 import (
-	"strings"
 	"testing"
 
 	"gadt/internal/exectree"
@@ -298,66 +297,6 @@ func TestEventsRecorded(t *testing.T) {
 	if rec.Events() == 0 {
 		t.Error("no events recorded")
 	}
-}
-
-// TestStatementLevelDynamicSlice checks the statement-level dynamic
-// program slice: only statements that actually produced the criterion
-// value survive in the rendered program.
-func TestStatementLevelDynamicSlice(t *testing.T) {
-	src := `
-program t;
-var a, b, c, noise: integer;
-
-procedure mk(var r: integer);
-begin
-  r := 2;
-  noise := 77;
-end;
-
-procedure dbl(v: integer; var r: integer);
-begin
-  r := v * 2;
-end;
-
-begin
-  mk(a);
-  dbl(a, b);
-  c := 123;
-  writeln(b, c);
-end.`
-	prog := parser.MustParse("t.pas", src)
-	info, err := sem.Analyze(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := exectree.Trace(info, "")
-	if res.Err != nil {
-		t.Fatal(res.Err)
-	}
-	deps := &dynamic.Deps{Info: info, Nodes: res.Tree.Size()}
-	dn := findNode(t, res.Tree, "dbl")
-	sl, err := deps.SliceOnOutput(res.Tree, dn, "r")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sl.StmtCount() == 0 {
-		t.Fatal("no contributing statements recorded")
-	}
-	out := sl.RenderProgram(info)
-	for _, want := range []string{"r := 2", "r := v * 2", "mk(a)", "dbl(a, b)"} {
-		if !containsLine(out, want) {
-			t.Errorf("dynamic program slice missing %q:\n%s", want, out)
-		}
-	}
-	for _, drop := range []string{"noise := 77", "c := 123", "writeln"} {
-		if containsLine(out, drop) {
-			t.Errorf("dynamic program slice wrongly kept %q:\n%s", drop, out)
-		}
-	}
-}
-
-func containsLine(out, want string) bool {
-	return strings.Contains(out, want)
 }
 
 func TestLoopCarriedDependence(t *testing.T) {

@@ -1,7 +1,8 @@
 // Package static provides interprocedural static program slicing on top
 // of the system dependence graph, reproducing the paper's Section 4: a
 // slice at program point p on variable v contains all statements and
-// predicates that might affect the value of v at p.
+// predicates that might affect the value of v at p. Slices are backward
+// only: each entry point seeds the SDG's two-phase backward walk.
 package static
 
 import (
@@ -74,33 +75,8 @@ func (s *Slicer) OnOutput(r *sem.Routine, v *sem.VarSym) (*Slice, error) {
 	return s.run([]*pdg.Node{fo}), nil
 }
 
-// ForwardFromStmt computes the forward slice from a statement: every
-// statement potentially affected by it. The natural use is impact
-// analysis before a fix ("what else does changing this line touch"),
-// the forward companion Kamkar's overview describes.
-func (s *Slicer) ForwardFromStmt(r *sem.Routine, stmt ast.Stmt) (*Slice, error) {
-	g := s.SDG.CFGs[r]
-	c := g.NodeOf[stmt]
-	if c == nil {
-		if cs := g.CondOf[stmt]; len(cs) > 0 {
-			c = cs[0]
-		}
-	}
-	if c == nil {
-		return nil, fmt.Errorf("static: statement at %s has no CFG node in %s", stmt.Pos(), r.Name)
-	}
-	n := s.SDG.NodeForCFG(c)
-	if n == nil {
-		return nil, fmt.Errorf("static: no SDG node for statement at %s", stmt.Pos())
-	}
-	return s.collect(s.SDG.ForwardSlice([]*pdg.Node{n})), nil
-}
-
 func (s *Slicer) run(seeds []*pdg.Node) *Slice {
-	return s.collect(s.SDG.BackwardSlice(seeds))
-}
-
-func (s *Slicer) collect(nodes map[*pdg.Node]bool) *Slice {
+	nodes := s.SDG.BackwardSlice(seeds)
 	sl := &Slice{
 		Info:     s.Info,
 		Nodes:    nodes,

@@ -328,101 +328,6 @@ func TestOnVarAtStmtUnknownStmt(t *testing.T) {
 	}
 }
 
-func TestForwardSlice(t *testing.T) {
-	info, s := slicer(t, `
-program t;
-var a, b, c, d: integer;
-begin
-  read(a);
-  b := a + 1;
-  c := b * 2;
-  d := 42;
-  writeln(c, d);
-end.`)
-	// Forward slice from `b := a + 1` must reach c's computation and the
-	// writeln, but not d.
-	var bAssign ast.Stmt
-	ast.Inspect(info.Program, func(n ast.Node) bool {
-		if as, ok := n.(*ast.AssignStmt); ok {
-			if id, ok := as.Lhs.(*ast.Ident); ok && id.Name == "b" {
-				bAssign = as
-			}
-		}
-		return true
-	})
-	if bAssign == nil {
-		t.Fatal("b assignment not found")
-	}
-	sl, err := s.ForwardFromStmt(info.Main, bAssign)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cAssign, dAssign ast.Stmt
-	ast.Inspect(info.Program, func(n ast.Node) bool {
-		if as, ok := n.(*ast.AssignStmt); ok {
-			if id, ok := as.Lhs.(*ast.Ident); ok {
-				switch id.Name {
-				case "c":
-					cAssign = as
-				case "d":
-					dAssign = as
-				}
-			}
-		}
-		return true
-	})
-	if !sl.IncludesStmt(bAssign) || !sl.IncludesStmt(cAssign) {
-		t.Errorf("forward slice missing b/c chain: %s", sl.Describe())
-	}
-	if sl.IncludesStmt(dAssign) {
-		t.Errorf("forward slice wrongly includes d := 42")
-	}
-}
-
-func TestForwardSliceInterprocedural(t *testing.T) {
-	info, s := slicer(t, `
-program t;
-var x, y, z: integer;
-
-procedure double(v: integer; var r: integer);
-begin
-  r := v * 2;
-end;
-
-begin
-  read(x);
-  double(x, y);
-  z := 5;
-  writeln(y, z);
-end.`)
-	var readStmt ast.Stmt
-	ast.Inspect(info.Program, func(n ast.Node) bool {
-		if cs, ok := n.(*ast.CallStmt); ok && cs.Name == "read" {
-			readStmt = cs
-		}
-		return true
-	})
-	sl, err := s.ForwardFromStmt(info.Main, readStmt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sl.IncludesRoutine(info.LookupRoutine("double")) {
-		t.Errorf("forward slice from read(x) must cross into double: %s", sl.Describe())
-	}
-	var zAssign ast.Stmt
-	ast.Inspect(info.Program, func(n ast.Node) bool {
-		if as, ok := n.(*ast.AssignStmt); ok {
-			if id, ok := as.Lhs.(*ast.Ident); ok && id.Name == "z" {
-				zAssign = as
-			}
-		}
-		return true
-	})
-	if sl.IncludesStmt(zAssign) {
-		t.Errorf("forward slice wrongly includes z := 5")
-	}
-}
-
 func TestDescribeAndCount(t *testing.T) {
 	info, s := slicer(t, paper.SliceExample)
 	mul := static.LookupVar(info, info.Main, "mul")

@@ -18,12 +18,11 @@ import (
 // iff it produced the same outputs, with no extrapolation at all.
 //
 // It implements debugger.TestLookup and is safe for concurrent use
-// (campaign workers share one database per subject).
+// (campaign workers share one database per subject). Judge only reads
+// it; the sessions count the answers it gives.
 type CallDB struct {
 	mu    sync.RWMutex
 	calls map[string]string // unit + rendered inputs -> rendered outputs
-
-	hits, misses int64
 }
 
 // NewCallDB returns an empty database.
@@ -101,13 +100,6 @@ func (db *CallDB) Len() int {
 	return len(db.calls)
 }
 
-// Stats reports lookup hits (calls answered) and misses.
-func (db *CallDB) Stats() (hits, misses int64) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.hits, db.misses
-}
-
 // Judge implements debugger.TestLookup: Correct when the call matches a
 // harvested invocation exactly, Incorrect when the inputs match but the
 // outputs differ, DontKnow for never-harvested inputs.
@@ -120,14 +112,8 @@ func (db *CallDB) Judge(n *exectree.Node) debugger.Verdict {
 	want, ok := db.calls[key]
 	db.mu.RUnlock()
 	if !ok {
-		db.mu.Lock()
-		db.misses++
-		db.mu.Unlock()
 		return debugger.DontKnow
 	}
-	db.mu.Lock()
-	db.hits++
-	db.mu.Unlock()
 	if callOuts(n) == want {
 		return debugger.Correct
 	}

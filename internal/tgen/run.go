@@ -261,21 +261,6 @@ func (m *MenuLookup) Judge(n *exectree.Node) debugger.Verdict {
 	return debugger.Incorrect
 }
 
-// MultiLookup consults several lookups in order (one per tested unit).
-type MultiLookup []debugger.TestLookup
-
-var _ debugger.TestLookup = MultiLookup(nil)
-
-// Judge implements debugger.TestLookup.
-func (m MultiLookup) Judge(n *exectree.Node) debugger.Verdict {
-	for _, l := range m {
-		if v := l.Judge(n); v != debugger.DontKnow {
-			return v
-		}
-	}
-	return debugger.DontKnow
-}
-
 // FramesByScript groups generated frames per script name, mirroring the
 // paper's observation that script_1 contains (more, mixed, large) and
 // (more, mixed, average).

@@ -359,27 +359,6 @@ func TestFailingReportYieldsIncorrect(t *testing.T) {
 	}
 }
 
-func TestMultiLookup(t *testing.T) {
-	spec := arrsumSpec(t)
-	db := tgen.NewReportDB("arrsum")
-	db.Add(&tgen.Report{Frame: "arrsum:two/positive/small", Pass: true})
-	m := tgen.MultiLookup{&tgen.Lookup{Spec: spec, DB: db}}
-
-	sprog := parser.MustParse("s.pas", paper.Sqrtest)
-	sinfo, _ := sem.Analyze(sprog)
-	res := exectree.Trace(sinfo, "")
-	var arrsumNode *exectree.Node
-	res.Tree.Walk(func(n *exectree.Node) bool {
-		if n.Unit.Name == "arrsum" {
-			arrsumNode = n
-		}
-		return true
-	})
-	if v := m.Judge(arrsumNode); v != debugger.Correct {
-		t.Errorf("multi judge = %v", v)
-	}
-}
-
 // TestMenuLookup: classification fails (empty array matches no
 // type_of_elements choice), so the menu chooser supplies the frame.
 func TestMenuLookup(t *testing.T) {
