@@ -32,6 +32,7 @@ package mutate
 
 import (
 	"fmt"
+	"strings"
 
 	"gadt/internal/obs"
 	"gadt/internal/pascal/ast"
@@ -496,11 +497,13 @@ func collectSwap(id *ast.Ident, target bool, unit string, groups map[string][]st
 	})
 }
 
+// firstLine returns the first line of printed source, marking a cut
+// with " ...". The printer ends a statement with a newline, which is
+// not a second line.
 func firstLine(s string) string {
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\n' {
-			return s[:i] + " ..."
-		}
+	s = strings.TrimSuffix(s, "\n")
+	if i := strings.IndexByte(s, '\n'); i >= 0 {
+		return s[:i] + " ..."
 	}
 	return s
 }

@@ -92,19 +92,19 @@ func TestStillbornVerdictExact(t *testing.T) {
 	t.Logf("%d programs, %d sites, %d re-analyzed", len(progs), total, reanalyzed)
 
 	for site, want := range map[string][2]bool{
-		"16: arith-flip + -> - in fixture":      {false, false}, // no string -
-		"17: rel-flip = -> <> in fixture":       {true, false},  // same type
-		"17: rel-flip = -> <= in fixture":       {false, false}, // booleans are unordered
-		"17: var-swap c -> b in fixture":        {true, false},  // a read
-		"18: var-swap i -> j in fixture":        {true, true},   // a target
-		"20: arith-flip / -> * in fixture":      {true, true},   // integer, assignable to real
-		"21: arith-flip / -> * in fixture":      {false, true},  // mixed array display
-		"11: var-swap g -> f in f":              {false, true},  // f is f's result
-		"12: var-swap f -> g in f":              {false, true},  // g is the local
-		"12: rel-flip > -> >= in f":             {true, false},
-		"22: negate-cond if `f(i)` in fixture":  {true, false},
-		"12: const-off-by-one 0 -> 1 in f":      {true, false},
-		"19: drop-stmt `j := 3 ...` in fixture": {true, false},
+		"16: arith-flip + -> - in fixture":     {false, false}, // no string -
+		"17: rel-flip = -> <> in fixture":      {true, false},  // same type
+		"17: rel-flip = -> <= in fixture":      {false, false}, // booleans are unordered
+		"17: var-swap c -> b in fixture":       {true, false},  // a read
+		"18: var-swap i -> j in fixture":       {true, true},   // a target
+		"20: arith-flip / -> * in fixture":     {true, true},   // integer, assignable to real
+		"21: arith-flip / -> * in fixture":     {false, true},  // mixed array display
+		"11: var-swap g -> f in f":             {false, true},  // f is f's result
+		"12: var-swap f -> g in f":             {false, true},  // g is the local
+		"12: rel-flip > -> >= in f":            {true, false},
+		"22: negate-cond if `f(i)` in fixture": {true, false},
+		"12: const-off-by-one 0 -> 1 in f":     {true, false},
+		"19: drop-stmt `j := 3` in fixture":    {true, false},
 	} {
 		got, ok := fixture[site]
 		if !ok {
