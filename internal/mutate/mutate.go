@@ -249,9 +249,9 @@ func (en *Enumeration) Source(m *Mutant) string {
 //   - an operator flip keeps its operands, so the analyzer's own rule
 //     (sem.BinaryType) on their recorded types decides: the original
 //     type means viable, and types.Bad means the operator does not
-//     apply. The original type is tested first because operands typed
-//     Bad without an error (write used as a value) give Bad under
-//     every operator, as before the flip.
+//     apply. The original type is tested first: an operand typed Bad
+//     gives Bad under every operator, the original included, so such
+//     a flip type-checks exactly when the program does.
 //
 // Any other site is applied and the whole edited program re-analyzed.
 func viable(prog *ast.Program, info *sem.Info, st *site, m *obs.Registry) bool {

@@ -1,9 +1,9 @@
 // Package render turns a statement subset back into a printable program:
 // given predicates for the atomic statements (and optionally the
 // conditions) to retain, it clones the original AST, drops everything
-// else, and removes routines that end up empty. Both the static slicer
-// (Weiser's "slice is an independent program") and the dynamic slicer's
-// statement-level slices use it.
+// else, and removes routines that end up empty. The static slicer and
+// the Weiser baseline use it (Weiser's "slice is an independent
+// program").
 package render
 
 import (
